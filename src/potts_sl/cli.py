@@ -61,7 +61,6 @@ class RunManifest:
     sigma: str | None = None
     config: str | None = None
     gt: str | None = None
-    seed: int = 0
 
     def validate(self):
         for name in ("image", "scribbles", "sigma", "config", "gt"):
@@ -217,7 +216,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_corrupt_bench(args) -> int:
-    manifest = RunManifest(out_dir=args.out, seed=args.seed)
+    manifest = RunManifest(out_dir=args.out)
     manifest.validate()
     rows = corruption_experiment(seed=args.seed)
     path = os.path.join(args.out, "corruption.csv")

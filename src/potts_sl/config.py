@@ -12,7 +12,8 @@ ignored, unknown keys are rejected. Keys:
     steps            solver gradient steps, int >= 1
     lr               solver learning rate, float > 0
     rounds           alternation rounds, int >= 1
-    seed             integer
+    seed             integer; reserved: parsed into RunConfig.seed, but solve
+                     and train are deterministic and do not read it
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class RunConfig:
             rounds=self.rounds,
             loss_cfg=self.loss,
             solver_cfg=self.solver,
-            seed=self.seed,
         )
 
 

@@ -18,7 +18,7 @@ import enum
 import numpy as np
 
 from .errors import DIVERGENT, DataError, DivergentPointError, LOG_CLAMP
-from .simplex import Distribution
+from .simplex import Distribution, _pair_arrays
 
 
 class XentKind(enum.Enum):
@@ -35,73 +35,51 @@ class XentKind(enum.Enum):
             raise DataError(f"unknown cross-entropy kind {name!r}") from None
 
 
-def _pair_arrays(y, sigma):
-    a = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(sigma, dtype=np.float64))
-    if a.shape != b.shape or a.shape[1] < 2:
-        raise DataError(f"distribution pair shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray):
-    """Vectorized values over (N, K) pairs; returns (values, divergent mask).
+def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray, grad: bool = False):
+    """Vectorized values over (N, K) pairs; returns (values, divergent, grads).
 
     Log arguments are clamped at LOG_CLAMP so the returned values stay finite;
-    the mask records rows where the clamp was active.
+    the mask records rows where the clamp was active. grads is None or the
+    pair (d/dy, d/dsigma) of the log-clamped loss: finite everywhere, and zero
+    along any coordinate sitting in the flat clamped region.
     """
     if kind is XentKind.CE:
         div = np.any((y > 0.0) & (sigma <= LOG_CLAMP), axis=1)
         logs = np.log(np.maximum(sigma, LOG_CLAMP))
-        return -np.sum(y * logs, axis=1), div
+        grads = None
+        if grad:
+            gs = np.where(sigma > LOG_CLAMP, -y / np.maximum(sigma, LOG_CLAMP), 0.0)
+            grads = (-logs, gs)
+        return -np.sum(y * logs, axis=1), div, grads
     if kind is XentKind.RCE:
         div = np.any((sigma > 0.0) & (y <= LOG_CLAMP), axis=1)
         logs = np.log(np.maximum(y, LOG_CLAMP))
-        return -np.sum(sigma * logs, axis=1), div
+        grads = None
+        if grad:
+            gy = np.where(y > LOG_CLAMP, -sigma / np.maximum(y, LOG_CLAMP), 0.0)
+            grads = (gy, -logs)
+        return -np.sum(sigma * logs, axis=1), div, grads
     if kind is XentKind.CCE:
         s = np.einsum("nk,nk->n", sigma, y)
         div = s <= LOG_CLAMP
-        return -np.log(np.maximum(s, LOG_CLAMP)), div
+        ss = np.maximum(s, LOG_CLAMP)
+        grads = None
+        if grad:
+            grads = (
+                np.where(div[:, None], 0.0, -sigma / ss[:, None]),
+                np.where(div[:, None], 0.0, -y / ss[:, None]),
+            )
+        return -np.log(ss), div, grads
     if kind is XentKind.QUAD:
         d = y - sigma
-        return np.einsum("nk,nk->n", d, d), np.zeros(d.shape[0], dtype=bool)
-    raise DataError(f"unknown cross-entropy kind {kind!r}")
-
-
-def row_grads(kind: XentKind, y: np.ndarray, sigma: np.ndarray):
-    """Vectorized (d/dy, d/dsigma, divergent) over (N, K) pairs.
-
-    The gradients are those of the log-clamped loss reported by row_values:
-    finite everywhere, and zero along any coordinate sitting in the flat
-    clamped region. The mask flags rows where the clamp is active so callers
-    can refuse or count them.
-    """
-    if kind is XentKind.CE:
-        div = np.any((y > 0.0) & (sigma <= LOG_CLAMP), axis=1)
-        gy = -np.log(np.maximum(sigma, LOG_CLAMP))
-        gs = np.where(sigma > LOG_CLAMP, -y / np.maximum(sigma, LOG_CLAMP), 0.0)
-        return gy, gs, div
-    if kind is XentKind.RCE:
-        div = np.any((sigma > 0.0) & (y <= LOG_CLAMP), axis=1)
-        gy = np.where(y > LOG_CLAMP, -sigma / np.maximum(y, LOG_CLAMP), 0.0)
-        gs = -np.log(np.maximum(y, LOG_CLAMP))
-        return gy, gs, div
-    if kind is XentKind.CCE:
-        s = np.einsum("nk,nk->n", sigma, y)
-        div = s <= LOG_CLAMP
-        ss = np.maximum(s, LOG_CLAMP)[:, None]
-        gy = np.where(div[:, None], 0.0, -sigma / ss)
-        gs = np.where(div[:, None], 0.0, -y / ss)
-        return gy, gs, div
-    if kind is XentKind.QUAD:
-        d = y - sigma
-        return 2.0 * d, -2.0 * d, np.zeros(d.shape[0], dtype=bool)
+        grads = (2.0 * d, -2.0 * d) if grad else None
+        return np.einsum("nk,nk->n", d, d), np.zeros(d.shape[0], dtype=bool), grads
     raise DataError(f"unknown cross-entropy kind {kind!r}")
 
 
 def xent_value(kind: XentKind, y, sigma):
     """Coupling value for one (target, estimate) pair; DIVERGENT on clamped logs."""
-    a, b = _pair_arrays(y, sigma)
-    v, div = row_values(kind, a, b)
+    v, div, _ = row_values(kind, *_pair_arrays(y, sigma))
     if div[0]:
         return DIVERGENT
     return float(v[0])
@@ -109,8 +87,7 @@ def xent_value(kind: XentKind, y, sigma):
 
 def xent_grad(kind: XentKind, y, sigma):
     """(d/dy, d/dsigma) for one pair; refuses divergent points."""
-    a, b = _pair_arrays(y, sigma)
-    gy, gs, div = row_grads(kind, a, b)
+    _, div, (gy, gs) = row_values(kind, *_pair_arrays(y, sigma), grad=True)
     if div[0]:
         raise DivergentPointError(f"{kind.name} gradient requested at a divergent pair")
     return gy[0], gs[0]

@@ -20,7 +20,7 @@ import numpy as np
 from .affinity import AffinityGraph
 from .data_terms import XentKind, row_values
 from .errors import DataError, LOG_CLAMP
-from .potts import PottsKind, edge_values
+from .potts import PottsKind, edge_sum
 from .simplex import ProbField, ScribbleField, entropy_rows, one_hot_rows
 
 
@@ -68,11 +68,6 @@ def scribble_nll(sigma: ProbField, scribbles: ScribbleField) -> float:
     return float(-np.sum(np.log(np.maximum(probs, LOG_CLAMP))))
 
 
-def _potts_term(kind: PottsKind, y: np.ndarray, graph: AffinityGraph) -> float:
-    v, _ = edge_values(kind, y[graph.ei], y[graph.ej])
-    return float(np.dot(graph.w, v))
-
-
 def ws_loss(
     sigma: ProbField,
     scribbles: ScribbleField,
@@ -85,7 +80,7 @@ def ws_loss(
     unlabeled = ~scribbles.labeled_mask().ravel()
     value = scribble_nll(sigma, scribbles)
     value += cfg.eta * float(np.sum(entropy_rows(s[unlabeled])))
-    value += cfg.lam * _potts_term(cfg.potts, s, graph)
+    value += edge_sum(cfg.potts, s, graph, scale=cfg.lam)[0]
     return value
 
 
@@ -117,7 +112,7 @@ def sl_loss(
             )
     s = sigma.flat()
     value = scribble_nll(sigma, scribbles)
-    vals, _ = row_values(cfg.xent, yf[~labeled], s[~labeled])
+    vals, _, _ = row_values(cfg.xent, yf[~labeled], s[~labeled])
     value += cfg.eta * float(np.sum(vals))
-    value += cfg.lam * _potts_term(cfg.potts, yf, graph)
+    value += edge_sum(cfg.potts, yf, graph, scale=cfg.lam)[0]
     return value

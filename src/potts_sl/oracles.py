@@ -3,14 +3,11 @@
 random_walker_solve gives the exact minimizer of the quadratic pseudo-label
 objective by solving per-class Laplacian systems; finite_diff_check validates
 analytic gradients with central differences; brute_force_discrete enumerates
-every labeling of a tiny discrete Potts instance. None of them share code
-with the gradient-descent solver they are used to check.
+every labeling of a tiny discrete Potts instance. None of them share
+numerical code with the gradient-descent solver they are used to check.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -19,23 +16,10 @@ from scipy.sparse.linalg import cg
 
 from .affinity import AffinityGraph
 from .errors import DataError, NumericalError
+from .losses import _check_instance
 from .simplex import ProbField, ScribbleField, one_hot_rows
 
 _CG_TOL = 1e-10
-
-
-def _worker_threads(ntasks: int) -> int:
-    """Worker cap from POTTS_SL_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("POTTS_SL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DataError(f"POTTS_SL_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise DataError("POTTS_SL_THREADS must be >= 0")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, ntasks))
 
 
 def _laplacian(graph: AffinityGraph) -> sparse.csr_matrix:
@@ -68,12 +52,7 @@ def random_walker_solve(
     the solution are exactly 1 because the constant vector solves the summed
     system.
     """
-    if (sigma.height, sigma.width) != (scribbles.height, scribbles.width):
-        raise DataError("prediction field and scribbles disagree on dimensions")
-    if sigma.npixels != graph.npixels:
-        raise DataError("graph pixel count differs from the field")
-    if scribbles.max_class() > sigma.classes:
-        raise DataError(f"scribble class exceeds K={sigma.classes}")
+    _check_instance(sigma, scribbles, graph)
     if not (np.isfinite(eta) and eta >= 0 and np.isfinite(lam) and lam >= 0):
         raise DataError("eta and lambda must be finite and >= 0")
 
@@ -118,19 +97,11 @@ def random_walker_solve(
         raise NumericalError("singular system: zero diagonal in the Laplacian block")
     precond = sparse.diags(1.0 / diag)
 
-    def solve_class(c):
+    for c in range(k):
         x, info = cg(a_uu, rhs[:, c], rtol=_CG_TOL, atol=0.0, M=precond)
         if info != 0:
             raise NumericalError(f"conjugate gradient failed to converge (info={info})")
-        return x
-
-    nthreads = _worker_threads(k)
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            cols = list(pool.map(solve_class, range(k)))
-    else:
-        cols = [solve_class(c) for c in range(k)]
-    out[unlabeled_idx] = np.stack(cols, axis=1)
+        out[unlabeled_idx, c] = x
     return ProbField(out.reshape(sigma.data.shape))
 
 

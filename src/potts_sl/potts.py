@@ -25,7 +25,7 @@ import numpy as np
 
 from .affinity import AffinityGraph
 from .errors import DIVERGENT, DataError, DivergentPointError, LOG_CLAMP
-from .simplex import ProbField
+from .simplex import ProbField, _pair_arrays
 
 
 class PottsKind(enum.Enum):
@@ -47,103 +47,103 @@ class PottsKind(enum.Enum):
 LOG_KINDS = frozenset({PottsKind.CCE, PottsKind.CD, PottsKind.LQ})
 
 
-def _pair_arrays(p, q):
-    a = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    if a.shape != b.shape or a.shape[1] < 2:
-        raise DataError(f"distribution pair shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
+def _dot(a, b):
+    return np.einsum("ek,ek->e", a, b)
 
 
-def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray):
-    """Vectorized P over (E, K) pairs.
-
-    Returns (values, divergent) where values are exact for non-divergent rows
-    and log-clamped (-ln LOG_CLAMP) on divergent ones, and divergent flags
-    rows whose ln argument fell at/below the clamp.
-    """
-    s = np.einsum("ek,ek->e", p, q)
-    if kind is PottsKind.BL:
-        return 1.0 - s, np.zeros(s.shape, dtype=bool)
-    if kind is PottsKind.Q:
-        d = p - q
-        return 0.5 * np.einsum("ek,ek->e", d, d), np.zeros(s.shape, dtype=bool)
-    if kind is PottsKind.NQ:
-        na = np.sqrt(np.einsum("ek,ek->e", p, p))
-        nb = np.sqrt(np.einsum("ek,ek->e", q, q))
-        return 1.0 - s / (na * nb), np.zeros(s.shape, dtype=bool)
-    if kind is PottsKind.CCE:
-        div = s <= LOG_CLAMP
-        return -np.log(np.maximum(s, LOG_CLAMP)), div
-    if kind is PottsKind.CD:
-        na = np.sqrt(np.einsum("ek,ek->e", p, p))
-        nb = np.sqrt(np.einsum("ek,ek->e", q, q))
-        c = s / (na * nb)
-        div = c <= LOG_CLAMP
-        return -np.log(np.maximum(c, LOG_CLAMP)), div
-    if kind is PottsKind.LQ:
-        d = p - q
-        u = 1.0 - 0.5 * np.einsum("ek,ek->e", d, d)
-        div = u <= LOG_CLAMP
-        return -np.log(np.maximum(u, LOG_CLAMP)), div
-    raise DataError(f"unknown Potts kind {kind!r}")
+def _bl(p, q, grad):
+    return 1.0 - _dot(p, q), None, (-q, -p) if grad else None
 
 
-def edge_grads(kind: PottsKind, p: np.ndarray, q: np.ndarray):
-    """Vectorized (dP/dp, dP/dq, divergent) over (E, K) pairs.
+def _q(p, q, grad):
+    d = p - q
+    return 0.5 * _dot(d, d), None, (d, -d) if grad else None
 
-    Gradient rows flagged divergent are zeroed; callers decide whether to
-    refuse (potts_grad) or skip and count (the pseudo-label solver).
-    """
-    s = np.einsum("ek,ek->e", p, q)
-    if kind is PottsKind.BL:
-        return -q, -p, np.zeros(s.shape, dtype=bool)
-    if kind is PottsKind.Q:
-        d = p - q
-        return d, -d, np.zeros(s.shape, dtype=bool)
-    if kind is PottsKind.NQ:
-        a2 = np.einsum("ek,ek->e", p, p)
-        b2 = np.einsum("ek,ek->e", q, q)
-        ab = np.sqrt(a2 * b2)
-        gp = (s / a2)[:, None] * p / ab[:, None] - q / ab[:, None]
-        gq = (s / b2)[:, None] * q / ab[:, None] - p / ab[:, None]
-        return gp, gq, np.zeros(s.shape, dtype=bool)
-    if kind is PottsKind.CCE:
-        div = s <= LOG_CLAMP
+
+def _nq(p, q, grad):
+    s, a2, b2 = _dot(p, q), _dot(p, p), _dot(q, q)
+    grads = None
+    if grad:
+        ab = np.sqrt(a2 * b2)[:, None]
+        grads = ((s / a2)[:, None] * p / ab - q / ab, (s / b2)[:, None] * q / ab - p / ab)
+    return 1.0 - s / (np.sqrt(a2) * np.sqrt(b2)), None, grads
+
+
+def _cce(p, q, grad):
+    s = _dot(p, q)
+    ss = np.maximum(s, LOG_CLAMP)
+    grads = (-q / ss[:, None], -p / ss[:, None]) if grad else None
+    return -np.log(ss), s <= LOG_CLAMP, grads
+
+
+def _cd(p, q, grad):
+    s, a2, b2 = _dot(p, q), _dot(p, p), _dot(q, q)
+    c = s / (np.sqrt(a2) * np.sqrt(b2))
+    grads = None
+    if grad:
         ss = np.maximum(s, LOG_CLAMP)[:, None]
-        gp = -q / ss
-        gq = -p / ss
-        gp[div] = 0.0
-        gq[div] = 0.0
-        return gp, gq, div
-    if kind is PottsKind.CD:
-        a2 = np.einsum("ek,ek->e", p, p)
-        b2 = np.einsum("ek,ek->e", q, q)
-        c = s / np.sqrt(a2 * b2)
-        div = c <= LOG_CLAMP
-        ss = np.maximum(s, LOG_CLAMP)[:, None]
-        gp = -q / ss + p / a2[:, None]
-        gq = -p / ss + q / b2[:, None]
-        gp[div] = 0.0
-        gq[div] = 0.0
-        return gp, gq, div
-    if kind is PottsKind.LQ:
-        d = p - q
-        u = 1.0 - 0.5 * np.einsum("ek,ek->e", d, d)
-        div = u <= LOG_CLAMP
-        uu = np.maximum(u, LOG_CLAMP)[:, None]
-        gp = d / uu
-        gq = -d / uu
-        gp[div] = 0.0
-        gq[div] = 0.0
-        return gp, gq, div
-    raise DataError(f"unknown Potts kind {kind!r}")
+        grads = (-q / ss + p / a2[:, None], -p / ss + q / b2[:, None])
+    return -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP, grads
+
+
+def _lq(p, q, grad):
+    d = p - q
+    u = 1.0 - 0.5 * _dot(d, d)
+    uu = np.maximum(u, LOG_CLAMP)
+    grads = (d / uu[:, None], -d / uu[:, None]) if grad else None
+    return -np.log(uu), u <= LOG_CLAMP, grads
+
+
+_KERNELS = {
+    PottsKind.BL: _bl,
+    PottsKind.Q: _q,
+    PottsKind.NQ: _nq,
+    PottsKind.CCE: _cce,
+    PottsKind.CD: _cd,
+    PottsKind.LQ: _lq,
+}
+
+
+def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray, grad: bool = False):
+    """Vectorized P over (E, K) pairs, with (dP/dp, dP/dq) when grad is set.
+
+    Returns (values, divergent, grads) where values are exact for
+    non-divergent rows and log-clamped (-ln LOG_CLAMP) on divergent ones,
+    divergent flags rows whose ln argument fell at/below the clamp, and grads
+    is None or the pair (dP/dp, dP/dq) with divergent rows zeroed; callers
+    decide whether to refuse (potts_grad) or skip and count (the solver).
+    """
+    kernel = _KERNELS.get(kind)
+    if kernel is None:
+        raise DataError(f"unknown Potts kind {kind!r}")
+    values, div, grads = kernel(p, q, grad)
+    if div is None:
+        div = np.zeros(values.shape, dtype=bool)
+    elif grads is not None:
+        grads[0][div] = 0.0
+        grads[1][div] = 0.0
+    return values, div, grads
+
+
+def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None, scale=1.0):
+    """scale * sum_e w_e P(y_i, y_j) over the edges of graph; y is (N, K).
+
+    Returns (value, divergent) with the per-edge divergence mask. When
+    grad_out (N, K) is given, scale * w_e * dP is added into it, with the
+    gradient of divergent edges skipped.
+    """
+    p, q = y[graph.ei], y[graph.ej]
+    v, div, grads = edge_values(kind, p, q, grad=grad_out is not None)
+    if grads is not None:
+        weights = (scale * graph.w)[:, None]
+        np.add.at(grad_out, graph.ei, weights * grads[0])
+        np.add.at(grad_out, graph.ej, weights * grads[1])
+    return scale * float(np.dot(graph.w, v)), div
 
 
 def potts_value(kind: PottsKind, p, q):
     """P(p, q) for one pair; DIVERGENT if a log argument hits the clamp."""
-    a, b = _pair_arrays(p, q)
-    v, div = edge_values(kind, a, b)
+    v, div, _ = edge_values(kind, *_pair_arrays(p, q))
     if div[0]:
         return DIVERGENT
     return float(v[0])
@@ -151,8 +151,7 @@ def potts_value(kind: PottsKind, p, q):
 
 def potts_grad(kind: PottsKind, p, q):
     """(dP/dp, dP/dq) for one pair; refuses divergent points."""
-    a, b = _pair_arrays(p, q)
-    gp, gq, div = edge_grads(kind, a, b)
+    _, div, (gp, gq) = edge_values(kind, *_pair_arrays(p, q), grad=True)
     if div[0]:
         raise DivergentPointError(f"{kind.name} gradient requested at a divergent pair")
     return gp[0], gq[0]
@@ -171,11 +170,10 @@ def potts_sum(kind: PottsKind, field: ProbField, graph: AffinityGraph):
     Returns DIVERGENT if any positively weighted edge diverges.
     """
     _check_field_graph(field, graph)
-    y = field.flat()
-    v, div = edge_values(kind, y[graph.ei], y[graph.ej])
+    value, div = edge_sum(kind, field.flat(), graph)
     if np.any(div & (graph.w > 0)):
         return DIVERGENT
-    return float(np.dot(graph.w, v))
+    return value
 
 
 def potts_sum_grad(kind: PottsKind, field: ProbField, graph: AffinityGraph):
@@ -185,13 +183,8 @@ def potts_sum_grad(kind: PottsKind, field: ProbField, graph: AffinityGraph):
     """
     _check_field_graph(field, graph)
     y = field.flat()
-    p, q = y[graph.ei], y[graph.ej]
-    v, div = edge_values(kind, p, q)
+    grad = np.zeros_like(y)
+    value, div = edge_sum(kind, y, graph, grad_out=grad)
     if np.any(div & (graph.w > 0)):
         raise DivergentPointError(f"{kind.name} edge sum has a divergent edge")
-    gp, gq, _ = edge_grads(kind, p, q)
-    grad = np.zeros_like(y)
-    np.add.at(grad, graph.ei, graph.w[:, None] * gp)
-    np.add.at(grad, graph.ej, graph.w[:, None] * gq)
-    value = float(np.dot(graph.w, v))
     return value, grad.reshape(field.data.shape)

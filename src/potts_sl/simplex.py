@@ -39,6 +39,15 @@ def _as_prob_vector(probs) -> np.ndarray:
     return p
 
 
+def _pair_arrays(p, q):
+    """Two same-shape (N, K >= 2) float arrays from a pair of points or rows."""
+    a = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(q, dtype=np.float64))
+    if a.shape != b.shape or a.shape[1] < 2:
+        raise DataError(f"distribution pair shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
 @dataclass
 class Distribution:
     """A point on the K-class probability simplex."""

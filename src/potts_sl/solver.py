@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import AffinityGraph
-from .data_terms import row_grads, row_values
+from .data_terms import row_values
 from .errors import DataError, LOG_CLAMP
-from .losses import LossConfig
-from .potts import edge_grads, edge_values
+from .losses import LossConfig, _check_instance
+from .potts import edge_sum
 from .simplex import (
     LogitField,
     ProbField,
@@ -75,44 +75,21 @@ class SolveReport:
     divergence_events: int = 0
 
 
-def _check_dims(sigma: ProbField, scribbles: ScribbleField, graph: AffinityGraph):
-    if (sigma.height, sigma.width) != (scribbles.height, scribbles.width):
-        raise DataError("prediction field and scribbles disagree on dimensions")
-    if sigma.npixels != graph.npixels:
-        raise DataError("graph pixel count differs from the field")
-    if scribbles.max_class() > sigma.classes:
-        raise DataError(f"scribble class exceeds K={sigma.classes}")
+def _objective(y, s, unlabeled, graph, cfg, grad=False):
+    """(value, divergence count, dist-space gradient or None) at y.
 
-
-def _objective(y, s, unlabeled, graph, cfg):
-    """(value, divergence count) of the sub-problem objective at y."""
-    vals, vdiv = row_values(cfg.xent, y[unlabeled], s[unlabeled])
+    Divergent edges contribute their clamped value and no gradient; data rows
+    use the gradient of the clamped coupling.
+    """
+    vals, vdiv, gdata = row_values(cfg.xent, y[unlabeled], s[unlabeled], grad=grad)
     value = cfg.eta * float(np.sum(vals))
-    ev, ediv = edge_values(cfg.potts, y[graph.ei], y[graph.ej])
-    value += cfg.lam * float(np.dot(graph.w, ev))
-    return value, int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv))
-
-
-def _objective_grad(y, s, unlabeled, graph, cfg):
-    """(value, dist-space gradient, divergence count); divergent parts skipped."""
-    n, k = y.shape
-    grad = np.zeros((n, k))
-
-    vals, vdiv = row_values(cfg.xent, y[unlabeled], s[unlabeled])
-    value = cfg.eta * float(np.sum(vals))
-    gy, _, _ = row_grads(cfg.xent, y[unlabeled], s[unlabeled])
-    grad[unlabeled] = cfg.eta * gy
-
-    p, q = y[graph.ei], y[graph.ej]
-    ev, ediv = edge_values(cfg.potts, p, q)
-    value += cfg.lam * float(np.dot(graph.w, ev))
-    gp, gq, _ = edge_grads(cfg.potts, p, q)
-    scale = (cfg.lam * graph.w)[:, None]
-    np.add.at(grad, graph.ei, scale * gp)
-    np.add.at(grad, graph.ej, scale * gq)
-
-    events = int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv))
-    return value, grad, events
+    out = None
+    if grad:
+        out = np.zeros(y.shape)
+        out[unlabeled] = cfg.eta * gdata[0]
+    pairwise, ediv = edge_sum(cfg.potts, y, graph, grad_out=out, scale=cfg.lam)
+    value += pairwise
+    return value, int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out
 
 
 def pseudo_label_objective(
@@ -123,9 +100,9 @@ def pseudo_label_objective(
     cfg: LossConfig,
 ) -> float:
     """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
-    _check_dims(sigma, scribbles, graph)
+    _check_instance(sigma, scribbles, graph)
     unlabeled = ~scribbles.labeled_mask().ravel()
-    value, _ = _objective(y.flat(), sigma.flat(), unlabeled, graph, cfg)
+    value, _, _ = _objective(y.flat(), sigma.flat(), unlabeled, graph, cfg)
     return value
 
 
@@ -158,7 +135,7 @@ def solve_pseudo_labels(
     one-hots), and report.trace[t] is the objective at iterate t, so the
     trace has steps + 1 entries ending at the final objective.
     """
-    _check_dims(sigma, scribbles, graph)
+    _check_instance(sigma, scribbles, graph)
     s = sigma.flat()
     lab = scribbles.data.ravel()
     labeled = lab > 0
@@ -172,7 +149,7 @@ def solve_pseudo_labels(
     y = softmax_rows(logits)
     y[labeled] = pinned
     for _ in range(solver_cfg.steps):
-        value, grad, events = _objective_grad(y, s, unlabeled, graph, loss_cfg)
+        value, events, grad = _objective(y, s, unlabeled, graph, loss_cfg, grad=True)
         report.trace.append(value)
         report.divergence_events += events
         # chain through softmax: J = diag(y) - y y^T; zero at pinned vertices
@@ -181,7 +158,7 @@ def solve_pseudo_labels(
         y = softmax_rows(logits)
         y[labeled] = pinned
 
-    value, events = _objective(y, s, unlabeled, graph, loss_cfg)
+    value, events, _ = _objective(y, s, unlabeled, graph, loss_cfg)
     report.trace.append(value)
     report.divergence_events += events
     report.final_objective = value

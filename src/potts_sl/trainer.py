@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import AffinityGraph, Image
-from .data_terms import XentKind, row_grads, row_values
+from .data_terms import XentKind, row_values
 from .errors import DataError
 from .losses import LossConfig, sl_loss
 from .simplex import (
@@ -83,7 +83,6 @@ class TrainConfig:
     pretrain_epochs: int = 200
     loss_cfg: LossConfig = field(default_factory=LossConfig)
     solver_cfg: SolverConfig = field(default_factory=SolverConfig)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("rounds", "inner_epochs", "pretrain_epochs"):
@@ -179,7 +178,7 @@ def _sl_value_and_grad(flat, phi, image_shape, y, scribbles, graph, cfg, classes
     if labeled.any():
         glogit[labeled] = probs[labeled] - one_hot_rows(lab[labeled], classes)
     unlabeled = ~labeled
-    _, gs, _ = row_grads(cfg.xent, y.flat()[unlabeled], probs[unlabeled])
+    _, _, (_, gs) = row_values(cfg.xent, y.flat()[unlabeled], probs[unlabeled], grad=True)
     a = cfg.eta * gs
     # chain through softmax on unlabeled pixels
     pu = probs[unlabeled]
@@ -254,9 +253,8 @@ def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400, step0: fl
     def value_grad(f):
         w = f.reshape(k, dim + 1)
         probs = softmax_rows(xa @ w.T)
-        vals, _ = row_values(kind, targets, probs)
+        vals, _, (_, gs) = row_values(kind, targets, probs, grad=True)
         value = float(np.mean(vals))
-        _, gs, _ = row_grads(kind, targets, probs)
         glogit = probs * (gs - np.sum(probs * gs, axis=1, keepdims=True)) / n
         return value, (glogit.T @ xa).ravel()
 

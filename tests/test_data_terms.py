@@ -11,7 +11,8 @@ from potts_sl import (
     xent_grad,
     xent_value,
 )
-from potts_sl.data_terms import XentKind
+from potts_sl.data_terms import XentKind, row_values
+from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
 from helpers import interior_pair, interior_point
 
@@ -129,6 +130,37 @@ class TestGrads:
     def test_divergent_gradient_refused(self):
         with pytest.raises(DivergentPointError):
             xent_grad(XentKind.CCE, [1.0, 0.0], [0.0, 1.0])
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_grad_flag_keeps_values_and_mask(self, kind):
+        rng = np.random.default_rng(9)
+        k = 4
+        y = 0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k
+        sigma = 0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k
+        y[:3], sigma[:3] = np.eye(k)[0], np.eye(k)[1]
+        v0, div0, none = row_values(kind, y, sigma)
+        v1, div1, (gy, gs) = row_values(kind, y, sigma, grad=True)
+        assert none is None
+        assert np.array_equal(v0, v1) and np.array_equal(div0, div1)
+        assert np.array_equal(div1[:3], np.full(3, kind is not XentKind.QUAD))
+        assert not div1[3:].any()
+        assert gy.shape == gs.shape == y.shape
+        assert np.all(np.isfinite(gy)) and np.all(np.isfinite(gs))
+        # the clamped loss is flat along clamped log arguments
+        if kind is XentKind.CE:
+            assert not gs[sigma <= LOG_CLAMP].any()
+        if kind is XentKind.RCE:
+            assert not gy[y <= LOG_CLAMP].any()
+        if kind is XentKind.CCE:
+            assert not gy[div1].any() and not gs[div1].any()
+
+    def test_unknown_kind_rejected(self):
+        y = np.full((2, 3), 1.0 / 3.0)
+        for grad in (False, True):
+            with pytest.raises(DataError):
+                row_values("nope", y, y, grad=grad)
 
 
 class TestCorruptedTarget:

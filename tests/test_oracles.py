@@ -94,20 +94,6 @@ class TestRandomWalker:
         from potts_sl import argmax_decode
         np.testing.assert_array_equal(argmax_decode(y), labels)
 
-    def test_thread_cap_env_var(self, monkeypatch):
-        sigma, scribbles, graph = grid_instance(6)
-        base = random_walker_solve(sigma, scribbles, graph, 0.5, 2.0)
-        for value in ("0", "1", "4"):
-            monkeypatch.setenv("POTTS_SL_THREADS", value)
-            y = random_walker_solve(sigma, scribbles, graph, 0.5, 2.0)
-            np.testing.assert_allclose(y.data, base.data, atol=1e-12)
-        monkeypatch.setenv("POTTS_SL_THREADS", "many")
-        with pytest.raises(DataError):
-            random_walker_solve(sigma, scribbles, graph, 0.5, 2.0)
-        monkeypatch.setenv("POTTS_SL_THREADS", "-2")
-        with pytest.raises(DataError):
-            random_walker_solve(sigma, scribbles, graph, 0.5, 2.0)
-
 
 class TestFiniteDiff:
     def test_exact_for_quadratics(self):

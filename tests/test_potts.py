@@ -16,7 +16,7 @@ from potts_sl import (
     potts_value,
 )
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind
+from potts_sl.potts import PottsKind, edge_sum, edge_values
 from helpers import interior_pair, random_interior_field
 
 ALL_KINDS = list(PottsKind)
@@ -248,3 +248,54 @@ class TestFieldSums:
             expected[b] += wv * gq
         np.testing.assert_allclose(grad.reshape(9, 3), expected, atol=1e-12)
         assert abs(value - potts_sum(kind, field, graph)) < 1e-12
+
+
+def rows_with_divergent_head(rng, n=40, k=4, head=3):
+    """(n, k) interior pairs whose first `head` rows are orthogonal one-hots."""
+    p = 0.85 * rng.dirichlet(np.ones(k), size=n) + 0.15 / k
+    q = 0.85 * rng.dirichlet(np.ones(k), size=n) + 0.15 / k
+    p[:head], q[:head] = np.eye(k)[0], np.eye(k)[1]
+    return p, q
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_grad_flag_keeps_values_and_mask(self, kind):
+        p, q = rows_with_divergent_head(np.random.default_rng(10))
+        v0, div0, none = edge_values(kind, p, q)
+        v1, div1, (gp, gq) = edge_values(kind, p, q, grad=True)
+        assert none is None
+        assert np.array_equal(v0, v1) and np.array_equal(div0, div1)
+        assert np.array_equal(div1[:3], np.full(3, kind in LOG_KINDS))
+        assert not div1[3:].any()
+        assert gp.shape == gq.shape == p.shape
+        assert np.all(np.isfinite(gp)) and np.all(np.isfinite(gq))
+        assert not gp[div1].any() and not gq[div1].any()
+
+    def test_unknown_kind_rejected(self):
+        p, q = rows_with_divergent_head(np.random.default_rng(11))
+        for grad in (False, True):
+            with pytest.raises(DataError):
+                edge_values("nope", p, q, grad=grad)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_edge_sum_scales_value_and_adds_gradient(self, kind):
+        rng = np.random.default_rng(12)
+        field = random_interior_field(rng, 3, 3, 3)
+        graph = chain_graph(rng.uniform(0.2, 1.5, size=8))
+        value, grad = potts_sum_grad(kind, field, graph)
+        start = rng.normal(size=(9, 3))
+        out = start.copy()
+        scaled, div = edge_sum(kind, field.flat(), graph, grad_out=out, scale=2.5)
+        assert not div.any()
+        assert abs(scaled - 2.5 * value) < 1e-12
+        np.testing.assert_allclose(out - start, 2.5 * grad.reshape(9, 3), atol=1e-12)
+
+    def test_edge_sum_counts_zero_weight_divergence_but_skips_its_gradient(self):
+        y = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        graph = AffinityGraph(npixels=3, ei=[0, 1], ej=[1, 2], w=[0.0, 1.0])
+        out = np.zeros_like(y)
+        value, div = edge_sum(PottsKind.CCE, y, graph, grad_out=out)
+        assert div.tolist() == [True, False]
+        assert abs(value - math.log(2.0)) < 1e-12
+        np.testing.assert_allclose(out, [[0.0, 0.0], [-1.0, -1.0], [0.0, -2.0]], atol=1e-12)

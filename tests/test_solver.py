@@ -16,8 +16,9 @@ from potts_sl import (
     solve_pseudo_labels,
 )
 from potts_sl.data_terms import XentKind
+from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind
-from potts_sl.solver import InitKind, SolverConfig
+from potts_sl.solver import InitKind, SolverConfig, _objective
 from helpers import random_interior_field
 
 
@@ -160,6 +161,23 @@ class TestMechanics:
         y1, r1 = solve_pseudo_labels(sigma, init, scribbles, graph, cfg, SolverConfig(steps=1))
         y2, r2 = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=1))
         assert r1.trace[0] != r2.trace[0]
+
+
+@pytest.mark.parametrize("potts", list(PottsKind))
+@pytest.mark.parametrize("xent", list(XentKind))
+def test_objective_gradient_matches_finite_differences(potts, xent):
+    # eta and lambda differ from 1 and scribbled pixels carry no data term,
+    # so a wrong scale or mask in the assembled gradient shows up here
+    sigma, scribbles, graph = grid_instance(12, h=3, w=4, k=3, labeled=3)
+    y = random_interior_field(np.random.default_rng(13), 3, 4, 3).flat()
+    s = sigma.flat()
+    unlabeled = ~scribbles.labeled_mask().ravel()
+    cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
+    value, events, grad = _objective(y, s, unlabeled, graph, cfg, grad=True)
+    assert events == 0
+    assert value == _objective(y, s, unlabeled, graph, cfg)[0]
+    f = lambda z: _objective(z.reshape(y.shape), s, unlabeled, graph, cfg)[0]
+    assert finite_diff_check(f, grad, y) < 1e-6
 
 
 class TestSoftJaccard:
