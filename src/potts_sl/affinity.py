@@ -4,6 +4,12 @@ Edges carry Gaussian color affinities w_ij = exp(-||I_i - I_j||^2 / (2 beta^2));
 truncated dense neighborhoods additionally apply a spatial Gaussian factor.
 Pixel ids are row-major, and each undirected edge is stored once with i < j,
 so edge order is reproducible.
+
+Grid graphs list their edges one block per grid offset (dy, dx): the pixel
+pairs (Y[src], Y[dst]) of two equal-shaped rectangles of the (H, W) grid,
+read row-major. build_graph records that layout on the graph, so the
+pairwise terms can walk shifted slices of an (H, W, K) field instead of
+gathering rows by edge.
 """
 
 from __future__ import annotations
@@ -96,6 +102,12 @@ class AffinityGraph:
 
     Arrays ei/ej/w hold one row per edge with ei < ej, no self-loops, and
     finite nonnegative weights.
+
+    Optional grid layout: `grid` is the image shape (H, W) and `blocks` holds
+    one (src, dst) pair of 2-D slice tuples per contiguous run of edges, in
+    edge order. Block b's edges are the pixel pairs of the rectangles src and
+    dst of the (H, W) grid, row-major, and its weights are the next
+    src-area entries of w. Hand-built graphs have no layout (grid is None).
     """
 
     npixels: int
@@ -103,6 +115,8 @@ class AffinityGraph:
     ej: np.ndarray
     w: np.ndarray
     kind: NeighborhoodKind = NeighborhoodKind.NN4
+    grid: tuple[int, int] | None = None
+    blocks: tuple = ()
 
     def __post_init__(self):
         self.ei = np.ascontiguousarray(np.asarray(self.ei, dtype=np.int64))
@@ -119,6 +133,21 @@ class AffinityGraph:
                 raise DataError("edges must satisfy i < j (no self-loops, stored once)")
             if not np.all(np.isfinite(self.w)) or self.w.min() < 0:
                 raise DataError("edge weights must be finite and >= 0")
+        if self.grid is not None:
+            h, w = self.grid
+            if h < 1 or w < 1 or h * w != self.npixels:
+                raise DataError(f"grid {h}x{w} does not cover {self.npixels} pixels")
+            idx = np.arange(self.npixels, dtype=np.int64).reshape(h, w)
+            for src, dst in self.blocks:
+                if not all(isinstance(s, slice) for s in (*src, *dst)) or (
+                    idx[src].shape != idx[dst].shape
+                ):
+                    raise DataError("grid blocks must pair equal-shaped slice rectangles")
+            none = [np.zeros(0, dtype=np.int64)]
+            src_ids = np.concatenate(none + [idx[src].ravel() for src, _ in self.blocks])
+            dst_ids = np.concatenate(none + [idx[dst].ravel() for _, dst in self.blocks])
+            if not (np.array_equal(src_ids, self.ei) and np.array_equal(dst_ids, self.ej)):
+                raise DataError("grid blocks do not list the edges ei/ej in order")
 
     @property
     def nedges(self) -> int:
@@ -160,22 +189,23 @@ def build_graph(image: Image, cfg: AffinityConfig) -> AffinityGraph:
         offsets = _forward_offsets(cfg.radius)
 
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    eis, ejs, ws = [], [], []
+    eis, ejs, ws, blocks = [], [], [], []
     for dy, dx in offsets:
         y0, y1 = 0, h - dy
         x0, x1 = max(0, -dx), min(w, w - dx)
         if y1 <= y0 or x1 <= x0:
             continue
-        a = img[y0:y1, x0:x1]
-        b = img[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-        diff2 = np.sum((a - b) ** 2, axis=2)
+        src = (slice(y0, y1), slice(x0, x1))
+        dst = (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
+        diff2 = np.sum((img[src] - img[dst]) ** 2, axis=2)
         weight = np.exp(-diff2 / beta2)
         if cfg.kind is NeighborhoodKind.DENSE_TRUNCATED:
             dist2 = float(dy * dy + dx * dx)
             weight = weight * np.exp(-dist2 / (2.0 * cfg.spatial_bandwidth ** 2))
-        eis.append(idx[y0:y1, x0:x1].ravel())
-        ejs.append(idx[y0 + dy : y1 + dy, x0 + dx : x1 + dx].ravel())
+        eis.append(idx[src].ravel())
+        ejs.append(idx[dst].ravel())
         ws.append(weight.ravel())
+        blocks.append((src, dst))
 
     if eis:
         ei = np.concatenate(eis)
@@ -185,4 +215,6 @@ def build_graph(image: Image, cfg: AffinityConfig) -> AffinityGraph:
         ei = np.zeros(0, dtype=np.int64)
         ej = np.zeros(0, dtype=np.int64)
         wv = np.zeros(0)
-    return AffinityGraph(npixels=h * w, ei=ei, ej=ej, w=wv, kind=cfg.kind)
+    return AffinityGraph(
+        npixels=h * w, ei=ei, ej=ej, w=wv, kind=cfg.kind, grid=(h, w), blocks=tuple(blocks)
+    )

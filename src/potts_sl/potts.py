@@ -48,7 +48,7 @@ LOG_KINDS = frozenset({PottsKind.CCE, PottsKind.CD, PottsKind.LQ})
 
 
 def _dot(a, b):
-    return np.einsum("ek,ek->e", a, b)
+    return np.einsum("...k,...k->...", a, b)
 
 
 def _bl(p, q, grad):
@@ -64,15 +64,15 @@ def _nq(p, q, grad):
     s, a2, b2 = _dot(p, q), _dot(p, p), _dot(q, q)
     grads = None
     if grad:
-        ab = np.sqrt(a2 * b2)[:, None]
-        grads = ((s / a2)[:, None] * p / ab - q / ab, (s / b2)[:, None] * q / ab - p / ab)
+        ab = np.sqrt(a2 * b2)[..., None]
+        grads = ((s / a2)[..., None] * p / ab - q / ab, (s / b2)[..., None] * q / ab - p / ab)
     return 1.0 - s / (np.sqrt(a2) * np.sqrt(b2)), None, grads
 
 
 def _cce(p, q, grad):
     s = _dot(p, q)
     ss = np.maximum(s, LOG_CLAMP)
-    grads = (-q / ss[:, None], -p / ss[:, None]) if grad else None
+    grads = (-q / ss[..., None], -p / ss[..., None]) if grad else None
     return -np.log(ss), s <= LOG_CLAMP, grads
 
 
@@ -81,8 +81,8 @@ def _cd(p, q, grad):
     c = s / (np.sqrt(a2) * np.sqrt(b2))
     grads = None
     if grad:
-        ss = np.maximum(s, LOG_CLAMP)[:, None]
-        grads = (-q / ss + p / a2[:, None], -p / ss + q / b2[:, None])
+        ss = np.maximum(s, LOG_CLAMP)[..., None]
+        grads = (-q / ss + p / a2[..., None], -p / ss + q / b2[..., None])
     return -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP, grads
 
 
@@ -90,7 +90,7 @@ def _lq(p, q, grad):
     d = p - q
     u = 1.0 - 0.5 * _dot(d, d)
     uu = np.maximum(u, LOG_CLAMP)
-    grads = (d / uu[:, None], -d / uu[:, None]) if grad else None
+    grads = (d / uu[..., None], -d / uu[..., None]) if grad else None
     return -np.log(uu), u <= LOG_CLAMP, grads
 
 
@@ -105,7 +105,7 @@ _KERNELS = {
 
 
 def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray, grad: bool = False):
-    """Vectorized P over (E, K) pairs, with (dP/dp, dP/dq) when grad is set.
+    """Vectorized P over (..., K) pairs, with (dP/dp, dP/dq) when grad is set.
 
     Returns (values, divergent, grads) where values are exact for
     non-divergent rows and log-clamped (-ln LOG_CLAMP) on divergent ones,
@@ -128,17 +128,49 @@ def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray, grad: bool = Fals
 def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None, scale=1.0):
     """scale * sum_e w_e P(y_i, y_j) over the edges of graph; y is (N, K).
 
-    Returns (value, divergent) with the per-edge divergence mask. When
-    grad_out (N, K) is given, scale * w_e * dP is added into it, with the
-    gradient of divergent edges skipped.
+    Returns (value, divergent) with the per-edge divergence mask in edge
+    order. When grad_out (N, K, C-contiguous) is given, scale * w_e * dP is
+    added into it, with the gradient of divergent edges skipped.
+
+    A graph with a grid layout is walked one offset block at a time on
+    shifted slices of y viewed as (H, W, K): no (E, K) gather and no scatter.
+    Any other graph gathers y[ei], y[ej] and scatters with np.add.at. Both
+    paths give bit-identical results: the per-edge arithmetic is the same,
+    values and masks are concatenated in edge order before the one dot with
+    w, and the gradient is added first as every block's dP/dp into its
+    sources, then as every block's dP/dq into its targets. A pixel occurs at
+    most once per block side, so each gradient entry receives its terms in
+    the same order as np.add.at's pass over ei, then over ej.
     """
-    p, q = y[graph.ei], y[graph.ej]
-    v, div, grads = edge_values(kind, p, q, grad=grad_out is not None)
-    if grads is not None:
-        weights = (scale * graph.w)[:, None]
-        np.add.at(grad_out, graph.ei, weights * grads[0])
-        np.add.at(grad_out, graph.ej, weights * grads[1])
-    return scale * float(np.dot(graph.w, v)), div
+    grad = grad_out is not None
+    if graph.grid is None:
+        v, div, grads = edge_values(kind, y[graph.ei], y[graph.ej], grad=grad)
+        if grad:
+            weights = (scale * graph.w)[:, None]
+            np.add.at(grad_out, graph.ei, weights * grads[0])
+            np.add.at(grad_out, graph.ej, weights * grads[1])
+        return scale * float(np.dot(graph.w, v)), div
+
+    field = y.reshape(*graph.grid, -1)
+    if grad:
+        if not grad_out.flags.c_contiguous:
+            raise DataError("grad_out must be C-contiguous to take grid-block updates")
+        out = grad_out.reshape(field.shape)  # a view, as grad_out is contiguous
+        weights = scale * graph.w
+    vs, divs, target_terms = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
+    start = 0
+    for src, dst in graph.blocks:
+        v, div, grads = edge_values(kind, field[src], field[dst], grad=grad)
+        if grad:
+            wb = weights[start : start + v.size].reshape(v.shape)[..., None]
+            out[src] += wb * grads[0]
+            target_terms.append(wb * grads[1])
+        vs.append(v.ravel())
+        divs.append(div.ravel())
+        start += v.size
+    for (_, dst), term in zip(graph.blocks, target_terms):
+        out[dst] += term
+    return scale * float(np.dot(graph.w, np.concatenate(vs))), np.concatenate(divs)
 
 
 def potts_value(kind: PottsKind, p, q):

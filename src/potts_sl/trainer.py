@@ -126,12 +126,15 @@ def _backtrack(flat, loss_fn, f0, grad, step0):
     return flat, f0, False
 
 
-def _nll_and_grad(flat, phi_s, targets, classes):
+def _nll_and_grad(flat, phi_s, targets, classes, grad=True):
+    """Scribble NLL and, when grad is set, its gradient (else None)."""
     model = PixelModel.unpack(flat, classes)
     logits = phi_s @ model.weights.T + model.bias
     probs = softmax_rows(logits)
     picked = np.sum(probs * targets, axis=1)
     value = float(-np.sum(np.log(np.maximum(picked, 1e-300))))
+    if not grad:
+        return value, None
     glogit = probs - targets
     gw = glogit.T @ phi_s
     gb = glogit.sum(axis=0)
@@ -155,7 +158,7 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
     targets = one_hot_rows(lab[labeled], model.classes)
     flat = model.pack()
     value, grad = _nll_and_grad(flat, phi_s, targets, model.classes)
-    loss_only = lambda x: _nll_and_grad(x, phi_s, targets, model.classes)[0]
+    loss_only = lambda x: _nll_and_grad(x, phi_s, targets, model.classes, grad=False)[0]
     for _ in range(cfg.pretrain_epochs):
         flat, value, moved = _backtrack(flat, loss_only, value, grad, cfg.step_size)
         if not moved:
@@ -164,13 +167,16 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
     return PixelModel.unpack(flat, model.classes)
 
 
-def _sl_value_and_grad(flat, phi, image_shape, y, scribbles, graph, cfg, classes):
-    """Joint loss and its gradient w.r.t. model parameters at fixed y."""
+def _sl_value_and_grad(flat, phi, image_shape, y, scribbles, graph, cfg, classes, grad=True):
+    """Joint loss and, when grad is set, its gradient w.r.t. model parameters
+    at fixed y (else None)."""
     model = PixelModel.unpack(flat, classes)
     logits = phi @ model.weights.T + model.bias
     probs = softmax_rows(logits)
     sigma = ProbField(probs.reshape(image_shape))
     value = sl_loss(sigma, y, scribbles, graph, cfg)
+    if not grad:
+        return value, None
 
     lab = scribbles.data.ravel()
     labeled = lab > 0
@@ -226,7 +232,7 @@ def alternate(
             flat, phi, image_shape, y, scribbles, graph, cfg.loss_cfg, classes
         )
         loss_only = lambda x: _sl_value_and_grad(
-            x, phi, image_shape, y, scribbles, graph, cfg.loss_cfg, classes
+            x, phi, image_shape, y, scribbles, graph, cfg.loss_cfg, classes, grad=False
         )[0]
         for _ in range(cfg.inner_epochs):
             flat, value, moved = _backtrack(flat, loss_only, value, grad, cfg.step_size)
@@ -250,16 +256,19 @@ def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400, step0: fl
     xa = np.column_stack([x, np.ones(n)])
     flat = np.zeros((k * (dim + 1),))
 
-    def value_grad(f):
+    def value_grad(f, grad=True):
         w = f.reshape(k, dim + 1)
         probs = softmax_rows(xa @ w.T)
-        vals, _, (_, gs) = row_values(kind, targets, probs, grad=True)
+        vals, _, grads = row_values(kind, targets, probs, grad=grad)
         value = float(np.mean(vals))
+        if not grad:
+            return value, None
+        gs = grads[1]
         glogit = probs * (gs - np.sum(probs * gs, axis=1, keepdims=True)) / n
         return value, (glogit.T @ xa).ravel()
 
     value, grad = value_grad(flat)
-    loss_only = lambda f: value_grad(f)[0]
+    loss_only = lambda f: value_grad(f, grad=False)[0]
     for _ in range(epochs):
         flat, value, moved = _backtrack(flat, loss_only, value, grad, step0)
         if not moved:

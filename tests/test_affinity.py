@@ -82,11 +82,19 @@ class TestBuildGraph:
             image = Image(rng.integers(0, 256, size=(h, w, 3)))
             cfg = AffinityConfig(kind=kind, radius=radius, spatial_bandwidth=gamma,
                                  color_bandwidth=7.0)
-            got = as_dict(build_graph(image, cfg))
+            graph = build_graph(image, cfg)
+            got = as_dict(graph)
             oracle = pair_scan_oracle(image, cfg)
             assert set(got) == set(oracle)
             for key in oracle:
                 assert abs(got[key] - oracle[key]) < 1e-12
+            # the recorded grid blocks, read in order, are the edge list
+            assert graph.grid == (h, w)
+            idx = np.arange(h * w).reshape(h, w)
+            assert np.array_equal(
+                np.concatenate([idx[src].ravel() for src, _ in graph.blocks]), graph.ei)
+            assert np.array_equal(
+                np.concatenate([idx[dst].ravel() for _, dst in graph.blocks]), graph.ej)
 
     def test_channel_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -131,3 +139,20 @@ class TestValidation:
             AffinityGraph(npixels=2, ei=[0], ej=[1], w=[-1.0])
         with pytest.raises(DataError):
             AffinityGraph(npixels=2, ei=[0], ej=[2], w=[1.0])
+        block = ((slice(0, 1), slice(0, 1)), (slice(0, 1), slice(1, 2)))
+        AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2), blocks=(block,))
+        with pytest.raises(DataError):  # grid does not cover the pixels
+            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(2, 2), blocks=(block,))
+        with pytest.raises(DataError):  # block areas do not sum to the edge count
+            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2), blocks=(block, block))
+        with pytest.raises(DataError):  # blocks list edge 0-1, the edge list says 0-3
+            AffinityGraph(npixels=4, ei=[0], ej=[3], w=[1.0], grid=(2, 2), blocks=(block,))
+        with pytest.raises(DataError):  # same pixel ids, but a 1x2 row against a 2x1 column
+            AffinityGraph(npixels=4, ei=[0, 1], ej=[1, 3], w=[1.0, 1.0], grid=(2, 2),
+                          blocks=(((slice(0, 1), slice(0, 2)), (slice(0, 2), slice(1, 2))),))
+        with pytest.raises(DataError):  # target slice runs past the grid edge
+            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
+                          blocks=(((slice(0, 1), slice(0, 2)), (slice(0, 1), slice(1, 3))),))
+        with pytest.raises(DataError):  # an integer index is not a slice rectangle
+            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
+                          blocks=(((0, slice(0, 1)), (0, slice(1, 2))),))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from potts_sl import (
+    AffinityGraph,
     ProbField,
     ScribbleField,
     read_probfield,
@@ -9,6 +10,7 @@ from potts_sl import (
     write_labels,
     write_probfield,
 )
+from potts_sl import cli
 from potts_sl.cli import main
 from potts_sl.synthetic import solver_oracle_instance, two_region_instance
 
@@ -66,6 +68,31 @@ class TestSolve:
         assert code == 0
         decoded = (paths["out"] / "y_decode.pgm").read_bytes()
         assert decoded == paths["scr"].read_bytes()
+
+
+    def test_grid_layout_leaves_outputs_byte_identical(self, tmp_path, monkeypatch):
+        sigma, scribbles, image = solver_oracle_instance(3, height=11, width=9)
+        files = dict(image=tmp_path / "i.ppm", scr=tmp_path / "s.pgm",
+                     sigma=tmp_path / "p.pfld", cfg=tmp_path / "c.cfg")
+        write_image(image, files["image"])
+        write_labels(scribbles.data, files["scr"])
+        write_probfield(sigma, files["sigma"])
+        files["cfg"].write_text("neighborhood = sparse:2\nsteps = 20\n")
+        build = cli.build_graph
+
+        def build_without_layout(image, cfg):
+            g = build(image, cfg)
+            return AffinityGraph(g.npixels, g.ei, g.ej, g.w, g.kind)
+
+        outs = []
+        for name, builder in (("grid", build), ("flat", build_without_layout)):
+            monkeypatch.setattr(cli, "build_graph", builder)
+            out = tmp_path / name
+            code = run("solve", "--image", files["image"], "--scribbles", files["scr"],
+                       "--sigma", files["sigma"], "--config", files["cfg"], "--out", out)
+            assert code == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outs[0]) == 4 and outs[0] == outs[1]
 
 
 class TestOracleRw:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from potts_sl import (
+    AffinityConfig,
     AffinityGraph,
     DIVERGENT,
     DataError,
     DivergentPointError,
+    Image,
+    NeighborhoodKind,
     ProbField,
+    build_graph,
     is_divergent,
     potts_grad,
     potts_sum,
@@ -299,3 +303,44 @@ class TestFusedKernel:
         assert div.tolist() == [True, False]
         assert abs(value - math.log(2.0)) < 1e-12
         np.testing.assert_allclose(out, [[0.0, 0.0], [-1.0, -1.0], [0.0, -2.0]], atol=1e-12)
+
+
+NEIGHBORHOODS = [
+    AffinityConfig(),
+    AffinityConfig(kind=NeighborhoodKind.SPARSE_WINDOW, radius=2),
+    AffinityConfig(kind=NeighborhoodKind.DENSE_TRUNCATED, radius=3, spatial_bandwidth=1.5),
+]
+
+
+class TestGridPath:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("cfg", NEIGHBORHOODS, ids=lambda c: c.kind.value)
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 7), (7, 1), (9, 5)])
+    def test_grid_blocks_match_flat_edge_list_exactly(self, kind, cfg, h, w):
+        rng = np.random.default_rng(h * 31 + w)
+        graph = build_graph(Image(rng.integers(0, 256, size=(h, w, 3))), cfg)
+        flat = AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)
+        assert graph.grid == (h, w) and flat.grid is None
+        k = 4
+        y = rng.dirichlet(np.ones(k), size=h * w)
+        hot = rng.uniform(size=h * w) < 0.5
+        y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
+        y[:2] = np.eye(k)[:2][: h * w]  # pixels 0 and 1 are neighbors: a divergent pair
+        results = []
+        for g in (graph, flat):
+            out = np.full((h * w, k), 0.25)
+            value, div = edge_sum(kind, y, g, grad_out=out, scale=1.7)
+            results.append((value, div, out))
+        (v0, d0, g0), (v1, d1, g1) = results
+        assert v0 == v1
+        assert d0.dtype == bool and np.array_equal(d0, d1)
+        assert np.array_equal(g0, g1)
+        if kind in LOG_KINDS and h * w > 1:
+            assert d0.any()
+
+    def test_grid_path_rejects_a_gradient_buffer_it_cannot_view(self):
+        graph = build_graph(Image(np.zeros((3, 4, 3))), AffinityConfig())
+        y = np.full((12, 2), 0.5)
+        out = np.zeros((2, 12)).T  # (12, 2) but Fortran-ordered
+        with pytest.raises(DataError):
+            edge_sum(PottsKind.BL, y, graph, grad_out=out)

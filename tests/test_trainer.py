@@ -15,11 +15,13 @@ from potts_sl.data_terms import XentKind
 from potts_sl.losses import scribble_nll
 from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind
+from potts_sl.simplex import one_hot_rows
 from potts_sl.solver import SolverConfig
 from potts_sl.synthetic import gaussian_blobs_dataset, two_region_instance
 from potts_sl.trainer import (
     PixelModel,
     TrainConfig,
+    _fit_linear_softmax,
     _sl_value_and_grad,
     alternate,
     corruption_experiment,
@@ -171,6 +173,50 @@ class TestAlternate:
         for field in (sigma, y):
             assert field.data.min() >= 0.0
             np.testing.assert_allclose(field.data.sum(axis=2), 1.0, atol=1e-9)
+
+
+class TestLineSearch:
+    @staticmethod
+    def count(monkeypatch, name, grad_default, job):
+        """(gradient evaluations by trainer.<name>, accepted steps) in job()."""
+        from potts_sl import trainer
+
+        counts = [0, 0]
+        fn, backtrack = getattr(trainer, name), trainer._backtrack
+
+        def counting(*args, **kwargs):
+            counts[0] += kwargs.get("grad", grad_default)
+            return fn(*args, **kwargs)
+
+        def counting_backtrack(*args):
+            result = backtrack(*args)
+            counts[1] += result[2]
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, name, counting)
+            m.setattr(trainer, "_backtrack", counting_backtrack)
+            job()
+        return counts
+
+    def test_model_gradient_only_at_accepted_points(self, monkeypatch):
+        # Armijo trials evaluate the loss alone: one gradient per start
+        # (per round in alternate) plus one per accepted step
+        image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
+        graph = build_graph(image, AffinityConfig())
+        cfg = TrainConfig(rounds=2, inner_epochs=6, pretrain_epochs=20,
+                          solver_cfg=SolverConfig(steps=10))
+        model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
+        grads, accepted = self.count(monkeypatch, "_nll_and_grad", True, lambda: pretrain(
+            PixelModel.zeros(2), image, scribbles, cfg))
+        assert accepted > 0 and grads == accepted + 1
+        grads, accepted = self.count(monkeypatch, "_sl_value_and_grad", True, lambda: alternate(
+            model, image, scribbles, graph, cfg))
+        assert accepted > 0 and grads == accepted + cfg.rounds
+        x, labels, _, _ = gaussian_blobs_dataset(0)
+        grads, accepted = self.count(monkeypatch, "row_values", False, lambda: _fit_linear_softmax(
+            x, one_hot_rows(labels, 3), XentKind.CE, epochs=30))
+        assert accepted > 0 and grads == accepted + 1
 
 
 class TestCorruption:
