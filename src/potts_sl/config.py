@@ -68,16 +68,18 @@ def _parse_int(key, raw, minimum=None):
     return v
 
 
-def _parse_neighborhood(raw: str):
+def _parse_neighborhood(raw: str) -> dict:
+    """AffinityConfig fields of a neighborhood value."""
     parts = raw.strip().lower().split(":")
     if parts[0] == "nn4" and len(parts) == 1:
-        return NeighborhoodKind.NN4, 1, None
+        return {"kind": NeighborhoodKind.NN4}
     if parts[0] == "sparse" and len(parts) == 2:
-        return NeighborhoodKind.SPARSE_WINDOW, _parse_int("neighborhood", parts[1], 1), None
+        return {"kind": NeighborhoodKind.SPARSE_WINDOW,
+                "radius": _parse_int("neighborhood", parts[1], 1)}
     if parts[0] == "dense" and len(parts) == 3:
-        radius = _parse_int("neighborhood", parts[1], 1)
-        gamma = _parse_float("neighborhood", parts[2], 0.0, strict=True)
-        return NeighborhoodKind.DENSE_TRUNCATED, radius, gamma
+        return {"kind": NeighborhoodKind.DENSE_TRUNCATED,
+                "radius": _parse_int("neighborhood", parts[1], 1),
+                "spatial_bandwidth": _parse_float("neighborhood", parts[2], 0.0, strict=True)}
     raise DataError(
         f"config key neighborhood: {raw!r} is not nn4 | sparse:R | dense:R:GAMMA"
     )
@@ -104,37 +106,30 @@ def parse_config_text(text: str, source="<config>") -> RunConfig:
     if unknown:
         raise DataError(f"{source}: unknown config keys: {', '.join(unknown)}")
 
+    def given(key, name, parse, *args, **kwargs):
+        """{name: parse(key, raw, ...)} if the file sets key, else {} (the default holds)."""
+        return {name: parse(key, values[key], *args, **kwargs)} if key in values else {}
+
     loss = LossConfig(
-        eta=_parse_float("eta", values["eta"], 0.0) if "eta" in values else 0.3,
-        lam=_parse_float("lambda", values["lambda"], 0.0) if "lambda" in values else 6.0,
-        potts=PottsKind.parse(values["potts"]) if "potts" in values else PottsKind.CD,
-        xent=XentKind.parse(values["xent"]) if "xent" in values else XentKind.CCE,
-    )
-    kind, radius, gamma = (
-        _parse_neighborhood(values["neighborhood"])
-        if "neighborhood" in values
-        else (NeighborhoodKind.NN4, 1, None)
+        **given("eta", "eta", _parse_float, 0.0),
+        **given("lambda", "lam", _parse_float, 0.0),
+        **given("potts", "potts", lambda _, raw: PottsKind.parse(raw)),
+        **given("xent", "xent", lambda _, raw: XentKind.parse(raw)),
     )
     affinity = AffinityConfig(
-        kind=kind,
-        color_bandwidth=(
-            _parse_float("color_bandwidth", values["color_bandwidth"], 0.0, strict=True)
-            if "color_bandwidth" in values
-            else 9.0
-        ),
-        radius=radius,
-        spatial_bandwidth=gamma,
+        **(_parse_neighborhood(values["neighborhood"]) if "neighborhood" in values else {}),
+        **given("color_bandwidth", "color_bandwidth", _parse_float, 0.0, strict=True),
     )
     solver = SolverConfig(
-        steps=_parse_int("steps", values["steps"], 1) if "steps" in values else 200,
-        learning_rate=_parse_float("lr", values["lr"], 0.0, strict=True) if "lr" in values else 0.075,
+        **given("steps", "steps", _parse_int, 1),
+        **given("lr", "learning_rate", _parse_float, 0.0, strict=True),
     )
     return RunConfig(
         loss=loss,
         affinity=affinity,
         solver=solver,
-        rounds=_parse_int("rounds", values["rounds"], 1) if "rounds" in values else 10,
-        seed=_parse_int("seed", values["seed"]) if "seed" in values else 0,
+        **given("rounds", "rounds", _parse_int, 1),
+        **given("seed", "seed", _parse_int),
     )
 
 

@@ -214,6 +214,14 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Chain rule through row-wise softmax: logit gradient of output gradient g.
+
+    Each row is (diag(p) - p p^T) g = p * (g - sum_k p g), zero at one-hot p.
+    """
+    return p * (g - np.sum(p * g, axis=1, keepdims=True))
+
+
 def entropy(p) -> float:
     """Shannon entropy in nats; zero-probability terms contribute 0."""
     q = np.asarray(p, dtype=np.float64)

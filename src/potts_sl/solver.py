@@ -35,6 +35,7 @@ from .simplex import (
     ProbField,
     ScribbleField,
     one_hot_rows,
+    softmax_backward,
     softmax_rows,
 )
 
@@ -152,9 +153,7 @@ def solve_pseudo_labels(
         value, events, grad = _objective(y, s, unlabeled, graph, loss_cfg, grad=True)
         report.trace.append(value)
         report.divergence_events += events
-        # chain through softmax: J = diag(y) - y y^T; zero at pinned vertices
-        glogit = y * (grad - np.sum(y * grad, axis=1, keepdims=True))
-        logits -= lr * glogit
+        logits -= lr * softmax_backward(y, grad)
         y = softmax_rows(logits)
         y[labeled] = pinned
 

@@ -5,9 +5,10 @@ coordinates) through a K x 5 linear layer and softmax. Training alternates
 between solving for pseudo-labels at fixed predictions and full-batch
 backtracking gradient descent on the joint self-labeling loss at fixed
 pseudo-labels, so the joint loss trace is non-increasing by construction.
-A pseudo-label candidate that would raise its sub-problem objective relative
-to the previous round's labels is rejected (the fixed-step solver itself has
-no descent guarantee).
+Every descent here runs through one Armijo routine, _descend. A pseudo-label
+candidate that would raise its sub-problem objective relative to the previous
+round's labels is rejected: the solver starts from the model logits, so
+nothing else bounds it by those labels.
 
 Also hosts the label-corruption robustness experiment on a synthetic blob
 dataset: the same linear-softmax classifier trained against mixed targets
@@ -23,13 +24,15 @@ import numpy as np
 
 from .affinity import AffinityGraph, Image
 from .data_terms import XentKind, row_values
-from .errors import DataError
-from .losses import LossConfig, sl_loss
+from .errors import DataError, LOG_CLAMP
+from .losses import LossConfig
+from .potts import edge_sum
 from .simplex import (
     LogitField,
     ProbField,
     ScribbleField,
     one_hot_rows,
+    softmax_backward,
     softmax_rows,
 )
 from .solver import SolverConfig, pseudo_label_objective, solve_pseudo_labels
@@ -111,19 +114,31 @@ def predict(model: PixelModel, image: Image):
     return ProbField(probs.reshape(shape)), LogitField(logits.reshape(shape))
 
 
-def _backtrack(flat, loss_fn, f0, grad, step0):
-    """One Armijo backtracking step; returns (new_flat, new_loss, moved)."""
-    gnorm2 = float(np.dot(grad, grad))
-    if gnorm2 == 0.0:
-        return flat, f0, False
-    t = step0
-    for _ in range(_MAX_HALVINGS):
-        cand = flat - t * grad
-        fc = loss_fn(cand)
-        if fc <= f0 - _ARMIJO * t * gnorm2:
-            return cand, fc, True
-        t *= 0.5
-    return flat, f0, False
+def _descend(flat, value_grad, epochs, step0):
+    """Armijo backtracking gradient descent; returns (flat, value).
+
+    value_grad(x, grad) -> (value, gradient or None). Trials ask for the value
+    alone; the gradient is taken at the start and after each accepted step.
+    Stops after `epochs` steps, at a zero gradient, or when no step down to
+    step0 / 2**_MAX_HALVINGS decreases the value enough.
+    """
+    value, grad = value_grad(flat, True)
+    for _ in range(epochs):
+        gnorm2 = float(np.dot(grad, grad))
+        if gnorm2 == 0.0:
+            break
+        t = step0
+        for _ in range(_MAX_HALVINGS):
+            cand = flat - t * grad
+            fc = value_grad(cand, False)[0]
+            if fc <= value - _ARMIJO * t * gnorm2:
+                break
+            t *= 0.5
+        else:
+            break
+        flat, value = cand, fc
+        grad = value_grad(flat, True)[1]
+    return flat, value
 
 
 def _nll_and_grad(flat, phi_s, targets, classes, grad=True):
@@ -156,39 +171,34 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
 
     phi_s = pixel_features(image)[labeled]
     targets = one_hot_rows(lab[labeled], model.classes)
-    flat = model.pack()
-    value, grad = _nll_and_grad(flat, phi_s, targets, model.classes)
-    loss_only = lambda x: _nll_and_grad(x, phi_s, targets, model.classes, grad=False)[0]
-    for _ in range(cfg.pretrain_epochs):
-        flat, value, moved = _backtrack(flat, loss_only, value, grad, cfg.step_size)
-        if not moved:
-            break
-        _, grad = _nll_and_grad(flat, phi_s, targets, model.classes)
+    value_grad = lambda x, grad: _nll_and_grad(x, phi_s, targets, model.classes, grad)
+    flat, _ = _descend(model.pack(), value_grad, cfg.pretrain_epochs, cfg.step_size)
     return PixelModel.unpack(flat, model.classes)
 
 
-def _sl_value_and_grad(flat, phi, image_shape, y, scribbles, graph, cfg, classes, grad=True):
-    """Joint loss and, when grad is set, its gradient w.r.t. model parameters
-    at fixed y (else None)."""
-    model = PixelModel.unpack(flat, classes)
-    logits = phi @ model.weights.T + model.bias
-    probs = softmax_rows(logits)
-    sigma = ProbField(probs.reshape(image_shape))
-    value = sl_loss(sigma, y, scribbles, graph, cfg)
+def _sl_value_and_grad(flat, phi, labeled, targets, y_free, pairwise, cfg, grad=True):
+    """Joint loss at fixed pseudo-labels and, when grad is set, its gradient
+    w.r.t. the model parameters (else None).
+
+    labeled masks the scribble pixels and targets holds their one-hot rows;
+    y_free holds the pseudo-labels of the other pixels, and pairwise the
+    model-independent lambda * sum w P(y_i, y_j). Terms are added in
+    sl_loss's order, so the value equals sl_loss bit for bit.
+    """
+    model = PixelModel.unpack(flat, targets.shape[1])
+    probs = softmax_rows(phi @ model.weights.T + model.bias)
+    free = ~labeled
+    probs_free = probs[free]
+    vals, _, grads = row_values(cfg.xent, y_free, probs_free, grad=grad)
+    picked = np.sum(probs[labeled] * targets, axis=1)
+    value = float(-np.sum(np.log(np.maximum(picked, LOG_CLAMP)))) if picked.size else 0.0
+    value += cfg.eta * float(np.sum(vals))
+    value += pairwise
     if not grad:
         return value, None
-
-    lab = scribbles.data.ravel()
-    labeled = lab > 0
     glogit = np.zeros_like(probs)
-    if labeled.any():
-        glogit[labeled] = probs[labeled] - one_hot_rows(lab[labeled], classes)
-    unlabeled = ~labeled
-    _, _, (_, gs) = row_values(cfg.xent, y.flat()[unlabeled], probs[unlabeled], grad=True)
-    a = cfg.eta * gs
-    # chain through softmax on unlabeled pixels
-    pu = probs[unlabeled]
-    glogit[unlabeled] += pu * (a - np.sum(pu * a, axis=1, keepdims=True))
+    glogit[labeled] = probs[labeled] - targets
+    glogit[free] += softmax_backward(probs_free, cfg.eta * grads[1])
     gw = glogit.T @ phi
     gb = glogit.sum(axis=0)
     return value, np.concatenate([gw.ravel(), gb])
@@ -204,43 +214,38 @@ def alternate(
     """Alternating minimization of the joint self-labeling loss.
 
     Each round solves the pseudo-label sub-problem at the current predictions
-    (initialized from the model logits), keeps the candidate only if it does
-    not raise the sub-problem objective against the previous labels, then runs
-    inner epochs of backtracking GD on the model. Returns
-    (model, pseudo-labels, per-round joint loss trace).
+    (initialized from the model logits), keeps the candidate only if its final
+    objective does not exceed the previous labels' objective, evaluates the
+    pairwise term of the kept labels once, then runs inner epochs of
+    backtracking GD on the model. Returns (model, pseudo-labels, per-round
+    joint loss trace).
     """
     phi = pixel_features(image)
     classes = model.classes
-    image_shape = (image.height, image.width, classes)
+    lab = scribbles.data.ravel()
+    labeled = lab > 0
+    targets = one_hot_rows(lab[labeled], classes)
+    loss_cfg = cfg.loss_cfg
     y = None
     trace: list[float] = []
     flat = model.pack()
     for _ in range(cfg.rounds):
         sigma, logit_field = predict(PixelModel.unpack(flat, classes), image)
-        candidate, _ = solve_pseudo_labels(
-            sigma, logit_field, scribbles, graph, cfg.loss_cfg, cfg.solver_cfg
+        candidate, report = solve_pseudo_labels(
+            sigma, logit_field, scribbles, graph, loss_cfg, cfg.solver_cfg
         )
-        if y is None:
+        if y is None or report.final_objective <= pseudo_label_objective(
+            sigma, y, scribbles, graph, loss_cfg
+        ):
             y = candidate
-        else:
-            cand_obj = pseudo_label_objective(sigma, candidate, scribbles, graph, cfg.loss_cfg)
-            prev_obj = pseudo_label_objective(sigma, y, scribbles, graph, cfg.loss_cfg)
-            if cand_obj <= prev_obj:
-                y = candidate
 
-        value, grad = _sl_value_and_grad(
-            flat, phi, image_shape, y, scribbles, graph, cfg.loss_cfg, classes
+        yf = y.flat()
+        y_free = yf[~labeled]
+        pairwise = edge_sum(loss_cfg.potts, yf, graph, scale=loss_cfg.lam)[0]
+        value_grad = lambda x, grad: _sl_value_and_grad(
+            x, phi, labeled, targets, y_free, pairwise, loss_cfg, grad
         )
-        loss_only = lambda x: _sl_value_and_grad(
-            x, phi, image_shape, y, scribbles, graph, cfg.loss_cfg, classes, grad=False
-        )[0]
-        for _ in range(cfg.inner_epochs):
-            flat, value, moved = _backtrack(flat, loss_only, value, grad, cfg.step_size)
-            if not moved:
-                break
-            _, grad = _sl_value_and_grad(
-                flat, phi, image_shape, y, scribbles, graph, cfg.loss_cfg, classes
-            )
+        flat, value = _descend(flat, value_grad, cfg.inner_epochs, cfg.step_size)
         trace.append(value)
     return PixelModel.unpack(flat, classes), y, trace
 
@@ -254,26 +259,18 @@ def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400, step0: fl
     n, dim = x.shape
     k = targets.shape[1]
     xa = np.column_stack([x, np.ones(n)])
-    flat = np.zeros((k * (dim + 1),))
 
-    def value_grad(f, grad=True):
+    def value_grad(f, grad):
         w = f.reshape(k, dim + 1)
         probs = softmax_rows(xa @ w.T)
         vals, _, grads = row_values(kind, targets, probs, grad=grad)
         value = float(np.mean(vals))
         if not grad:
             return value, None
-        gs = grads[1]
-        glogit = probs * (gs - np.sum(probs * gs, axis=1, keepdims=True)) / n
+        glogit = softmax_backward(probs, grads[1]) / n
         return value, (glogit.T @ xa).ravel()
 
-    value, grad = value_grad(flat)
-    loss_only = lambda f: value_grad(f, grad=False)[0]
-    for _ in range(epochs):
-        flat, value, moved = _backtrack(flat, loss_only, value, grad, step0)
-        if not moved:
-            break
-        _, grad = value_grad(flat)
+    flat, _ = _descend(np.zeros((k * (dim + 1),)), value_grad, epochs, step0)
     return flat.reshape(k, dim + 1)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from potts_sl import DataError, NeighborhoodKind, parse_config_text
+from potts_sl.config import RunConfig
 from potts_sl.data_terms import XentKind
 from potts_sl.potts import PottsKind
 
@@ -14,6 +15,7 @@ class TestParsing:
         assert cfg.affinity.color_bandwidth == 9.0
         assert cfg.solver.steps == 200 and cfg.solver.learning_rate == 0.075
         assert cfg.rounds == 10 and cfg.seed == 0
+        assert cfg == RunConfig()
 
     def test_full_config(self):
         text = """

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potts_sl import (
     DataError,
@@ -16,6 +17,7 @@ from potts_sl import (
     one_hot,
     softmax,
 )
+from potts_sl.simplex import one_hot_rows, softmax_backward, softmax_rows
 from potts_sl.data_terms import XentKind, xent_value
 from helpers import interior_pair
 
@@ -52,6 +54,48 @@ class TestSoftmax:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             softmax([np.inf, 0.0])
+
+
+class TestSoftmaxBackward:
+    @staticmethod
+    def instance(n, k, seed):
+        rng = np.random.default_rng(seed)
+        p = softmax_rows(3.0 * rng.standard_normal((n, k)))
+        return rng, p, 10.0 * rng.standard_normal((n, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 21), st.integers(0, 2**32 - 1))
+    def test_rows_are_the_softmax_jacobian_times_g(self, n, k, seed):
+        _, p, g = self.instance(n, k, seed)
+        out = softmax_backward(p, g)
+        for row, pi, gi in zip(out, p, g):
+            np.testing.assert_allclose(row, (np.diag(pi) - np.outer(pi, pi)) @ gi,
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=1), 0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 21), st.integers(0, 2**32 - 1))
+    def test_exactly_zero_at_one_hot_rows(self, n, k, seed):
+        # pinned (one-hot) pixels receive no logit update in the solver
+        rng, _, g = self.instance(n, k, seed)
+        p = one_hot_rows(rng.integers(1, k + 1, size=n), k)
+        assert np.all(softmax_backward(p, g) == 0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 21), st.integers(0, 2**32 - 1))
+    def test_matches_central_differences(self, k, seed):
+        # softmax_backward(softmax(z), g) is the gradient of g . softmax(z)
+        rng, _, g = self.instance(3, k, seed)
+        z = 3.0 * rng.standard_normal((3, k))
+        out = softmax_backward(softmax_rows(z), g)
+        h = 1e-6
+        for i in range(3):
+            for c in range(k):
+                zp, zm = z[i].copy(), z[i].copy()
+                zp[c] += h
+                zm[c] -= h
+                fd = (g[i] @ softmax_rows(zp[None])[0] - g[i] @ softmax_rows(zm[None])[0]) / (2 * h)
+                assert abs(fd - out[i, c]) <= 1e-6
 
 
 class TestEntropy:

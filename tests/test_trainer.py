@@ -14,7 +14,7 @@ from potts_sl import (
 from potts_sl.data_terms import XentKind
 from potts_sl.losses import scribble_nll
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind
+from potts_sl.potts import PottsKind, edge_sum
 from potts_sl.simplex import one_hot_rows
 from potts_sl.solver import SolverConfig
 from potts_sl.synthetic import gaussian_blobs_dataset, two_region_instance
@@ -129,10 +129,17 @@ class TestModelGradient:
         from potts_sl import ProbField
         y = ProbField(y)
         phi = pixel_features(image)
+        labeled = data.ravel() > 0
+        targets = one_hot_rows(data.ravel()[labeled], 2)
+        y_free = y.flat()[~labeled]
+        pairwise = edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
         flat0 = rng.standard_normal(2 * 5 + 2) * 0.5
-        value, grad = _sl_value_and_grad(flat0, phi, (4, 4, 2), y, scribbles, graph, cfg, 2)
-        f = lambda p: _sl_value_and_grad(p, phi, (4, 4, 2), y, scribbles, graph, cfg, 2)[0]
-        assert finite_diff_check(f, grad, flat0) < 1e-4
+        f = lambda p, grad=True: _sl_value_and_grad(
+            p, phi, labeled, targets, y_free, pairwise, cfg, grad)
+        value, grad = f(flat0)
+        assert finite_diff_check(lambda p: f(p, False)[0], grad, flat0) < 1e-4
+        sigma, _ = predict(PixelModel.unpack(flat0, 2), image)
+        assert value == sl_loss(sigma, y, scribbles, graph, cfg)
 
 
 class TestAlternate:
@@ -160,8 +167,23 @@ class TestAlternate:
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
         model, y, trace = alternate(model, image, scribbles, graph, cfg)
         sigma, _ = predict(model, image)
-        assert abs(trace[-1] - sl_loss(sigma, y, scribbles, graph, cfg.loss_cfg)) < 1e-9
+        assert trace[-1] == sl_loss(sigma, y, scribbles, graph, cfg.loss_cfg)
         assert len(trace) == 3
+
+    def test_pairwise_term_once_per_round(self, monkeypatch):
+        # at fixed pseudo-labels the pairwise term does not depend on the
+        # model, so the inner epochs reuse one evaluation per round
+        from potts_sl import trainer
+
+        image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
+        graph = build_graph(image, AffinityConfig())
+        cfg = TrainConfig(rounds=3, inner_epochs=5, solver_cfg=SolverConfig(steps=10))
+        model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
+        calls = []
+        monkeypatch.setattr(trainer, "edge_sum",
+                            lambda *a, **k: calls.append(a) or edge_sum(*a, **k))
+        alternate(model, image, scribbles, graph, cfg)
+        assert len(calls) == cfg.rounds
 
     def test_simplex_invariants_preserved(self):
         image, scribbles, _ = two_region_instance(seed=4, height=10, width=10)
@@ -177,46 +199,58 @@ class TestAlternate:
 
 class TestLineSearch:
     @staticmethod
-    def count(monkeypatch, name, grad_default, job):
-        """(gradient evaluations by trainer.<name>, accepted steps) in job()."""
+    def count(monkeypatch, job):
+        """(gradients, accepted steps) of each trainer._descend call in job().
+
+        Gradients are value_grad(x, True) calls. An accepted step is a
+        value-only trial whose point the descent then moves to, seen as a
+        gradient taken at exactly the point of the trial just before it.
+        """
         from potts_sl import trainer
 
-        counts = [0, 0]
-        fn, backtrack = getattr(trainer, name), trainer._backtrack
+        per_descent = []
+        descend = trainer._descend
 
-        def counting(*args, **kwargs):
-            counts[0] += kwargs.get("grad", grad_default)
-            return fn(*args, **kwargs)
+        def counting_descend(flat, value_grad, *args):
+            counts, last_trial = [0, 0], [None]
 
-        def counting_backtrack(*args):
-            result = backtrack(*args)
-            counts[1] += result[2]
+            def counting(x, grad):
+                if grad:
+                    counts[0] += 1
+                    counts[1] += last_trial[0] is not None and np.array_equal(x, last_trial[0])
+                    last_trial[0] = None
+                else:
+                    last_trial[0] = x.copy()
+                return value_grad(x, grad)
+
+            result = descend(flat, counting, *args)
+            per_descent.append(tuple(counts))
             return result
 
         with monkeypatch.context() as m:
-            m.setattr(trainer, name, counting)
-            m.setattr(trainer, "_backtrack", counting_backtrack)
+            m.setattr(trainer, "_descend", counting_descend)
             job()
-        return counts
+        return per_descent
 
     def test_model_gradient_only_at_accepted_points(self, monkeypatch):
-        # Armijo trials evaluate the loss alone: one gradient per start
-        # (per round in alternate) plus one per accepted step
+        # Armijo trials evaluate the loss alone: one gradient per descent
+        # (one descent per round in alternate) plus one per accepted step
         image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
         graph = build_graph(image, AffinityConfig())
         cfg = TrainConfig(rounds=2, inner_epochs=6, pretrain_epochs=20,
                           solver_cfg=SolverConfig(steps=10))
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
-        grads, accepted = self.count(monkeypatch, "_nll_and_grad", True, lambda: pretrain(
-            PixelModel.zeros(2), image, scribbles, cfg))
-        assert accepted > 0 and grads == accepted + 1
-        grads, accepted = self.count(monkeypatch, "_sl_value_and_grad", True, lambda: alternate(
-            model, image, scribbles, graph, cfg))
-        assert accepted > 0 and grads == accepted + cfg.rounds
         x, labels, _, _ = gaussian_blobs_dataset(0)
-        grads, accepted = self.count(monkeypatch, "row_values", False, lambda: _fit_linear_softmax(
-            x, one_hot_rows(labels, 3), XentKind.CE, epochs=30))
-        assert accepted > 0 and grads == accepted + 1
+        jobs = [
+            (1, lambda: pretrain(PixelModel.zeros(2), image, scribbles, cfg)),
+            (cfg.rounds, lambda: alternate(model, image, scribbles, graph, cfg)),
+            (1, lambda: _fit_linear_softmax(x, one_hot_rows(labels, 3), XentKind.CE, epochs=30)),
+        ]
+        for descents, job in jobs:
+            per_descent = self.count(monkeypatch, job)
+            assert len(per_descent) == descents
+            for grads, accepted in per_descent:
+                assert accepted > 0 and grads == accepted + 1
 
 
 class TestCorruption:
