@@ -153,6 +153,15 @@ class AffinityGraph:
     def nedges(self) -> int:
         return self.ei.size
 
+    def check_covers(self, height: int, width: int):
+        """Raise DataError unless this graph is over an H x W field: the pixel
+        counts agree and a recorded grid layout is (H, W)."""
+        if self.npixels != height * width or (
+            self.grid is not None and tuple(self.grid) != (height, width)
+        ):
+            layout = f"a {self.grid[0]}x{self.grid[1]} grid" if self.grid else f"{self.npixels} pixels"
+            raise DataError(f"graph covers {layout}, field is {height}x{width}")
+
     def degrees(self) -> np.ndarray:
         """Weighted degree per pixel."""
         d = np.zeros(self.npixels)

@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .affinity import build_graph
-from .config import RunConfig, read_config
+from .config import read_config
 from .data_terms import XentKind, xent_grad, xent_value
 from .errors import DataError, NumericalError
 from .fileio import (
+    DEFAULT_PALETTE,
     read_ground_truth,
     read_image,
     read_label_map,
@@ -51,41 +51,33 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
-class RunManifest:
-    """Validated inputs/outputs of one CLI job."""
-
-    out_dir: str
-    image: str | None = None
-    scribbles: str | None = None
-    sigma: str | None = None
-    config: str | None = None
-    gt: str | None = None
-
-    def validate(self):
-        for name in ("image", "scribbles", "sigma", "config", "gt"):
-            path = getattr(self, name)
-            if path is not None and not os.path.isfile(path):
-                raise DataError(f"--{name}: no such file: {path}")
-        os.makedirs(self.out_dir, exist_ok=True)
-        if not os.access(self.out_dir, os.W_OK):
-            raise DataError(f"output directory not writable: {self.out_dir}")
+def _check_paths(args):
+    """Refuse missing input files and an unwritable output directory."""
+    for name in ("image", "scribbles", "sigma", "config", "gt"):
+        path = getattr(args, name, None)
+        if path is not None and not os.path.isfile(path):
+            raise DataError(f"--{name}: no such file: {path}")
+    os.makedirs(args.out, exist_ok=True)
+    if not os.access(args.out, os.W_OK):
+        raise DataError(f"output directory not writable: {args.out}")
 
 
-def _load_instance(args, cfg: RunConfig, with_sigma: bool):
+def _prepare(args, with_sigma: bool):
+    """Checked paths, config, inputs and affinity graph of one file job.
+
+    Returns (cfg, image, scribbles, sigma or None, graph). Refuses K above
+    the palette size before any solve. Shape mismatches are left to the
+    library: the solvers and pretrain reject them before they start.
+    """
+    _check_paths(args)
+    cfg = read_config(args.config)
     image = read_image(args.image)
-    if with_sigma:
-        sigma = read_probfield(args.sigma)
-        scribbles = read_scribbles(args.scribbles, classes=sigma.classes)
-        if (sigma.height, sigma.width) != (image.height, image.width):
-            raise DataError("prediction field and image dimensions differ")
-    else:
-        sigma = None
-        scribbles = read_scribbles(args.scribbles)
-    if (scribbles.height, scribbles.width) != (image.height, image.width):
-        raise DataError("scribble and image dimensions differ")
-    graph = build_graph(image, cfg.affinity)
-    return image, scribbles, sigma, graph
+    sigma = read_probfield(args.sigma) if with_sigma else None
+    scribbles = read_scribbles(args.scribbles, classes=sigma.classes if with_sigma else None)
+    classes = sigma.classes if with_sigma else scribbles.max_class()
+    if classes > len(DEFAULT_PALETTE):
+        raise DataError(f"K={classes} exceeds the {len(DEFAULT_PALETTE)} palette colors")
+    return cfg, image, scribbles, sigma, build_graph(image, cfg.affinity)
 
 
 def _write_field_artifacts(out_dir, stem, field):
@@ -94,53 +86,37 @@ def _write_field_artifacts(out_dir, stem, field):
     write_image(visualize(field), os.path.join(out_dir, f"{stem}_vis.ppm"))
 
 
-def _cmd_solve(args) -> int:
-    manifest = RunManifest(
-        out_dir=args.out, image=args.image, scribbles=args.scribbles,
-        sigma=args.sigma, config=args.config,
-    )
-    manifest.validate()
-    cfg = read_config(args.config)
-    image, scribbles, sigma, graph = _load_instance(args, cfg, with_sigma=True)
-    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg.loss, cfg.solver)
-    _write_field_artifacts(args.out, "y", y)
-    with open(os.path.join(args.out, "solve_report.txt"), "w") as fh:
-        for step, value in enumerate(report.trace):
+def _write_solution(out, y, trace, divergence_events):
+    """Pseudo-label artifacts plus solve_report.txt (one line per trace value)."""
+    _write_field_artifacts(out, "y", y)
+    with open(os.path.join(out, "solve_report.txt"), "w") as fh:
+        for step, value in enumerate(trace):
             fh.write(f"{step}\t{value!r}\n")
-        fh.write(f"divergence_events\t{report.divergence_events}\n")
+        fh.write(f"divergence_events\t{divergence_events}\n")
+
+
+def _cmd_solve(args) -> int:
+    cfg, _, scribbles, sigma, graph = _prepare(args, with_sigma=True)
+    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg.loss, cfg.solver)
+    _write_solution(args.out, y, report.trace, report.divergence_events)
     print(f"final objective {report.final_objective:.6f} "
           f"({report.divergence_events} divergence events)")
     return 0
 
 
 def _cmd_oracle_rw(args) -> int:
-    manifest = RunManifest(
-        out_dir=args.out, image=args.image, scribbles=args.scribbles,
-        sigma=args.sigma, config=args.config,
-    )
-    manifest.validate()
-    cfg = read_config(args.config)
-    image, scribbles, sigma, graph = _load_instance(args, cfg, with_sigma=True)
+    cfg, _, scribbles, sigma, graph = _prepare(args, with_sigma=True)
     y = random_walker_solve(sigma, scribbles, graph, cfg.loss.eta, cfg.loss.lam)
-    _write_field_artifacts(args.out, "y", y)
     quad_cfg = LossConfig(eta=cfg.loss.eta, lam=cfg.loss.lam,
                           potts=PottsKind.Q, xent=XentKind.QUAD)
     objective = pseudo_label_objective(sigma, y, scribbles, graph, quad_cfg)
-    with open(os.path.join(args.out, "solve_report.txt"), "w") as fh:
-        fh.write(f"0\t{objective!r}\n")
-        fh.write("divergence_events\t0\n")
+    _write_solution(args.out, y, [objective], 0)
     print(f"exact quadratic solution, objective {objective:.6f}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    manifest = RunManifest(
-        out_dir=args.out, image=args.image, scribbles=args.scribbles,
-        config=args.config, gt=args.gt,
-    )
-    manifest.validate()
-    cfg = read_config(args.config)
-    image, scribbles, _, graph = _load_instance(args, cfg, with_sigma=False)
+    cfg, image, scribbles, _, graph = _prepare(args, with_sigma=False)
     if not scribbles.labeled_mask().any():
         raise DataError("training needs at least one scribble")
     classes = scribbles.max_class()
@@ -216,8 +192,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_corrupt_bench(args) -> int:
-    manifest = RunManifest(out_dir=args.out)
-    manifest.validate()
+    _check_paths(args)
     rows = corruption_experiment(seed=args.seed)
     path = os.path.join(args.out, "corruption.csv")
     with open(path, "w") as fh:
@@ -245,29 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="potts-sl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve pseudo-labels at fixed predictions")
-    solve.add_argument("--image", required=True)
-    solve.add_argument("--scribbles", required=True)
-    solve.add_argument("--sigma", required=True)
-    solve.add_argument("--config", required=True)
-    solve.add_argument("--out", required=True)
-    solve.set_defaults(func=_cmd_solve)
-
-    oracle = sub.add_parser("oracle-rw", help="exact quadratic (random-walker) solve")
-    oracle.add_argument("--image", required=True)
-    oracle.add_argument("--scribbles", required=True)
-    oracle.add_argument("--sigma", required=True)
-    oracle.add_argument("--config", required=True)
-    oracle.add_argument("--out", required=True)
-    oracle.set_defaults(func=_cmd_oracle_rw)
-
-    train = sub.add_parser("train", help="pretrain on scribbles, then alternate")
-    train.add_argument("--image", required=True)
-    train.add_argument("--scribbles", required=True)
-    train.add_argument("--config", required=True)
-    train.add_argument("--out", required=True)
-    train.add_argument("--gt", default=None)
-    train.set_defaults(func=_cmd_train)
+    jobs = {}
+    for name, func, with_sigma, help_text in (
+        ("solve", _cmd_solve, True, "solve pseudo-labels at fixed predictions"),
+        ("oracle-rw", _cmd_oracle_rw, True, "exact quadratic (random-walker) solve"),
+        ("train", _cmd_train, False, "pretrain on scribbles, then alternate"),
+    ):
+        jobs[name] = sub.add_parser(name, help=help_text)
+        for arg in ("image", "scribbles", "sigma", "config", "out"):
+            if with_sigma or arg != "sigma":
+                jobs[name].add_argument(f"--{arg}", required=True)
+        jobs[name].set_defaults(func=func)
+    jobs["train"].add_argument("--gt", default=None)
 
     grad = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     grad.add_argument("--kind", action="append", default=[],

@@ -112,16 +112,14 @@ def read_scribbles(path, classes: int | None = None) -> ScribbleField:
     return ScribbleField(np.where(raw == UNLABELED_BYTE, 0, raw))
 
 
-def write_labels(labels: np.ndarray, path, ignore_as_255: bool = True):
+def write_labels(labels: np.ndarray, path):
     """Write a (H, W) 1-based label map as binary PGM; 0 becomes 255."""
     lab = np.asarray(labels, dtype=np.int64)
     if lab.ndim != 2:
         raise DataError("label map must be 2-D")
     if lab.min() < 0 or lab.max() > 254:
         raise DataError("label values must lie in 0..254")
-    out = lab.astype(np.uint8)
-    if ignore_as_255:
-        out = np.where(lab == 0, UNLABELED_BYTE, lab).astype(np.uint8)
+    out = np.where(lab == 0, UNLABELED_BYTE, lab).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (lab.shape[1], lab.shape[0]))
         fh.write(out.tobytes())

@@ -50,8 +50,7 @@ def _check_instance(sigma: ProbField, scribbles: ScribbleField, graph: AffinityG
             f"field is {sigma.height}x{sigma.width} but scribbles are "
             f"{scribbles.height}x{scribbles.width}"
         )
-    if sigma.npixels != graph.npixels:
-        raise DataError(f"graph covers {graph.npixels} pixels, field has {sigma.npixels}")
+    graph.check_covers(sigma.height, sigma.width)
     if scribbles.max_class() > sigma.classes:
         raise DataError(
             f"scribble class {scribbles.max_class()} exceeds K={sigma.classes}"

@@ -189,19 +189,12 @@ def potts_grad(kind: PottsKind, p, q):
     return gp[0], gq[0]
 
 
-def _check_field_graph(field: ProbField, graph: AffinityGraph):
-    if field.npixels != graph.npixels:
-        raise DataError(
-            f"field has {field.npixels} pixels but graph has {graph.npixels}"
-        )
-
-
 def potts_sum(kind: PottsKind, field: ProbField, graph: AffinityGraph):
     """Weighted sum of P over all graph edges.
 
     Returns DIVERGENT if any positively weighted edge diverges.
     """
-    _check_field_graph(field, graph)
+    graph.check_covers(field.height, field.width)
     value, div = edge_sum(kind, field.flat(), graph)
     if np.any(div & (graph.w > 0)):
         return DIVERGENT
@@ -213,7 +206,7 @@ def potts_sum_grad(kind: PottsKind, field: ProbField, graph: AffinityGraph):
 
     Raises DivergentPointError if any positively weighted edge diverges.
     """
-    _check_field_graph(field, graph)
+    graph.check_covers(field.height, field.width)
     y = field.flat()
     grad = np.zeros_like(y)
     value, div = edge_sum(kind, y, graph, grad_out=grad)

@@ -120,10 +120,11 @@ def _descend(flat, value_grad, epochs, step0):
     value_grad(x, grad) -> (value, gradient or None). Trials ask for the value
     alone; the gradient is taken at the start and after each accepted step.
     Stops after `epochs` steps, at a zero gradient, or when no step down to
-    step0 / 2**_MAX_HALVINGS decreases the value enough.
+    step0 / 2**_MAX_HALVINGS decreases the value enough; the gradient after
+    the last of `epochs` steps is not taken, since nothing reads it.
     """
     value, grad = value_grad(flat, True)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         gnorm2 = float(np.dot(grad, grad))
         if gnorm2 == 0.0:
             break
@@ -137,7 +138,8 @@ def _descend(flat, value_grad, epochs, step0):
         else:
             break
         flat, value = cand, fc
-        grad = value_grad(flat, True)[1]
+        if epoch + 1 < epochs:
+            grad = value_grad(flat, True)[1]
     return flat, value
 
 
@@ -158,6 +160,11 @@ def _nll_and_grad(flat, phi_s, targets, classes, grad=True):
 
 def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: TrainConfig) -> PixelModel:
     """Full-batch backtracking GD on the scribble NLL (convex warm start)."""
+    if (scribbles.height, scribbles.width) != (image.height, image.width):
+        raise DataError(
+            f"scribbles are {scribbles.height}x{scribbles.width} but the image is "
+            f"{image.height}x{image.width}"
+        )
     lab = scribbles.data.ravel()
     labeled = lab > 0
     if not labeled.any():

@@ -3,7 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from potts_sl import AffinityConfig, AffinityGraph, DataError, Image, NeighborhoodKind, build_graph
+from potts_sl import (
+    AffinityConfig,
+    AffinityGraph,
+    DataError,
+    Image,
+    LossConfig,
+    NeighborhoodKind,
+    ScribbleField,
+    build_graph,
+    pseudo_label_objective,
+    random_walker_solve,
+    sl_loss,
+    solve_pseudo_labels,
+)
+from potts_sl.potts import PottsKind, potts_sum, potts_sum_grad
+from potts_sl.solver import SolverConfig
+from helpers import random_interior_field
 
 
 def pair_scan_oracle(image, cfg):
@@ -156,3 +172,53 @@ class TestValidation:
         with pytest.raises(DataError):  # an integer index is not a slice rectangle
             AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
                           blocks=(((0, slice(0, 1)), (0, slice(1, 2))),))
+
+
+# Every library entry point that takes a field and a graph, called on
+# (sigma, scribbles, graph).
+FIELD_GRAPH_CALLS = {
+    "solve_pseudo_labels": lambda s, scr, g: solve_pseudo_labels(
+        s, None, scr, g, LossConfig(), SolverConfig(steps=2)),
+    "random_walker_solve": lambda s, scr, g: random_walker_solve(s, scr, g, 0.3, 6.0),
+    "pseudo_label_objective": lambda s, scr, g: pseudo_label_objective(s, s, scr, g, LossConfig()),
+    "potts_sum": lambda s, scr, g: potts_sum(PottsKind.Q, s, g),
+    "potts_sum_grad": lambda s, scr, g: potts_sum_grad(PottsKind.Q, s, g),
+    "sl_loss": lambda s, scr, g: sl_loss(s, s, scr, g, LossConfig()),
+}
+
+
+class TestCheckCovers:
+    """A graph built for a 6x4 image takes only 6x4 fields, not 4x6 ones."""
+
+    @staticmethod
+    def field(height, width):
+        rng = np.random.default_rng(0)
+        unlabeled = ScribbleField(np.zeros((height, width), dtype=np.int64))
+        return random_interior_field(rng, height, width, 3), unlabeled
+
+    def test_check_covers(self):
+        rng = np.random.default_rng(1)
+        graph = build_graph(Image(rng.integers(0, 256, size=(6, 4, 3))), AffinityConfig())
+        graph.check_covers(6, 4)
+        for shape in ((4, 6), (5, 5), (3, 8)):
+            with pytest.raises(DataError, match="6x4 grid"):
+                graph.check_covers(*shape)
+        chain = AffinityGraph(npixels=24, ei=np.arange(23), ej=np.arange(1, 24), w=np.ones(23))
+        chain.check_covers(4, 6)
+        chain.check_covers(24, 1)
+        with pytest.raises(DataError, match="24 pixels"):
+            chain.check_covers(5, 5)
+
+    @pytest.mark.parametrize("name", sorted(FIELD_GRAPH_CALLS))
+    def test_transposed_field_rejected(self, name):
+        rng = np.random.default_rng(2)
+        graph = build_graph(Image(rng.integers(0, 256, size=(6, 4, 3))), AffinityConfig())
+        sigma, scribbles = self.field(4, 6)
+        with pytest.raises(DataError, match="6x4 grid, field is 4x6"):
+            FIELD_GRAPH_CALLS[name](sigma, scribbles, graph)
+
+    @pytest.mark.parametrize("name", sorted(FIELD_GRAPH_CALLS))
+    def test_graph_without_layout_checks_pixel_count_only(self, name):
+        chain = AffinityGraph(npixels=24, ei=np.arange(23), ej=np.arange(1, 24), w=np.ones(23))
+        sigma, scribbles = self.field(4, 6)
+        FIELD_GRAPH_CALLS[name](sigma, scribbles, chain)

@@ -3,6 +3,7 @@ import pytest
 
 from potts_sl import (
     AffinityGraph,
+    Image,
     ProbField,
     ScribbleField,
     read_probfield,
@@ -53,7 +54,6 @@ class TestSolve:
         rng = np.random.default_rng(5)
         labels = rng.integers(1, 4, size=(6, 6))
         sigma = ProbField.uniform(6, 6, 3)
-        from potts_sl import Image
         image = Image(rng.integers(0, 256, size=(6, 6, 3)))
         paths = dict(
             image=tmp_path / "i.ppm", scr=tmp_path / "s.pgm",
@@ -213,5 +213,51 @@ class TestExitCodes:
                    "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "train"])
+    def test_transposed_inputs_are_data_error(self, command, tmp_path, capsys):
+        # a 6x4 image with 4x6 predictions and scribbles: equal pixel counts
+        rng = np.random.default_rng(4)
+        write_image(Image(rng.integers(0, 256, size=(6, 4, 3))), tmp_path / "i.ppm")
+        labels = np.zeros((4, 6), dtype=np.int64)
+        labels[0, 0], labels[3, 5] = 1, 2
+        write_labels(labels, tmp_path / "s.pgm")
+        write_probfield(ProbField.uniform(4, 6, 2), tmp_path / "p.pfld")
+        (tmp_path / "c.cfg").write_text("steps = 2\nrounds = 1\n")
+        sigma = ["--sigma", tmp_path / "p.pfld"] if command == "solve" else []
+        code = run(command, "--image", tmp_path / "i.ppm", "--scribbles", tmp_path / "s.pgm",
+                   *sigma, "--config", tmp_path / "c.cfg", "--out", tmp_path / "o")
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
+
+
+class TestClassLimit:
+    """The CLI renders K <= 21 classes with its palette and refuses more
+    before any solve, so no partial output is left behind."""
+
+    @staticmethod
+    def job(tmp_path, command, classes):
+        rng = np.random.default_rng(classes)
+        write_image(Image(rng.integers(0, 256, size=(5, 5, 3))), tmp_path / "i.ppm")
+        labels = np.zeros((5, 5), dtype=np.int64)
+        labels.ravel()[:classes] = np.arange(1, classes + 1)
+        write_labels(labels, tmp_path / "s.pgm")
+        write_probfield(ProbField.uniform(5, 5, classes), tmp_path / "p.pfld")
+        (tmp_path / "c.cfg").write_text("steps = 2\nrounds = 1\n")
+        sigma = [] if command == "train" else ["--sigma", tmp_path / "p.pfld"]
+        out = tmp_path / "out"
+        code = run(command, "--image", tmp_path / "i.ppm", "--scribbles", tmp_path / "s.pgm",
+                   *sigma, "--config", tmp_path / "c.cfg", "--out", out)
+        return code, sorted(f.name for f in out.iterdir())
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-rw", "train"])
+    def test_22_classes_refused_before_any_output(self, command, tmp_path, capsys):
+        assert self.job(tmp_path, command, 22) == (2, [])
+        assert "K=22" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-rw", "train"])
+    def test_21_classes_run(self, command, tmp_path, capsys):
+        code, names = self.job(tmp_path, command, 21)
+        assert code == 0 and "y_vis.ppm" in names

@@ -3,6 +3,7 @@ import pytest
 
 from potts_sl import (
     AffinityConfig,
+    DataError,
     Image,
     LossConfig,
     ScribbleField,
@@ -95,6 +96,14 @@ class TestPretrain:
         data = np.zeros((8, 8), dtype=np.int64)
         data[0, 0] = 1
         with pytest.warns(UserWarning):
+            pretrain(PixelModel.zeros(2), image, ScribbleField(data), TrainConfig(pretrain_epochs=2))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 6)])
+    def test_scribbles_of_another_shape_rejected(self, shape):
+        image, _ = separable_image(6, 4)
+        data = np.zeros(shape, dtype=np.int64)
+        data[0, 0], data[-1, -1] = 1, 2
+        with pytest.raises(DataError, match=f"scribbles are {shape[0]}x{shape[1]}"):
             pretrain(PixelModel.zeros(2), image, ScribbleField(data), TrainConfig(pretrain_epochs=2))
 
     def test_nll_monotone_over_epochs(self):
@@ -200,31 +209,33 @@ class TestAlternate:
 class TestLineSearch:
     @staticmethod
     def count(monkeypatch, job):
-        """(gradients, accepted steps) of each trainer._descend call in job().
+        """(gradients, accepted steps, epochs) of each trainer._descend call in job().
 
         Gradients are value_grad(x, True) calls. An accepted step is a
-        value-only trial whose point the descent then moves to, seen as a
-        gradient taken at exactly the point of the trial just before it.
+        value-only trial whose point the descent then moves to: a gradient
+        taken at the very array of the trial just before it, or the array the
+        descent returns.
         """
         from potts_sl import trainer
 
         per_descent = []
         descend = trainer._descend
 
-        def counting_descend(flat, value_grad, *args):
+        def counting_descend(flat, value_grad, epochs, step0):
             counts, last_trial = [0, 0], [None]
 
             def counting(x, grad):
                 if grad:
                     counts[0] += 1
-                    counts[1] += last_trial[0] is not None and np.array_equal(x, last_trial[0])
+                    counts[1] += x is last_trial[0]
                     last_trial[0] = None
                 else:
-                    last_trial[0] = x.copy()
+                    last_trial[0] = x
                 return value_grad(x, grad)
 
-            result = descend(flat, counting, *args)
-            per_descent.append(tuple(counts))
+            result = descend(flat, counting, epochs, step0)
+            counts[1] += result[0] is last_trial[0]
+            per_descent.append((*counts, epochs))
             return result
 
         with monkeypatch.context() as m:
@@ -234,23 +245,38 @@ class TestLineSearch:
 
     def test_model_gradient_only_at_accepted_points(self, monkeypatch):
         # Armijo trials evaluate the loss alone: one gradient per descent
-        # (one descent per round in alternate) plus one per accepted step
+        # (one descent per round in alternate) plus one per accepted step,
+        # except after the last step of a descent that uses all its epochs
+        from potts_sl import trainer
+
         image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
         graph = build_graph(image, AffinityConfig())
         cfg = TrainConfig(rounds=2, inner_epochs=6, pretrain_epochs=20,
                           solver_cfg=SolverConfig(steps=10))
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
         x, labels, _, _ = gaussian_blobs_dataset(0)
+        # 0.5 |x|^2 from step 1 reaches its minimum in one step and stops at
+        # the zero gradient there, with epochs to spare
+        quadratic = lambda v, grad: (0.5 * float(v @ v), v if grad else None)
         jobs = [
             (1, lambda: pretrain(PixelModel.zeros(2), image, scribbles, cfg)),
             (cfg.rounds, lambda: alternate(model, image, scribbles, graph, cfg)),
             (1, lambda: _fit_linear_softmax(x, one_hot_rows(labels, 3), XentKind.CE, epochs=30)),
+            (1, lambda: trainer._descend(np.ones(3), quadratic, 5, 1.0)),
         ]
+        early_stops = full_budgets = 0
         for descents, job in jobs:
             per_descent = self.count(monkeypatch, job)
             assert len(per_descent) == descents
-            for grads, accepted in per_descent:
-                assert accepted > 0 and grads == accepted + 1
+            for grads, accepted, epochs in per_descent:
+                assert accepted > 0
+                if accepted == epochs:
+                    full_budgets += 1
+                    assert grads == accepted
+                else:
+                    early_stops += 1
+                    assert grads == accepted + 1
+        assert early_stops and full_budgets
 
 
 class TestCorruption:
