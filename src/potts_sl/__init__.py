@@ -50,7 +50,6 @@ from .simplex import (
     softmax,
 )
 from .solver import (
-    InitKind,
     SolveReport,
     SolverConfig,
     pseudo_label_objective,

@@ -52,14 +52,17 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _check_paths(args):
-    """Refuse missing input files and an unwritable output directory."""
-    for name in ("image", "scribbles", "sigma", "config", "gt"):
+    """Refuse missing input files and an unwritable output directory (if any)."""
+    for name in ("image", "scribbles", "sigma", "config", "pred", "gt"):
         path = getattr(args, name, None)
         if path is not None and not os.path.isfile(path):
             raise DataError(f"--{name}: no such file: {path}")
-    os.makedirs(args.out, exist_ok=True)
-    if not os.access(args.out, os.W_OK):
-        raise DataError(f"output directory not writable: {args.out}")
+    out = getattr(args, "out", None)
+    if out is None:
+        return
+    os.makedirs(out, exist_ok=True)
+    if not os.access(out, os.W_OK):
+        raise DataError(f"output directory not writable: {out}")
 
 
 def _prepare(args, with_sigma: bool):
@@ -117,6 +120,7 @@ def _cmd_oracle_rw(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg, image, scribbles, _, graph = _prepare(args, with_sigma=False)
+    graph.check_covers(scribbles.height, scribbles.width)  # shapes before classes
     if not scribbles.labeled_mask().any():
         raise DataError("training needs at least one scribble")
     classes = scribbles.max_class()
@@ -205,9 +209,7 @@ def _cmd_corrupt_bench(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    for path in (args.pred, args.gt):
-        if not os.path.isfile(path):
-            raise DataError(f"no such file: {path}")
+    _check_paths(args)
     pred = read_label_map(args.pred).astype(np.int64)
     gt = read_ground_truth(args.gt, args.classes)
     if pred.min() < 1 or pred.max() > args.classes:

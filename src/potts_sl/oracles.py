@@ -50,7 +50,9 @@ def random_walker_solve(
 
     solved by Jacobi-preconditioned conjugate gradients to 1e-10. Row sums of
     the solution are exactly 1 because the constant vector solves the summed
-    system.
+    system; a solution that is not a probability field anyway (an
+    ill-conditioned system, e.g. eta = 0 with underflowing affinities) raises
+    NumericalError.
     """
     _check_instance(sigma, scribbles, graph)
     if not (np.isfinite(eta) and eta >= 0 and np.isfinite(lam) and lam >= 0):
@@ -102,7 +104,10 @@ def random_walker_solve(
         if info != 0:
             raise NumericalError(f"conjugate gradient failed to converge (info={info})")
         out[unlabeled_idx, c] = x
-    return ProbField(out.reshape(sigma.data.shape))
+    try:
+        return ProbField(out.reshape(sigma.data.shape))
+    except DataError as exc:
+        raise NumericalError(f"random-walker solution is not on the simplex: {exc}") from exc
 
 
 def finite_diff_check(f, analytic_grad, point, step: float = 1e-5) -> float:

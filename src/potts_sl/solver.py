@@ -20,7 +20,6 @@ have their gradient skipped for that step.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,22 +39,10 @@ from .simplex import (
 )
 
 
-class InitKind(enum.Enum):
-    FROM_LOGITS = "from_logits"
-    UNIFORM = "uniform"
-    ONE_HOT_ARGMAX = "one_hot_argmax"
-
-
-# Logit magnitude for ONE_HOT_ARGMAX inits: softmax puts ~99.5% mass on the
-# argmax class at K = 3.
-_CONFIDENT_LOGIT = 6.0
-
-
 @dataclass
 class SolverConfig:
     steps: int = 200
     learning_rate: float = 0.075
-    init: InitKind = InitKind.FROM_LOGITS
 
     def __post_init__(self):
         if int(self.steps) != self.steps or self.steps < 1:
@@ -63,8 +50,6 @@ class SolverConfig:
         self.steps = int(self.steps)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DataError("learning_rate must be positive")
-        if not isinstance(self.init, InitKind):
-            raise DataError(f"bad init kind {self.init!r}")
 
 
 @dataclass
@@ -107,19 +92,13 @@ def pseudo_label_objective(
     return value
 
 
-def _initial_logits(sigma, init_logits, cfg):
-    if cfg.init is InitKind.UNIFORM:
-        return np.zeros_like(sigma.flat())
-    if cfg.init is InitKind.ONE_HOT_ARGMAX:
-        s = sigma.flat()
-        l = np.zeros_like(s)
-        l[np.arange(s.shape[0]), np.argmax(s, axis=1)] = _CONFIDENT_LOGIT
-        return l
-    if init_logits is not None:
-        if init_logits.data.shape != sigma.data.shape:
-            raise DataError("initial logits shape differs from the prediction field")
-        return init_logits.flat().copy()
-    return np.log(np.maximum(sigma.flat(), LOG_CLAMP))
+def _initial_logits(sigma, init_logits):
+    """init_logits if given, else the (clamped) log of sigma."""
+    if init_logits is None:
+        return np.log(np.maximum(sigma.flat(), LOG_CLAMP))
+    if init_logits.data.shape != sigma.data.shape:
+        raise DataError("initial logits shape differs from the prediction field")
+    return init_logits.flat().copy()
 
 
 def solve_pseudo_labels(
@@ -143,7 +122,7 @@ def solve_pseudo_labels(
     unlabeled = ~labeled
     pinned = one_hot_rows(lab[labeled], sigma.classes)
 
-    logits = _initial_logits(sigma, init_logits, solver_cfg)
+    logits = _initial_logits(sigma, init_logits)
     lr = solver_cfg.learning_rate
     report = SolveReport()
 

@@ -300,6 +300,13 @@ def corruption_experiment(
     eta * uniform + (1 - eta) * one_hot(observed), and a fresh linear-softmax
     classifier is trained per coupling kind. Returns rows
     (eta, kind name, test accuracy). Deterministic given the seed.
+
+    Each classifier gets a fixed budget of 400 full-batch epochs, not a run
+    to convergence, so the table (and acceptance gate 09, which asks the
+    robust couplings to beat CE by 5 points at 80% corruption) measures
+    early-stopped training. The gap shrinks with longer training: at 80%
+    corruption, CCE - CE was 0.25 after 100 epochs, 0.085-0.117 after 400
+    and 0.022-0.045 after 1600 (seeds 1 and 3).
     """
     rng = np.random.default_rng(seed)
     if dataset is None:

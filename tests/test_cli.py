@@ -113,6 +113,23 @@ class TestOracleRw:
                    "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
         assert code == 3
 
+    def test_off_simplex_solution_exits_numerical(self, tmp_path, capsys):
+        # eta = 0 on 8x8 noise: affinities underflow and the CG solution's
+        # rows do not sum to 1 (the library case in test_oracles)
+        rng = np.random.default_rng(5)
+        write_image(Image(rng.integers(0, 256, size=(8, 8, 3))), tmp_path / "i.ppm")
+        write_probfield(ProbField(rng.dirichlet(np.ones(3), size=(8, 8))), tmp_path / "p.pfld")
+        labels = np.zeros(64, dtype=np.int64)
+        labels[rng.permutation(64)[:4]] = rng.integers(1, 4, size=4)
+        write_labels(labels.reshape(8, 8), tmp_path / "s.pgm")
+        (tmp_path / "c.cfg").write_text("eta = 0\nlambda = 1\npotts = q\nxent = quad\n")
+        out = tmp_path / "out"
+        code = run("oracle-rw", "--image", tmp_path / "i.ppm", "--scribbles", tmp_path / "s.pgm",
+                   "--sigma", tmp_path / "p.pfld", "--config", tmp_path / "c.cfg", "--out", out)
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestTrain:
     def make_files(self, tmp_path, rounds=2):
@@ -164,6 +181,15 @@ class TestSmallCommands:
         write_labels(labels, gt)
         assert run("metrics", "--pred", pred, "--gt", gt, "--classes", 2) == 0
         assert capsys.readouterr().out.strip() == "1.0000"
+
+    @pytest.mark.parametrize("missing", ["pred", "gt"])
+    def test_metrics_missing_file_names_its_flag(self, tmp_path, capsys, missing):
+        files = {"pred": tmp_path / "p.pgm", "gt": tmp_path / "g.pgm"}
+        for name, path in files.items():
+            if name != missing:
+                write_labels(np.array([[1, 2]]), path)
+        assert run("metrics", "--pred", files["pred"], "--gt", files["gt"], "--classes", 2) == 2
+        assert f"--{missing}: no such file: {files[missing]}" in capsys.readouterr().err
 
     def test_gradcheck_passes(self, capsys):
         assert run("gradcheck", "--kind", "q", "--kind", "cce") == 0
@@ -228,6 +254,17 @@ class TestExitCodes:
                    *sigma, "--config", tmp_path / "c.cfg", "--out", tmp_path / "o")
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_train_reports_shape_before_scribble_classes(self, tmp_path, capsys):
+        # 5x5 single-class scribbles on a 6x4 image: the shape is the problem
+        rng = np.random.default_rng(6)
+        write_image(Image(rng.integers(0, 256, size=(6, 4, 3))), tmp_path / "i.ppm")
+        write_labels(np.ones((5, 5), dtype=np.int64), tmp_path / "s.pgm")
+        (tmp_path / "c.cfg").write_text("steps = 2\nrounds = 1\n")
+        code = run("train", "--image", tmp_path / "i.ppm", "--scribbles", tmp_path / "s.pgm",
+                   "--config", tmp_path / "c.cfg", "--out", tmp_path / "o")
+        assert code == 2
+        assert "graph covers a 6x4 grid, field is 5x5" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0

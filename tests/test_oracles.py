@@ -73,6 +73,20 @@ class TestRandomWalker:
         with pytest.raises(NumericalError):
             random_walker_solve(sigma, scribbles, graph, eta=0.0, lam=1.0)
 
+    def test_underflowing_affinities_are_a_numerical_failure(self):
+        # 8x8 noise at the default bandwidth: weights down to ~1e-215 still
+        # connect every pixel to a scribble, but with eta = 0 the system is so
+        # ill-conditioned that CG's solution rows do not sum to 1
+        rng = np.random.default_rng(5)
+        image = Image(rng.integers(0, 256, size=(8, 8, 3)))
+        graph = build_graph(image, AffinityConfig())
+        sigma = ProbField(rng.dirichlet(np.ones(3), size=(8, 8)))
+        labels = np.zeros(64, dtype=np.int64)
+        labels[rng.permutation(64)[:4]] = rng.integers(1, 4, size=4)
+        assert graph.w.min() < 1e-200
+        with pytest.raises(NumericalError, match="not on the simplex"):
+            random_walker_solve(sigma, ScribbleField(labels.reshape(8, 8)), graph, 0.0, 1.0)
+
     def test_stationarity_matches_loss_bookkeeping(self):
         # the assembled system must be the exact stationary point of
         # eta * sum quad + lam * potts_sum(Q): check the gradient vanishes

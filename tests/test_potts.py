@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from potts_sl import (
     AffinityConfig,
@@ -19,6 +20,7 @@ from potts_sl import (
     potts_sum_grad,
     potts_value,
 )
+from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind, edge_sum, edge_values
 from helpers import interior_pair, random_interior_field
@@ -344,3 +346,85 @@ class TestGridPath:
         out = np.zeros((2, 12)).T  # (12, 2) but Fortran-ordered
         with pytest.raises(DataError):
             edge_sum(PottsKind.BL, y, graph, grad_out=out)
+
+
+def per_edge_reference(kind, y, graph, scale):
+    """CD/NQ edge sum with each edge's norms computed from its own two rows.
+
+    The kernels' per-edge formulas before the row terms (|y|^2, |y|, y/|y|^2)
+    were computed once per field, with the same gather / np.add.at
+    accumulation as the flat path; the row-term kernels must equal it exactly.
+    """
+    dot = lambda a, b: np.einsum("...k,...k->...", a, b)
+    p, q = y[graph.ei], y[graph.ej]
+    s, a2, b2 = dot(p, q), dot(p, p), dot(q, q)
+    if kind is PottsKind.CD:
+        c = s / (np.sqrt(a2) * np.sqrt(b2))
+        ss = np.maximum(s, LOG_CLAMP)[..., None]
+        gp, gq = -q / ss + p / a2[..., None], -p / ss + q / b2[..., None]
+        v, div = -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP
+    else:
+        ab = np.sqrt(a2 * b2)[..., None]
+        gp = (s / a2)[..., None] * p / ab - q / ab
+        gq = (s / b2)[..., None] * q / ab - p / ab
+        v, div = 1.0 - s / (np.sqrt(a2) * np.sqrt(b2)), np.zeros(s.shape, dtype=bool)
+    gp[div], gq[div] = 0.0, 0.0
+    out = np.full(y.shape, 0.25)
+    weights = (scale * graph.w)[:, None]
+    np.add.at(out, graph.ei, weights * gp)
+    np.add.at(out, graph.ej, weights * gq)
+    return scale * float(np.dot(graph.w, v)), div, out
+
+
+class TestRowTerms:
+    @pytest.mark.parametrize("kind", [PottsKind.CD, PottsKind.NQ])
+    @pytest.mark.parametrize("cfg", NEIGHBORHOODS, ids=lambda c: c.kind.value)
+    @pytest.mark.parametrize("h,w", [(1, 7), (9, 5), (12, 13)])
+    def test_edge_sum_equals_per_edge_norms_exactly(self, kind, cfg, h, w):
+        rng = np.random.default_rng(h * 17 + w)
+        graph = build_graph(Image(rng.integers(0, 256, size=(h, w, 3))), cfg)
+        k = 5
+        y = rng.dirichlet(np.ones(k), size=h * w)
+        hot = rng.uniform(size=h * w) < 0.4
+        y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
+        y[:2] = np.eye(k)[:2]  # neighbours 0 and 1: orthogonal one-hots
+        ref_value, ref_div, ref_grad = per_edge_reference(kind, y, graph, 1.3)
+        assert ref_div.any() == (kind is PottsKind.CD)
+        for g in (graph, AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)):
+            out = np.full(y.shape, 0.25)
+            value, div = edge_sum(kind, y, g, grad_out=out, scale=1.3)
+            assert value == ref_value
+            assert np.array_equal(div, ref_div)
+            assert np.array_equal(out, ref_grad)
+            assert edge_sum(kind, y, g, scale=1.3)[0] == ref_value
+
+
+class TestEdgeOrderInvariance:
+    @settings(max_examples=40)
+    @given(
+        h=st.integers(1, 8),
+        w=st.integers(1, 8),
+        kind=st.sampled_from(ALL_KINDS),
+        cfg=st.sampled_from(NEIGHBORHOODS),
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=1, w=1, kind=PottsKind.CD, cfg=NEIGHBORHOODS[1], k=3, seed=0)
+    @example(h=1, w=6, kind=PottsKind.LQ, cfg=NEIGHBORHOODS[2], k=2, seed=1)
+    def test_permuted_flat_graph_matches_grid_path(self, h, w, kind, cfg, k, seed):
+        rng = np.random.default_rng(seed)
+        graph = build_graph(Image(rng.integers(0, 256, size=(h, w, 3))), cfg)
+        perm = rng.permutation(graph.nedges)
+        shuffled = AffinityGraph(graph.npixels, graph.ei[perm], graph.ej[perm], graph.w[perm])
+        y = rng.dirichlet(np.ones(k), size=h * w)
+        hot = rng.uniform(size=h * w) < 0.3
+        y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
+        results = []
+        for g in (graph, shuffled):
+            out = np.zeros_like(y)
+            value, div = edge_sum(kind, y, g, grad_out=out, scale=0.7)
+            results.append((value, div, out))
+        (v0, d0, g0), (v1, d1, g1) = results
+        assert np.array_equal(d1, d0[perm])
+        assert abs(v1 - v0) <= 1e-12 * abs(v0)
+        np.testing.assert_allclose(g1, g0, rtol=1e-12, atol=1e-12 * np.abs(g0).max(initial=0.0))

@@ -18,7 +18,7 @@ from potts_sl import (
 from potts_sl.data_terms import XentKind
 from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind
-from potts_sl.solver import InitKind, SolverConfig, _objective
+from potts_sl.solver import SolverConfig, _objective
 from helpers import random_interior_field
 
 
@@ -143,15 +143,19 @@ class TestMechanics:
         assert np.all(np.isfinite(report.trace))
         assert np.all(np.isfinite(y.data))
 
-    def test_init_kinds(self):
+    def test_default_start_is_sigma(self):
+        # without init_logits the solver starts at softmax(log sigma) = sigma,
+        # with the scribbles pinned, and descends from there
         sigma, scribbles, graph = grid_instance(9)
         cfg = LossConfig(eta=1.0, lam=0.5, potts=PottsKind.Q, xent=XentKind.QUAD)
-        for init in InitKind:
-            y, report = solve_pseudo_labels(
-                sigma, None, scribbles, graph, cfg, SolverConfig(steps=30, init=init)
-            )
-            assert np.all(np.isfinite(y.data))
-            assert report.trace[-1] <= report.trace[0]
+        y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=30))
+        start = sigma.data.copy()
+        lab = scribbles.data > 0
+        start[lab] = np.eye(sigma.classes)[scribbles.data[lab] - 1]
+        expected = pseudo_label_objective(sigma, ProbField(start), scribbles, graph, cfg)
+        assert abs(report.trace[0] - expected) < 1e-12 * abs(expected)
+        assert np.all(np.isfinite(y.data))
+        assert report.trace[-1] <= report.trace[0]
 
     def test_explicit_init_logits_used(self):
         sigma, scribbles, graph = grid_instance(10)
