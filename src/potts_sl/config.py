@@ -9,11 +9,12 @@ ignored, unknown keys are rejected. Keys:
     xent             ce | rce | cce | quad
     neighborhood     nn4 | sparse:R | dense:R:GAMMA
     color_bandwidth  float > 0
-    steps            solver gradient steps, int >= 1
-    lr               solver learning rate, float > 0
+    steps            accepted solver descent steps, int >= 1
+    lr               solver first trial step, float > 0; each Armijo step
+                     starts from the last accepted size and only halves it
     rounds           alternation rounds, int >= 1
-    seed             integer; reserved: parsed into RunConfig.seed, but solve
-                     and train are deterministic and do not read it
+    seed             integer; accepted for compatibility with older configs
+                     and otherwise ignored: solve and train are deterministic
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class RunConfig:
     affinity: AffinityConfig = field(default_factory=AffinityConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     rounds: int = 10
-    seed: int = 0
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -124,12 +124,12 @@ def parse_config_text(text: str, source="<config>") -> RunConfig:
         **given("steps", "steps", _parse_int, 1),
         **given("lr", "learning_rate", _parse_float, 0.0, strict=True),
     )
+    given("seed", "seed", _parse_int)  # validated, then ignored
     return RunConfig(
         loss=loss,
         affinity=affinity,
         solver=solver,
         **given("rounds", "rounds", _parse_int, 1),
-        **given("seed", "seed", _parse_int),
     )
 
 

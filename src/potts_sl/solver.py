@@ -1,4 +1,4 @@
-"""Pseudo-label sub-problem solver: gradient descent on per-pixel logits.
+"""Pseudo-label sub-problem solver: Armijo descent on per-pixel logits.
 
 The sub-problem fixes the predictions sigma and minimizes
 
@@ -8,14 +8,15 @@ over pseudo-labels y constrained to the simplex and pinned to the ground
 truth on scribbles S. Instead of projected descent, each y_i is parameterized
 as softmax(l_i) of free logits, which keeps iterates strictly interior. The
 scribble constraint is enforced by overriding the softmax output on S with
-the one-hot ground truth at the start of every step; the softmax Jacobian at
-a vertex is zero, so pinned pixels receive no logit update while their edges
+the one-hot ground truth at every evaluation; the softmax Jacobian at a
+vertex is zero, so pinned pixels receive no logit update while their edges
 still pull on unlabeled neighbors.
 
-Per step: (1) override scribble pixels, (2) evaluate objective and gradient,
-(3) take a fixed-size step l <- l - lr * grad. Divergent log-based edges
-contribute the clamped value to the objective, are counted in the report, and
-have their gradient skipped for that step.
+The logits descend by _armijo_descent, which the trainer shares: each step
+first tries the last accepted step size (at first the learning rate) and
+halves it until the objective drops enough, so it never rises. Divergent
+log-based edges contribute the clamped value to the objective, are counted
+in the report, and have their gradient skipped at that iterate.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ from .simplex import (
 )
 
 
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+
+
 @dataclass
 class SolverConfig:
+    """learning_rate is the first trial step; the Armijo search only halves it."""
+
     steps: int = 200
     learning_rate: float = 0.075
 
@@ -54,7 +61,9 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Objective trace (length steps + 1) and divergence bookkeeping."""
+    """Objective at the start and after each accepted step, padded with the
+    final value to steps + 1 entries if the descent stops early, and the
+    divergent rows and edges summed over those iterates."""
 
     trace: list[float] = field(default_factory=list)
     final_objective: float = float("nan")
@@ -98,7 +107,37 @@ def _initial_logits(sigma, init_logits):
         return np.log(np.maximum(sigma.flat(), LOG_CLAMP))
     if init_logits.data.shape != sigma.data.shape:
         raise DataError("initial logits shape differs from the prediction field")
-    return init_logits.flat().copy()
+    return init_logits.flat()
+
+
+def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None):
+    """Armijo backtracking gradient descent; returns (x, value).
+
+    value_grad(x) -> (value, gradient) runs once per trial. A step's first
+    trial takes the last accepted step size (at first step0), which halves
+    until f(x - t g) <= f(x) - 1e-4 t |g|^2 and never grows. Stops after
+    `steps` steps, at a zero gradient, or after _MAX_HALVINGS failed trials.
+    record(value) runs at the start and at each accepted point, right after
+    value_grad evaluated it.
+    """
+    value, grad = value_grad(x)
+    record(value)
+    t = step0
+    for _ in range(steps):
+        gnorm2 = float(np.vdot(grad, grad))
+        if gnorm2 == 0.0:
+            break
+        for _ in range(_MAX_HALVINGS):
+            cand = x - t * grad
+            fc, gc = value_grad(cand)
+            if fc <= value - _ARMIJO * t * gnorm2:
+                break
+            t *= 0.5
+        else:
+            break
+        x, value, grad = cand, fc, gc
+        record(value)
+    return x, value
 
 
 def solve_pseudo_labels(
@@ -112,8 +151,8 @@ def solve_pseudo_labels(
     """Minimize the pseudo-label objective; returns (y, SolveReport).
 
     The returned field satisfies the scribble constraint exactly (pinned
-    one-hots), and report.trace[t] is the objective at iterate t, so the
-    trace has steps + 1 entries ending at the final objective.
+    one-hots), and report.trace is non-increasing with steps + 1 entries
+    ending at the final objective.
     """
     _check_instance(sigma, scribbles, graph)
     s = sigma.flat()
@@ -121,28 +160,29 @@ def solve_pseudo_labels(
     labeled = lab > 0
     unlabeled = ~labeled
     pinned = one_hot_rows(lab[labeled], sigma.classes)
-
-    logits = _initial_logits(sigma, init_logits)
-    lr = solver_cfg.learning_rate
     report = SolveReport()
+    events = 0
 
-    y = softmax_rows(logits)
-    y[labeled] = pinned
-    for _ in range(solver_cfg.steps):
-        value, events, grad = _objective(y, s, unlabeled, graph, loss_cfg, grad=True)
-        report.trace.append(value)
-        report.divergence_events += events
-        logits -= lr * softmax_backward(y, grad)
+    def labels(logits):
         y = softmax_rows(logits)
         y[labeled] = pinned
+        return y
 
-    value, events, _ = _objective(y, s, unlabeled, graph, loss_cfg)
-    report.trace.append(value)
-    report.divergence_events += events
+    def value_grad(logits):
+        nonlocal events
+        y = labels(logits)
+        value, events, grad = _objective(y, s, unlabeled, graph, loss_cfg, grad=True)
+        return value, softmax_backward(y, grad)
+
+    def record(value):
+        report.trace.append(value)
+        report.divergence_events += events
+
+    logits, value = _armijo_descent(_initial_logits(sigma, init_logits), value_grad,
+                                    solver_cfg.steps, solver_cfg.learning_rate, record)
+    report.trace += [value] * (solver_cfg.steps + 1 - len(report.trace))
     report.final_objective = value
-
-    shape = sigma.data.shape
-    return ProbField(y.reshape(shape)), report
+    return ProbField(labels(logits).reshape(sigma.data.shape)), report
 
 
 def soft_jaccard(a: ProbField, b: ProbField) -> float:

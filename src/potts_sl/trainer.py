@@ -5,10 +5,11 @@ coordinates) through a K x 5 linear layer and softmax. Training alternates
 between solving for pseudo-labels at fixed predictions and full-batch
 backtracking gradient descent on the joint self-labeling loss at fixed
 pseudo-labels, so the joint loss trace is non-increasing by construction.
-Every descent here runs through one Armijo routine, _descend. A pseudo-label
-candidate that would raise its sub-problem objective relative to the previous
-round's labels is rejected: the solver starts from the model logits, so
-nothing else bounds it by those labels.
+Every descent is the solver's Armijo routine, whose first trial step is
+step_size and only shrinks. A pseudo-label candidate that would raise its
+sub-problem objective relative to the previous round's labels is rejected:
+the solver starts from the model logits, so nothing else bounds it by those
+labels.
 
 Also hosts the label-corruption robustness experiment on a synthetic blob
 dataset: the same linear-softmax classifier trained against mixed targets
@@ -35,13 +36,10 @@ from .simplex import (
     softmax_backward,
     softmax_rows,
 )
-from .solver import SolverConfig, pseudo_label_objective, solve_pseudo_labels
+from .solver import SolverConfig, _armijo_descent, pseudo_label_objective, solve_pseudo_labels
 from .synthetic import gaussian_blobs_dataset
 
 FEATURE_DIM = 5
-
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -114,50 +112,6 @@ def predict(model: PixelModel, image: Image):
     return ProbField(probs.reshape(shape)), LogitField(logits.reshape(shape))
 
 
-def _descend(flat, value_grad, epochs, step0):
-    """Armijo backtracking gradient descent; returns (flat, value).
-
-    value_grad(x, grad) -> (value, gradient or None). Trials ask for the value
-    alone; the gradient is taken at the start and after each accepted step.
-    Stops after `epochs` steps, at a zero gradient, or when no step down to
-    step0 / 2**_MAX_HALVINGS decreases the value enough; the gradient after
-    the last of `epochs` steps is not taken, since nothing reads it.
-    """
-    value, grad = value_grad(flat, True)
-    for epoch in range(epochs):
-        gnorm2 = float(np.dot(grad, grad))
-        if gnorm2 == 0.0:
-            break
-        t = step0
-        for _ in range(_MAX_HALVINGS):
-            cand = flat - t * grad
-            fc = value_grad(cand, False)[0]
-            if fc <= value - _ARMIJO * t * gnorm2:
-                break
-            t *= 0.5
-        else:
-            break
-        flat, value = cand, fc
-        if epoch + 1 < epochs:
-            grad = value_grad(flat, True)[1]
-    return flat, value
-
-
-def _nll_and_grad(flat, phi_s, targets, classes, grad=True):
-    """Scribble NLL and, when grad is set, its gradient (else None)."""
-    model = PixelModel.unpack(flat, classes)
-    logits = phi_s @ model.weights.T + model.bias
-    probs = softmax_rows(logits)
-    picked = np.sum(probs * targets, axis=1)
-    value = float(-np.sum(np.log(np.maximum(picked, 1e-300))))
-    if not grad:
-        return value, None
-    glogit = probs - targets
-    gw = glogit.T @ phi_s
-    gb = glogit.sum(axis=0)
-    return value, np.concatenate([gw.ravel(), gb])
-
-
 def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: TrainConfig) -> PixelModel:
     """Full-batch backtracking GD on the scribble NLL (convex warm start)."""
     if (scribbles.height, scribbles.width) != (image.height, image.width):
@@ -176,16 +130,18 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
     if missing:
         warnings.warn(f"classes with no scribbles: {missing}")
 
+    # the joint loss with every row scribbled (no free rows) is the NLL alone
     phi_s = pixel_features(image)[labeled]
     targets = one_hot_rows(lab[labeled], model.classes)
-    value_grad = lambda x, grad: _nll_and_grad(x, phi_s, targets, model.classes, grad)
-    flat, _ = _descend(model.pack(), value_grad, cfg.pretrain_epochs, cfg.step_size)
+    every = np.ones(len(targets), dtype=bool)
+    value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, targets, targets[:0], 0.0, cfg.loss_cfg)
+    flat, _ = _armijo_descent(model.pack(), value_grad, cfg.pretrain_epochs, cfg.step_size)
     return PixelModel.unpack(flat, model.classes)
 
 
-def _sl_value_and_grad(flat, phi, labeled, targets, y_free, pairwise, cfg, grad=True):
-    """Joint loss at fixed pseudo-labels and, when grad is set, its gradient
-    w.r.t. the model parameters (else None).
+def _sl_value_and_grad(flat, phi, labeled, targets, y_free, pairwise, cfg):
+    """Joint loss at fixed pseudo-labels and its gradient w.r.t. the model
+    parameters.
 
     labeled masks the scribble pixels and targets holds their one-hot rows;
     y_free holds the pseudo-labels of the other pixels, and pairwise the
@@ -196,13 +152,11 @@ def _sl_value_and_grad(flat, phi, labeled, targets, y_free, pairwise, cfg, grad=
     probs = softmax_rows(phi @ model.weights.T + model.bias)
     free = ~labeled
     probs_free = probs[free]
-    vals, _, grads = row_values(cfg.xent, y_free, probs_free, grad=grad)
+    vals, _, grads = row_values(cfg.xent, y_free, probs_free, grad=True)
     picked = np.sum(probs[labeled] * targets, axis=1)
     value = float(-np.sum(np.log(np.maximum(picked, LOG_CLAMP)))) if picked.size else 0.0
     value += cfg.eta * float(np.sum(vals))
     value += pairwise
-    if not grad:
-        return value, None
     glogit = np.zeros_like(probs)
     glogit[labeled] = probs[labeled] - targets
     glogit[free] += softmax_backward(probs_free, cfg.eta * grads[1])
@@ -249,10 +203,8 @@ def alternate(
         yf = y.flat()
         y_free = yf[~labeled]
         pairwise = edge_sum(loss_cfg.potts, yf, graph, scale=loss_cfg.lam)[0]
-        value_grad = lambda x, grad: _sl_value_and_grad(
-            x, phi, labeled, targets, y_free, pairwise, loss_cfg, grad
-        )
-        flat, value = _descend(flat, value_grad, cfg.inner_epochs, cfg.step_size)
+        value_grad = lambda x: _sl_value_and_grad(x, phi, labeled, targets, y_free, pairwise, loss_cfg)
+        flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, cfg.step_size)
         trace.append(value)
     return PixelModel.unpack(flat, classes), y, trace
 
@@ -267,17 +219,15 @@ def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400, step0: fl
     k = targets.shape[1]
     xa = np.column_stack([x, np.ones(n)])
 
-    def value_grad(f, grad):
+    def value_grad(f):
         w = f.reshape(k, dim + 1)
         probs = softmax_rows(xa @ w.T)
-        vals, _, grads = row_values(kind, targets, probs, grad=grad)
+        vals, _, grads = row_values(kind, targets, probs, grad=True)
         value = float(np.mean(vals))
-        if not grad:
-            return value, None
         glogit = softmax_backward(probs, grads[1]) / n
         return value, (glogit.T @ xa).ravel()
 
-    flat, _ = _descend(np.zeros((k * (dim + 1),)), value_grad, epochs, step0)
+    flat, _ = _armijo_descent(np.zeros((k * (dim + 1),)), value_grad, epochs, step0)
     return flat.reshape(k, dim + 1)
 
 

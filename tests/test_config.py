@@ -14,7 +14,7 @@ class TestParsing:
         assert cfg.affinity.kind is NeighborhoodKind.NN4
         assert cfg.affinity.color_bandwidth == 9.0
         assert cfg.solver.steps == 200 and cfg.solver.learning_rate == 0.075
-        assert cfg.rounds == 10 and cfg.seed == 0
+        assert cfg.rounds == 10
         assert cfg == RunConfig()
 
     def test_full_config(self):
@@ -38,7 +38,9 @@ class TestParsing:
         assert cfg.affinity.radius == 3 and cfg.affinity.spatial_bandwidth == 1.5
         assert cfg.affinity.color_bandwidth == 3.0
         assert cfg.solver.steps == 50 and cfg.solver.learning_rate == 0.01
-        assert cfg.rounds == 4 and cfg.seed == 11
+        assert cfg.rounds == 4
+        # seed is accepted and validated, but changes nothing
+        assert cfg == parse_config_text(text.replace("seed = 11", ""))
 
     def test_sparse_neighborhood(self):
         cfg = parse_config_text("neighborhood = sparse:2")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from potts_sl import (
     AffinityConfig,
@@ -7,6 +8,7 @@ from potts_sl import (
     Image,
     LogitField,
     LossConfig,
+    NeighborhoodKind,
     ProbField,
     ScribbleField,
     build_graph,
@@ -18,7 +20,8 @@ from potts_sl import (
 from potts_sl.data_terms import XentKind
 from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind
-from potts_sl.solver import SolverConfig, _objective
+from potts_sl import solver
+from potts_sl.solver import SolverConfig, _armijo_descent, _objective
 from helpers import random_interior_field
 
 
@@ -104,7 +107,8 @@ class TestMechanics:
         for potts, xent in [(PottsKind.CD, XentKind.CCE), (PottsKind.BL, XentKind.CCE)]:
             cfg = LossConfig(eta=0.3, lam=2.0, potts=potts, xent=xent)
             _, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig())
-            assert report.trace[-1] <= report.trace[0]
+            assert np.all(np.diff(report.trace) <= 0.0)
+            assert report.trace[-1] < report.trace[0]
 
     def test_scribble_constraint_exact(self):
         sigma, scribbles, graph = grid_instance(6)
@@ -165,6 +169,104 @@ class TestMechanics:
         y1, r1 = solve_pseudo_labels(sigma, init, scribbles, graph, cfg, SolverConfig(steps=1))
         y2, r2 = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=1))
         assert r1.trace[0] != r2.trace[0]
+
+
+class TestArmijoDescent:
+    @staticmethod
+    def recording(value_grad):
+        """value_grad that also appends a copy of every point it evaluates."""
+        points = []
+
+        def wrapped(x):
+            points.append(x.copy())
+            return value_grad(x)
+
+        return wrapped, points
+
+    def test_one_call_per_trial_and_the_step_never_grows(self):
+        # f = 1.5 x^2 from x = 1: the trial at step 1 (x = -2) fails, the one
+        # at 0.5 (x = -0.5) passes, and every later step starts at 0.5 and
+        # passes at once, halving x
+        f, points = self.recording(lambda x: (1.5 * float(x @ x), 3.0 * x))
+        x, value = _armijo_descent(np.ones(1), f, 5, 1.0)
+        visited = [float(p[0]) for p in points]
+        assert visited == [1.0, -2.0, -0.5, 0.25, -0.125, 0.0625, -0.03125]
+        assert x[0] == -0.03125 and value == 1.5 * 0.03125**2
+
+    def test_stops_at_zero_gradient_with_steps_to_spare(self):
+        recorded = []
+        f, points = self.recording(lambda x: (0.5 * float(x @ x), x))
+        x, value = _armijo_descent(np.ones(3), f, 5, 1.0, recorded.append)
+        assert len(points) == 2 and np.all(x == 0.0) and value == 0.0
+        assert recorded == [1.5, 0.0]
+
+    def test_stops_when_no_step_passes(self):
+        # every trial point is worse than the start
+        values = iter([1.0] + [2.0] * solver._MAX_HALVINGS)
+        f, points = self.recording(lambda x: (next(values), np.ones(2)))
+        x, value = _armijo_descent(np.ones(2), f, 5, 1.0)
+        assert len(points) == 1 + solver._MAX_HALVINGS
+        assert np.all(x == 1.0) and value == 1.0
+
+    def test_one_objective_per_step_on_nn4(self, monkeypatch):
+        # every first trial passes on this instance, so a solve costs one
+        # evaluation per step plus the one at the start
+        sigma, scribbles, graph = grid_instance(14, h=12, w=12, k=4, labeled=8)
+        calls = []
+        objective = solver._objective
+        monkeypatch.setattr(solver, "_objective",
+                            lambda *a, **k: calls.append(1) or objective(*a, **k))
+        steps = 40
+        _, report = solve_pseudo_labels(sigma, None, scribbles, graph, LossConfig(),
+                                        SolverConfig(steps=steps))
+        assert len(calls) == steps + 1
+        assert report.trace[-1] < report.trace[0]
+
+
+@st.composite
+def solver_cases(draw):
+    h = draw(st.integers(1, 7))
+    w = draw(st.integers(1, 7))
+    k = draw(st.integers(2, 4))
+    scribbled = draw(st.sampled_from(["none", "some", "all"]))
+    potts = draw(st.sampled_from(list(PottsKind)))
+    xent = draw(st.sampled_from(list(XentKind)))
+    neighborhood = draw(st.sampled_from(["nn4", "sparse:2"]))
+    lr = draw(st.sampled_from([0.075, 1.0, 10.0]))
+    seed = draw(st.integers(0, 2**16))
+    return h, w, k, scribbled, potts, xent, neighborhood, lr, seed
+
+
+@settings(max_examples=40)
+@given(solver_cases())
+@example((1, 1, 3, "none", PottsKind.CD, XentKind.CCE, "nn4", 0.075, 0))
+@example((1, 6, 2, "all", PottsKind.NQ, XentKind.RCE, "sparse:2", 1.0, 1))
+@example((1, 6, 3, "some", PottsKind.LQ, XentKind.CE, "sparse:2", 10.0, 2))
+def test_solver_invariants(case):
+    h, w, k, scribbled, potts, xent, neighborhood, lr, seed = case
+    rng = np.random.default_rng(seed)
+    image = Image(rng.integers(0, 256, size=(h, w, 3)))
+    kind = NeighborhoodKind.NN4 if neighborhood == "nn4" else NeighborhoodKind.SPARSE_WINDOW
+    graph = build_graph(image, AffinityConfig(kind=kind, radius=2, color_bandwidth=60.0))
+    sigma = random_interior_field(rng, h, w, k)
+    labels = rng.integers(1, k + 1, size=(h, w))
+    if scribbled == "none":
+        labels[:] = 0
+    elif scribbled == "some":
+        labels[rng.uniform(size=(h, w)) < 0.7] = 0
+    scribbles = ScribbleField(labels)
+    steps = 25
+    cfg = LossConfig(eta=0.3, lam=6.0, potts=potts, xent=xent)
+    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps, lr))
+
+    assert len(report.trace) == steps + 1
+    assert np.all(np.isfinite(report.trace))
+    assert np.all(np.diff(report.trace) <= 0.0)
+    assert report.final_objective == report.trace[-1]
+    assert y.data.min() >= 0.0
+    np.testing.assert_allclose(y.data.sum(axis=2), 1.0, atol=1e-12)
+    lab = labels > 0
+    assert np.array_equal(y.data[lab], np.eye(k)[labels[lab] - 1])
 
 
 @pytest.mark.parametrize("potts", list(PottsKind))

@@ -143,10 +143,9 @@ class TestModelGradient:
         y_free = y.flat()[~labeled]
         pairwise = edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
         flat0 = rng.standard_normal(2 * 5 + 2) * 0.5
-        f = lambda p, grad=True: _sl_value_and_grad(
-            p, phi, labeled, targets, y_free, pairwise, cfg, grad)
+        f = lambda p: _sl_value_and_grad(p, phi, labeled, targets, y_free, pairwise, cfg)
         value, grad = f(flat0)
-        assert finite_diff_check(lambda p: f(p, False)[0], grad, flat0) < 1e-4
+        assert finite_diff_check(lambda p: f(p)[0], grad, flat0) < 1e-4
         sigma, _ = predict(PixelModel.unpack(flat0, 2), image)
         assert value == sl_loss(sigma, y, scribbles, graph, cfg)
 
@@ -206,77 +205,32 @@ class TestAlternate:
             np.testing.assert_allclose(field.data.sum(axis=2), 1.0, atol=1e-9)
 
 
-class TestLineSearch:
-    @staticmethod
-    def count(monkeypatch, job):
-        """(gradients, accepted steps, epochs) of each trainer._descend call in job().
-
-        Gradients are value_grad(x, True) calls. An accepted step is a
-        value-only trial whose point the descent then moves to: a gradient
-        taken at the very array of the trial just before it, or the array the
-        descent returns.
-        """
+class TestDescent:
+    def test_every_fit_runs_the_solver_descent(self, monkeypatch):
+        # pretraining, each alternation round and each corruption-experiment
+        # fit run one Armijo descent of the solver module on a one-argument
+        # value_grad
         from potts_sl import trainer
+        from potts_sl.solver import _armijo_descent
 
-        per_descent = []
-        descend = trainer._descend
+        budgets = []
 
-        def counting_descend(flat, value_grad, epochs, step0):
-            counts, last_trial = [0, 0], [None]
+        def recording(x, value_grad, steps, step0):
+            budgets.append(steps)
+            value, grad = value_grad(x)
+            assert np.isfinite(value) and grad.shape == x.shape
+            return _armijo_descent(x, value_grad, steps, step0)
 
-            def counting(x, grad):
-                if grad:
-                    counts[0] += 1
-                    counts[1] += x is last_trial[0]
-                    last_trial[0] = None
-                else:
-                    last_trial[0] = x
-                return value_grad(x, grad)
-
-            result = descend(flat, counting, epochs, step0)
-            counts[1] += result[0] is last_trial[0]
-            per_descent.append((*counts, epochs))
-            return result
-
-        with monkeypatch.context() as m:
-            m.setattr(trainer, "_descend", counting_descend)
-            job()
-        return per_descent
-
-    def test_model_gradient_only_at_accepted_points(self, monkeypatch):
-        # Armijo trials evaluate the loss alone: one gradient per descent
-        # (one descent per round in alternate) plus one per accepted step,
-        # except after the last step of a descent that uses all its epochs
-        from potts_sl import trainer
-
+        monkeypatch.setattr(trainer, "_armijo_descent", recording)
         image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
         graph = build_graph(image, AffinityConfig())
         cfg = TrainConfig(rounds=2, inner_epochs=6, pretrain_epochs=20,
                           solver_cfg=SolverConfig(steps=10))
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
+        alternate(model, image, scribbles, graph, cfg)
         x, labels, _, _ = gaussian_blobs_dataset(0)
-        # 0.5 |x|^2 from step 1 reaches its minimum in one step and stops at
-        # the zero gradient there, with epochs to spare
-        quadratic = lambda v, grad: (0.5 * float(v @ v), v if grad else None)
-        jobs = [
-            (1, lambda: pretrain(PixelModel.zeros(2), image, scribbles, cfg)),
-            (cfg.rounds, lambda: alternate(model, image, scribbles, graph, cfg)),
-            (1, lambda: _fit_linear_softmax(x, one_hot_rows(labels, 3), XentKind.CE, epochs=30)),
-            (1, lambda: trainer._descend(np.ones(3), quadratic, 5, 1.0)),
-        ]
-        early_stops = full_budgets = 0
-        for descents, job in jobs:
-            per_descent = self.count(monkeypatch, job)
-            assert len(per_descent) == descents
-            for grads, accepted, epochs in per_descent:
-                assert accepted > 0
-                if accepted == epochs:
-                    full_budgets += 1
-                    assert grads == accepted
-                else:
-                    early_stops += 1
-                    assert grads == accepted + 1
-        assert early_stops and full_budgets
+        _fit_linear_softmax(x, one_hot_rows(labels, 3), XentKind.CE, epochs=30)
+        assert budgets == [20, 6, 6, 30]
 
 
 class TestCorruption:
