@@ -16,10 +16,23 @@ DIVERGENT sentinel for values and as DivergentPointError for gradients.
 Values extend smoothly to positive vectors slightly off the simplex, which
 the finite-difference gradient checks rely on.
 
-edge_sum computes the per-row terms NQ and CD read on both sides of an edge
-(|y|^2, |y| and y / |y|^2) once per call on the whole field rather than once
-per edge side. Each term is the same per-row operation on the same row, so
-sums stay bit-identical to evaluating every edge on its own.
+The gradient on an edge is a combination of its two endpoints,
+dP/dp = a_p p + b q and dP/dq = a_q q + b p, so each kernel returns three
+per-edge coefficients rather than two (E, K) gradient arrays:
+
+  kind  a_p                a_q                b
+  BL    0                  0                  -1
+  Q     1                  1                  -1
+  NQ    s / (|p|^2 ab)     s / (|q|^2 ab)     -1 / ab
+  CCE   0                  0                  -1 / ss
+  CD    1 / |p|^2          1 / |q|^2          -1 / ss
+  LQ    1 / uu             1 / uu             -1 / uu
+
+with s = p.q, ab = sqrt(|p|^2 |q|^2), and ss, uu the clamped ln arguments.
+edge_sum adds a pixel's gradient as own * y plus the b-weighted sum of its
+neighbours. Values and divergence masks are bit-identical to evaluating each
+edge on its own; gradients are the same sums in another order, equal to the
+per-edge formulas within a few units in the last place.
 """
 
 from __future__ import annotations
@@ -58,62 +71,63 @@ def _dot(a, b):
 
 def _row_terms(kind, y):
     """Per-row terms of y (..., K) that kind's kernel reads on both edge sides:
-    (|y|^2, |y|) for NQ, (|y|, y / |y|^2) for CD, none for the other kinds."""
+    (|y|^2, |y|) for NQ, (|y|, 1 / |y|^2) for CD, none for the other kinds."""
     if kind not in (PottsKind.NQ, PottsKind.CD):
         return ()
     n2 = _dot(y, y)
     if kind is PottsKind.NQ:
         return n2, np.sqrt(n2)
-    return np.sqrt(n2), y / n2[..., None]
+    return np.sqrt(n2), 1.0 / n2
 
 
 # Each kernel takes the pair (p, q), their row terms (tp, tq) and the grad
-# flag, and returns (values, divergent-or-None, fresh grad arrays or None).
+# flag, and returns (values, divergent-or-None, coefficients-or-None). The
+# coefficients (a_p, a_q, b) of the module table are per-edge arrays or
+# constants, possibly views of the row terms; _evaluate makes them fresh.
 
 
 def _bl(p, q, tp, tq, grad):
-    return 1.0 - _dot(p, q), None, (-q, -p) if grad else None
+    return 1.0 - _dot(p, q), None, (0.0, 0.0, -1.0) if grad else None
 
 
 def _q(p, q, tp, tq, grad):
     d = p - q
-    return 0.5 * _dot(d, d), None, (d, -d) if grad else None
+    return 0.5 * _dot(d, d), None, (1.0, 1.0, -1.0) if grad else None
 
 
 def _nq(p, q, tp, tq, grad):
     (a2, ra), (b2, rb) = tp, tq
     s = _dot(p, q)
-    grads = None
+    coefs = None
     if grad:
-        ab = np.sqrt(a2 * b2)[..., None]
-        grads = ((s / a2)[..., None] * p / ab - q / ab, (s / b2)[..., None] * q / ab - p / ab)
-    return 1.0 - s / (ra * rb), None, grads
+        ab = np.sqrt(a2 * b2)
+        coefs = (s / (a2 * ab), s / (b2 * ab), -1.0 / ab)
+    return 1.0 - s / (ra * rb), None, coefs
 
 
 def _cce(p, q, tp, tq, grad):
     s = _dot(p, q)
     ss = np.maximum(s, LOG_CLAMP)
-    grads = (-q / ss[..., None], -p / ss[..., None]) if grad else None
-    return -np.log(ss), s <= LOG_CLAMP, grads
+    return -np.log(ss), s <= LOG_CLAMP, (0.0, 0.0, -1.0 / ss) if grad else None
 
 
 def _cd(p, q, tp, tq, grad):
-    (ra, ua), (rb, ub) = tp, tq
+    (ra, ia), (rb, ib) = tp, tq
     s = _dot(p, q)
     c = s / (ra * rb)
-    grads = None
-    if grad:
-        ss = np.maximum(s, LOG_CLAMP)[..., None]
-        grads = (ua - q / ss, ub - p / ss)
-    return -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP, grads
+    coefs = (ia, ib, -1.0 / np.maximum(s, LOG_CLAMP)) if grad else None
+    return -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP, coefs
 
 
 def _lq(p, q, tp, tq, grad):
     d = p - q
     u = 1.0 - 0.5 * _dot(d, d)
     uu = np.maximum(u, LOG_CLAMP)
-    grads = (d / uu[..., None], -d / uu[..., None]) if grad else None
-    return -np.log(uu), u <= LOG_CLAMP, grads
+    coefs = None
+    if grad:
+        r = 1.0 / uu
+        coefs = (r, r, -r)
+    return -np.log(uu), u <= LOG_CLAMP, coefs
 
 
 _KERNELS = {
@@ -126,18 +140,25 @@ _KERNELS = {
 }
 
 
-def _evaluate(kind, p, q, tp, tq, grad):
-    """edge_values on pairs whose row terms (_row_terms) are already known."""
+def _evaluate(kind, p, q, tp, tq, weights=None):
+    """(values, divergent, coefficients) on pairs whose row terms
+    (_row_terms) are already known.
+
+    Without weights the coefficients are None. With weights (an array the
+    shape of the values) they are (a_p, a_q, b) times weights: fresh arrays
+    the shape of the values, zero on divergent edges.
+    """
     kernel = _KERNELS.get(kind)
     if kernel is None:
         raise DataError(f"unknown Potts kind {kind!r}")
-    values, div, grads = kernel(p, q, tp, tq, grad)
+    values, div, coefs = kernel(p, q, tp, tq, weights is not None)
     if div is None:
         div = np.zeros(values.shape, dtype=bool)
-    elif grads is not None and div.any():
-        grads[0][div] = 0.0
-        grads[1][div] = 0.0
-    return values, div, grads
+    elif weights is not None and div.any():
+        weights = np.where(div, 0.0, weights)
+    if weights is not None:
+        coefs = tuple(c * weights for c in coefs)
+    return values, div, coefs
 
 
 def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray, grad: bool = False):
@@ -146,10 +167,17 @@ def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray, grad: bool = Fals
     Returns (values, divergent, grads) where values are exact for
     non-divergent rows and log-clamped (-ln LOG_CLAMP) on divergent ones,
     divergent flags rows whose ln argument fell at/below the clamp, and grads
-    is None or the pair (dP/dp, dP/dq) with divergent rows zeroed; callers
+    is None or the pair (dP/dp, dP/dq) = (a_p p + b q, a_q q + b p) built
+    from the kernel's coefficients, with divergent rows zeroed; callers
     decide whether to refuse (potts_grad) or skip and count (the solver).
     """
-    return _evaluate(kind, p, q, _row_terms(kind, p), _row_terms(kind, q), grad)
+    tp, tq = _row_terms(kind, p), _row_terms(kind, q)
+    if not grad:
+        return _evaluate(kind, p, q, tp, tq)
+    ones = np.ones(np.broadcast_shapes(p.shape, q.shape)[:-1])
+    values, div, (ap, aq, b) = _evaluate(kind, p, q, tp, tq, ones)
+    b = b[..., None]
+    return values, div, (ap[..., None] * p + b * q, aq[..., None] * q + b * p)
 
 
 def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None, scale=1.0):
@@ -160,12 +188,17 @@ def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None
     added into it, with the gradient of divergent edges skipped.
 
     The per-row terms a kernel reads on both sides of an edge (|y|^2 and |y|
-    for NQ; |y| and y / |y|^2 for CD) are computed once per call on all N
-    rows, not once per edge side (up to 24 times per row on sparse:2). Each
-    term is the per-row operation an edge-by-edge evaluation would apply to
-    the same row, and the CD gradient y/|y|^2 - q/s equals -q/s + y/|y|^2
-    exactly (IEEE addition commutes, negation is exact), so results are
-    bit-identical to evaluating every edge on its own.
+    for NQ; |y| and 1 / |y|^2 for CD) are computed once per call on all N
+    rows, not once per edge side.
+
+    The gradient is built from each edge's coefficients (a_p, a_q, b) times
+    scale * w_e. An (N,) array `own` sums a_p over the edges leaving a pixel
+    and a_q over the edges entering it; grad_out receives b * y_j at each
+    source i and b * y_i at each target j; own * y is added last. So the
+    only (E, K) work is one product and one sum per edge side. Values and
+    divergence masks are bit-identical to evaluating each edge on its own;
+    the gradient reorders the per-edge sums and matches them within a few
+    units in the last place of its largest entry.
 
     A graph with a grid layout is walked one offset block at a time on
     shifted slices of y viewed as (H, W, K), and of the row terms viewed as
@@ -173,49 +206,63 @@ def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None
     y[ei], y[ej] and the row terms the same way and scatters with np.add.at.
     Both paths give bit-identical results: the per-edge arithmetic is the
     same, values and masks are concatenated in edge order before the one dot
-    with w, and the gradient is added first as every block's dP/dp into its
-    sources, then as every block's dP/dq into its targets. A pixel occurs at
-    most once per block side, so each gradient entry receives its terms in
-    the same order as np.add.at's pass over ei, then over ej.
+    with w, and own and grad_out receive every block's source-side terms
+    first, then (from the E-long a_q and b kept per block) every block's
+    target-side terms. A pixel occurs at most once per block side, so each
+    entry receives its terms in the same order as np.add.at's pass over ei,
+    then over ej.
     """
-    grad = grad_out is not None
+    weights = None if grad_out is None else scale * graph.w
     if graph.grid is None:
         ei, ej = graph.ei, graph.ej
         terms = _row_terms(kind, y)
-        v, div, grads = _evaluate(kind, y[ei], y[ej], [t[ei] for t in terms],
-                                  [t[ej] for t in terms], grad)
-        if grad:
-            weights = (scale * graph.w)[:, None]
-            for index, g in zip((ei, ej), grads):
-                g *= weights
-                np.add.at(grad_out, index, g)
+        p, q = y[ei], y[ej]
+        v, div, coefs = _evaluate(kind, p, q, [t[ei] for t in terms],
+                                  [t[ej] for t in terms], weights)
+        if coefs is not None:
+            ap, aq, b = coefs
+            b = b[:, None]
+            own = np.zeros(len(y))
+            np.add.at(own, ei, ap)
+            np.add.at(grad_out, ei, b * q)
+            np.add.at(own, ej, aq)
+            np.add.at(grad_out, ej, b * p)
+            grad_out += own[:, None] * y
         return scale * float(np.dot(graph.w, v)), div
 
     field = y.reshape(*graph.grid, -1)
     terms = _row_terms(kind, field)
-    if grad:
+    if weights is not None:
         if not grad_out.flags.c_contiguous:
             raise DataError("grad_out must be C-contiguous to take grid-block updates")
         out = grad_out.reshape(field.shape)  # a view, as grad_out is contiguous
-        weights = scale * graph.w
-    vs, divs, target_terms = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
+        own = np.zeros(graph.grid)
+    vs, divs, targets = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
     start = 0
     for src, dst in graph.blocks:
-        v, div, grads = _evaluate(kind, field[src], field[dst], [t[src] for t in terms],
-                                  [t[dst] for t in terms], grad)
-        if grad:
-            wb = weights[start : start + v.size].reshape(v.shape)[..., None]
-            gp, gq = grads
-            gp *= wb
-            out[src] += gp
-            gq *= wb
-            target_terms.append(gq)
-        vs.append(v.ravel())
-        divs.append(div.ravel())
+        p, q = field[src], field[dst]
+        wb = None
+        if weights is not None:
+            h, w = p.shape[:-1]
+            wb = weights[start : start + h * w].reshape(h, w)
+        v, div, coefs = _evaluate(kind, p, q, [t[src] for t in terms],
+                                  [t[dst] for t in terms], wb)
+        if coefs is not None:
+            ap, aq, b = coefs
+            b = b[..., None]
+            own[src] += ap
+            out[src] += b * q
+            targets.append((dst, aq, b, p))
+        vs.append(v)
+        divs.append(div)
         start += v.size
-    for (_, dst), term in zip(graph.blocks, target_terms):
-        out[dst] += term
-    return scale * float(np.dot(graph.w, np.concatenate(vs))), np.concatenate(divs)
+    for dst, aq, b, p in targets:
+        own[dst] += aq
+        out[dst] += b * p
+    if weights is not None:
+        out += own[..., None] * field
+    return (scale * float(np.dot(graph.w, np.concatenate(vs, axis=None))),
+            np.concatenate(divs, axis=None))
 
 
 def potts_value(kind: PottsKind, p, q):

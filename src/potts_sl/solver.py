@@ -115,7 +115,9 @@ def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None):
 
     value_grad(x) -> (value, gradient) runs once per trial. A step's first
     trial takes the last accepted step size (at first step0), which halves
-    until f(x - t g) <= f(x) - 1e-4 t |g|^2 and never grows. Stops after
+    until f(x - t g) < f(x) - 1e-4 t |g|^2 and never grows. The test is
+    strict so that a trial which rounds back to x (t |g| below the float
+    resolution of x) fails instead of passing as a null step. Stops after
     `steps` steps, at a zero gradient, or after _MAX_HALVINGS failed trials.
     record(value) runs at the start and at each accepted point, right after
     value_grad evaluated it.
@@ -130,7 +132,7 @@ def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None):
         for _ in range(_MAX_HALVINGS):
             cand = x - t * grad
             fc, gc = value_grad(cand)
-            if fc <= value - _ARMIJO * t * gnorm2:
+            if fc < value - _ARMIJO * t * gnorm2:
                 break
             t *= 0.5
         else:

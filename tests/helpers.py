@@ -20,3 +20,13 @@ def random_interior_field(rng, height, width, classes):
     raw = rng.dirichlet(np.ones(classes), size=(height, width))
     data = 0.85 * raw + 0.15 / classes
     return ProbField(data)
+
+
+def permute_classes(sigma, scribbles, perm):
+    """The instance with class j holding old class perm[j]: sigma's channels
+    reordered and every scribble relabelled to match."""
+    from potts_sl import ProbField, ScribbleField
+
+    relabel = np.zeros(len(perm) + 1, dtype=np.int64)
+    relabel[np.asarray(perm) + 1] = np.arange(1, len(perm) + 1)
+    return ProbField(sigma.data[..., perm]), ScribbleField(relabel[scribbles.data])

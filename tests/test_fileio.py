@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from potts_sl import (
     DataError,
@@ -134,6 +138,52 @@ class TestPfld:
         write_probfield(field, a)
         write_probfield(field, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+SHAPES = dict(h=st.integers(1, 8), w=st.integers(1, 8), seed=st.integers(0, 2**16))
+
+
+class TestRoundTripProperties:
+    """Write, read and write again: the same bytes and the same values, over
+    random shapes including 1x1 and 1xW."""
+
+    @staticmethod
+    def twice(write, read, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            write(value, a)
+            back = read(a)
+            write(back, b)
+            assert a.read_bytes() == b.read_bytes()
+            return back
+
+    @settings(max_examples=40)
+    @given(**SHAPES, k=st.integers(2, 21))
+    @example(h=1, w=1, k=2, seed=0)
+    @example(h=1, w=7, k=21, seed=1)
+    def test_pfld(self, h, w, k, seed):
+        raw = np.random.default_rng(seed).dirichlet(np.ones(k), size=(h, w))
+        exact = raw.astype(np.float32).astype(np.float64)
+        for data in (exact, raw):
+            back = self.twice(write_probfield, read_probfield, ProbField(data))
+            assert np.array_equal(back.data, exact)
+
+    @settings(max_examples=40)
+    @given(**SHAPES, k=st.integers(1, 21))
+    @example(h=1, w=1, k=1, seed=0)
+    @example(h=1, w=7, k=21, seed=1)
+    def test_pgm(self, h, w, k, seed):
+        labels = np.random.default_rng(seed).integers(0, k + 1, size=(h, w))
+        read = lambda path: read_scribbles(path, classes=k).data
+        assert np.array_equal(self.twice(write_labels, read, labels), labels)
+
+    @settings(max_examples=40)
+    @given(**SHAPES)
+    @example(h=1, w=1, seed=0)
+    @example(h=1, w=7, seed=1)
+    def test_ppm(self, h, w, seed):
+        image = Image(np.random.default_rng(seed).integers(0, 256, size=(h, w, 3)))
+        assert np.array_equal(self.twice(write_image, read_image, image).data, image.data)
 
 
 class TestVisualize:

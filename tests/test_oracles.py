@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from potts_sl import (
     AffinityConfig,
@@ -20,7 +21,7 @@ from potts_sl import (
     random_walker_solve,
 )
 from potts_sl.potts import PottsKind
-from helpers import random_interior_field
+from helpers import permute_classes, random_interior_field
 
 
 def grid_instance(seed, h=5, w=5, k=3, labeled=4):
@@ -107,6 +108,28 @@ class TestRandomWalker:
         y = random_walker_solve(sigma, ScribbleField(labels), graph, 0.3, 6.0)
         from potts_sl import argmax_decode
         np.testing.assert_array_equal(argmax_decode(y), labels)
+
+
+    @settings(max_examples=40)
+    @given(
+        h=st.integers(1, 7),
+        w=st.integers(1, 7),
+        k=st.integers(2, 5),
+        scribbled=st.floats(0.0, 1.0),
+        eta=st.sampled_from([0.3, 1.0]),
+        lam=st.sampled_from([0.0, 1.0, 6.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(h=1, w=1, k=3, scribbled=0.0, eta=0.3, lam=6.0, seed=0)
+    @example(h=1, w=6, k=2, scribbled=0.5, eta=1.0, lam=6.0, seed=1)
+    def test_class_permutation_equivariance_is_exact(self, h, w, k, scribbled, eta, lam, seed):
+        # each class is its own CG solve with the same matrix, so permuting
+        # the classes permutes the solutions without changing a bit
+        sigma, scribbles, graph = grid_instance(seed, h, w, k, round(scribbled * h * w))
+        perm = np.random.default_rng(seed).permutation(k)
+        y = random_walker_solve(sigma, scribbles, graph, eta, lam)
+        y_perm = random_walker_solve(*permute_classes(sigma, scribbles, perm), graph, eta, lam)
+        assert np.array_equal(y_perm.data, y.data[..., perm])
 
 
 class TestFiniteDiff:

@@ -22,7 +22,7 @@ from potts_sl import (
 )
 from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, edge_sum, edge_values
+from potts_sl.potts import PottsKind, _evaluate, _row_terms, edge_sum, edge_values
 from helpers import interior_pair, random_interior_field
 
 ALL_KINDS = list(PottsKind)
@@ -348,36 +348,68 @@ class TestGridPath:
             edge_sum(PottsKind.BL, y, graph, grad_out=out)
 
 
-def per_edge_reference(kind, y, graph, scale):
-    """CD/NQ edge sum with each edge's norms computed from its own two rows.
+def per_edge_reference(kind, y, graph, scale, start):
+    """Edge sum of kind with every term computed from the edge's own two rows.
 
-    The kernels' per-edge formulas before the row terms (|y|^2, |y|, y/|y|^2)
-    were computed once per field, with the same gather / np.add.at
-    accumulation as the flat path; the row-term kernels must equal it exactly.
+    Returns (value, divergent, coefficient gradient, per-edge gradient), both
+    gradients added to a copy of start. The coefficient gradient writes out
+    (a_p, a_q, b) * scale * w from the module table, zeroed on divergent
+    edges, and accumulates a_p and b q over ei, then a_q and b p over ej with
+    np.add.at, then adds own * y. The per-edge gradient adds the (E, K)
+    formulas dP/dp and dP/dq with np.add.at over ei, then over ej.
     """
     dot = lambda a, b: np.einsum("...k,...k->...", a, b)
     p, q = y[graph.ei], y[graph.ej]
     s, a2, b2 = dot(p, q), dot(p, p), dot(q, q)
-    if kind is PottsKind.CD:
+    d = p - q
+    zero, one = np.zeros(s.shape), np.ones(s.shape)
+    div = np.zeros(s.shape, dtype=bool)
+    ss = np.maximum(s, LOG_CLAMP)
+    if kind is PottsKind.BL:
+        v, coefs, grads = 1.0 - s, (zero, zero, -one), (-q, -p)
+    elif kind is PottsKind.Q:
+        v, coefs, grads = 0.5 * dot(d, d), (one, one, -one), (d, -d)
+    elif kind is PottsKind.NQ:
+        v = 1.0 - s / (np.sqrt(a2) * np.sqrt(b2))
+        ab = np.sqrt(a2 * b2)
+        coefs = (s / (a2 * ab), s / (b2 * ab), -1.0 / ab)
+        grads = ((s / a2)[:, None] * p / ab[:, None] - q / ab[:, None],
+                 (s / b2)[:, None] * q / ab[:, None] - p / ab[:, None])
+    elif kind is PottsKind.CCE:
+        v, div = -np.log(ss), s <= LOG_CLAMP
+        coefs, grads = (zero, zero, -1.0 / ss), (-q / ss[:, None], -p / ss[:, None])
+    elif kind is PottsKind.CD:
         c = s / (np.sqrt(a2) * np.sqrt(b2))
-        ss = np.maximum(s, LOG_CLAMP)[..., None]
-        gp, gq = -q / ss + p / a2[..., None], -p / ss + q / b2[..., None]
         v, div = -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP
+        coefs = (1.0 / a2, 1.0 / b2, -1.0 / ss)
+        grads = (-q / ss[:, None] + p / a2[:, None], -p / ss[:, None] + q / b2[:, None])
     else:
-        ab = np.sqrt(a2 * b2)[..., None]
-        gp = (s / a2)[..., None] * p / ab - q / ab
-        gq = (s / b2)[..., None] * q / ab - p / ab
-        v, div = 1.0 - s / (np.sqrt(a2) * np.sqrt(b2)), np.zeros(s.shape, dtype=bool)
-    gp[div], gq[div] = 0.0, 0.0
-    out = np.full(y.shape, 0.25)
-    weights = (scale * graph.w)[:, None]
-    np.add.at(out, graph.ei, weights * gp)
-    np.add.at(out, graph.ej, weights * gq)
-    return scale * float(np.dot(graph.w, v)), div, out
+        u = 1.0 - 0.5 * dot(d, d)
+        uu = np.maximum(u, LOG_CLAMP)
+        v, div = -np.log(uu), u <= LOG_CLAMP
+        coefs, grads = (1.0 / uu, 1.0 / uu, -1.0 / uu), (d / uu[:, None], -d / uu[:, None])
+    weights = scale * graph.w
+    ap, aq, b = (np.where(div, 0.0, c * weights) for c in coefs)
+    own, by_coefs = np.zeros(len(y)), start.copy()
+    np.add.at(own, graph.ei, ap)
+    np.add.at(by_coefs, graph.ei, b[:, None] * q)
+    np.add.at(own, graph.ej, aq)
+    np.add.at(by_coefs, graph.ej, b[:, None] * p)
+    by_coefs += own[:, None] * y
+    by_edge = start.copy()
+    for index, g in zip((graph.ei, graph.ej), grads):
+        g = g.copy()
+        g[div] = 0.0
+        np.add.at(by_edge, index, weights[:, None] * g)
+    return scale * float(np.dot(graph.w, v)), div, by_coefs, by_edge
 
 
 class TestRowTerms:
-    @pytest.mark.parametrize("kind", [PottsKind.CD, PottsKind.NQ])
+    """edge_sum against an edge-by-edge reference. Values and masks must be
+    equal; the gradient must equal the coefficient form accumulated in edge
+    order and match the per-edge (E, K) formulas to rounding."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("cfg", NEIGHBORHOODS, ids=lambda c: c.kind.value)
     @pytest.mark.parametrize("h,w", [(1, 7), (9, 5), (12, 13)])
     def test_edge_sum_equals_per_edge_norms_exactly(self, kind, cfg, h, w):
@@ -388,15 +420,35 @@ class TestRowTerms:
         hot = rng.uniform(size=h * w) < 0.4
         y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
         y[:2] = np.eye(k)[:2]  # neighbours 0 and 1: orthogonal one-hots
-        ref_value, ref_div, ref_grad = per_edge_reference(kind, y, graph, 1.3)
-        assert ref_div.any() == (kind is PottsKind.CD)
-        for g in (graph, AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)):
-            out = np.full(y.shape, 0.25)
-            value, div = edge_sum(kind, y, g, grad_out=out, scale=1.3)
-            assert value == ref_value
-            assert np.array_equal(div, ref_div)
-            assert np.array_equal(out, ref_grad)
-            assert edge_sum(kind, y, g, scale=1.3)[0] == ref_value
+        for start in (np.full(y.shape, 0.25), np.zeros(y.shape)):
+            ref_value, ref_div, by_coefs, by_edge = per_edge_reference(kind, y, graph, 1.3, start)
+            assert ref_div.any() == (kind in LOG_KINDS)
+            for g in (graph, AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)):
+                out = start.copy()
+                value, div = edge_sum(kind, y, g, grad_out=out, scale=1.3)
+                assert value == ref_value
+                assert np.array_equal(div, ref_div)
+                assert np.array_equal(out, by_coefs)
+                assert np.abs(out - by_edge).max() <= 1e-14 * np.abs(by_edge).max()
+                assert edge_sum(kind, y, g, scale=1.3)[0] == ref_value
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_coefficients_have_value_shape_and_vanish_on_divergent_edges(self, kind):
+        rng = np.random.default_rng(13)
+        p, q = rows_with_divergent_head(rng)
+        p, q = p.reshape(5, 8, -1), q.reshape(5, 8, -1)
+        tp, tq = _row_terms(kind, p), _row_terms(kind, q)
+        values, div, none = _evaluate(kind, p, q, tp, tq)
+        assert none is None
+        weights = rng.uniform(0.5, 2.0, size=values.shape)
+        values1, div1, coefs = _evaluate(kind, p, q, tp, tq, weights)
+        assert np.array_equal(values1, values) and np.array_equal(div1, div)
+        assert div.any() == (kind in LOG_KINDS)
+        assert len(coefs) == 3
+        for c in coefs:
+            assert c.shape == values.shape
+            assert np.all(np.isfinite(c)) and not c[div].any()
+            assert not any(np.shares_memory(c, t) for t in (*tp, *tq, weights))
 
 
 class TestEdgeOrderInvariance:

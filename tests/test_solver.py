@@ -22,7 +22,7 @@ from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind
 from potts_sl import solver
 from potts_sl.solver import SolverConfig, _armijo_descent, _objective
-from helpers import random_interior_field
+from helpers import permute_classes, random_interior_field
 
 
 def empty_scribbles(h, w):
@@ -208,6 +208,17 @@ class TestArmijoDescent:
         assert len(points) == 1 + solver._MAX_HALVINGS
         assert np.all(x == 1.0) and value == 1.0
 
+    def test_a_trial_that_rounds_back_to_x_is_not_a_step(self):
+        # -x is an ascent direction of 0.5 |x|^2, so every trial x + t x is
+        # worse until t |x| drops below the resolution of x; from there on
+        # x + t x == x and f equals f(x) minus a term that rounds away, which
+        # must not pass as an accepted step
+        f, points = self.recording(lambda x: (0.5 * float(x @ x), -x))
+        x, value = _armijo_descent(np.ones(2), f, 5, 1.0)
+        assert len(points) == 1 + solver._MAX_HALVINGS
+        assert np.array_equal(points[-1], np.ones(2))
+        assert np.all(x == 1.0) and value == 1.0
+
     def test_one_objective_per_step_on_nn4(self, monkeypatch):
         # every first trial passes on this instance, so a solve costs one
         # evaluation per step plus the one at the start
@@ -237,12 +248,9 @@ def solver_cases(draw):
     return h, w, k, scribbled, potts, xent, neighborhood, lr, seed
 
 
-@settings(max_examples=40)
-@given(solver_cases())
-@example((1, 1, 3, "none", PottsKind.CD, XentKind.CCE, "nn4", 0.075, 0))
-@example((1, 6, 2, "all", PottsKind.NQ, XentKind.RCE, "sparse:2", 1.0, 1))
-@example((1, 6, 3, "some", PottsKind.LQ, XentKind.CE, "sparse:2", 10.0, 2))
-def test_solver_invariants(case):
+def solver_instance(case):
+    """(sigma, scribbles, graph, loss config, solver config, rng) of a
+    solver_cases draw; rng continues the stream that built the instance."""
     h, w, k, scribbled, potts, xent, neighborhood, lr, seed = case
     rng = np.random.default_rng(seed)
     image = Image(rng.integers(0, 256, size=(h, w, 3)))
@@ -254,19 +262,51 @@ def test_solver_invariants(case):
         labels[:] = 0
     elif scribbled == "some":
         labels[rng.uniform(size=(h, w)) < 0.7] = 0
-    scribbles = ScribbleField(labels)
-    steps = 25
     cfg = LossConfig(eta=0.3, lam=6.0, potts=potts, xent=xent)
-    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps, lr))
+    return sigma, ScribbleField(labels), graph, cfg, SolverConfig(25, lr), rng
 
-    assert len(report.trace) == steps + 1
+
+SOLVER_EXAMPLES = [
+    (1, 1, 3, "none", PottsKind.CD, XentKind.CCE, "nn4", 0.075, 0),
+    (1, 6, 2, "all", PottsKind.NQ, XentKind.RCE, "sparse:2", 1.0, 1),
+    (1, 6, 3, "some", PottsKind.LQ, XentKind.CE, "sparse:2", 10.0, 2),
+]
+
+
+def with_solver_examples(test):
+    for case in reversed(SOLVER_EXAMPLES):
+        test = example(case)(test)
+    return settings(max_examples=40)(given(solver_cases())(test))
+
+
+@with_solver_examples
+def test_solver_invariants(case):
+    sigma, scribbles, graph, cfg, solver_cfg, _ = solver_instance(case)
+    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, solver_cfg)
+
+    assert len(report.trace) == solver_cfg.steps + 1
     assert np.all(np.isfinite(report.trace))
     assert np.all(np.diff(report.trace) <= 0.0)
     assert report.final_objective == report.trace[-1]
     assert y.data.min() >= 0.0
     np.testing.assert_allclose(y.data.sum(axis=2), 1.0, atol=1e-12)
+    labels = scribbles.data
     lab = labels > 0
-    assert np.array_equal(y.data[lab], np.eye(k)[labels[lab] - 1])
+    assert np.array_equal(y.data[lab], np.eye(sigma.classes)[labels[lab] - 1])
+
+
+@with_solver_examples
+def test_solver_is_class_permutation_equivariant(case):
+    # only sums over classes change order, so results agree to rounding
+    sigma, scribbles, graph, cfg, solver_cfg, rng = solver_instance(case)
+    perm = rng.permutation(sigma.classes)
+    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, solver_cfg)
+    sigma_perm, scribbles_perm = permute_classes(sigma, scribbles, perm)
+    y_perm, report_perm = solve_pseudo_labels(sigma_perm, None, scribbles_perm, graph, cfg,
+                                              solver_cfg)
+    np.testing.assert_allclose(y_perm.data, y.data[..., perm], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report_perm.trace, report.trace, rtol=1e-12, atol=0)
+    assert report_perm.divergence_events == report.divergence_events
 
 
 @pytest.mark.parametrize("potts", list(PottsKind))
