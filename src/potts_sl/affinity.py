@@ -170,11 +170,17 @@ class AffinityGraph:
         return d
 
 
-def _forward_offsets(radius: int):
-    """Offsets (dy, dx) covering each in-window unordered pair exactly once."""
+def _forward_offsets(radius: int, height: int, width: int):
+    """Offsets (dy, dx) covering each in-window unordered pair exactly once.
+
+    Offsets that reach past the image (dy >= height or |dx| >= width) join no
+    pixels, so they are left out and a huge radius costs no more than the
+    image's own extent.
+    """
+    ry, rx = min(radius, height - 1), min(radius, width - 1)
     offsets = []
-    for dy in range(0, radius + 1):
-        for dx in range(-radius, radius + 1):
+    for dy in range(0, ry + 1):
+        for dx in range(-rx, rx + 1):
             if dy == 0 and dx <= 0:
                 continue
             offsets.append((dy, dx))
@@ -195,7 +201,7 @@ def build_graph(image: Image, cfg: AffinityConfig) -> AffinityGraph:
     if cfg.kind is NeighborhoodKind.NN4:
         offsets = [(0, 1), (1, 0)]
     else:
-        offsets = _forward_offsets(cfg.radius)
+        offsets = _forward_offsets(cfg.radius, h, w)
 
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
     eis, ejs, ws, blocks = [], [], [], []

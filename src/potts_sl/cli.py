@@ -51,6 +51,13 @@ class _CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds must be non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _check_paths(args):
     """Refuse missing input files and an unwritable output directory (if any)."""
     for name in ("image", "scribbles", "sigma", "config", "pred", "gt"):
@@ -238,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     grad = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     grad.add_argument("--kind", action="append", default=[],
                       help="restrict to a kind (repeatable): bl q nq cce cd lq ce rce quad")
-    grad.add_argument("--seed", type=int, default=0)
+    grad.add_argument("--seed", type=_seed, default=0)
     grad.set_defaults(func=_cmd_gradcheck)
 
     bench = sub.add_parser("corrupt-bench", help="label-corruption robustness table")
-    bench.add_argument("--seed", type=int, required=True)
+    bench.add_argument("--seed", type=_seed, required=True)
     bench.add_argument("--out", required=True)
     bench.set_defaults(func=_cmd_corrupt_bench)
 

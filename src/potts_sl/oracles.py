@@ -50,9 +50,10 @@ def random_walker_solve(
 
     solved by Jacobi-preconditioned conjugate gradients to 1e-10. Row sums of
     the solution are exactly 1 because the constant vector solves the summed
-    system; a solution that is not a probability field anyway (an
-    ill-conditioned system, e.g. eta = 0 with underflowing affinities) raises
-    NumericalError.
+    system. With eta = 0, a pixel group that no edge above eps * max(w)
+    connects to a scribble makes the system singular in floating point, and
+    NumericalError is raised before any solve. A solution that is not a
+    probability field anyway also raises NumericalError.
     """
     _check_instance(sigma, scribbles, graph)
     if not (np.isfinite(eta) and eta >= 0 and np.isfinite(lam) and lam >= 0):
@@ -69,8 +70,10 @@ def random_walker_solve(
         return ProbField(out.reshape(sigma.data.shape))
 
     if eta <= 0.0:
-        # lambda * L_UU alone is singular on any component without a scribble
-        pos = graph.w > 0
+        # lambda * L_UU alone is singular on any component without a scribble,
+        # and numerically so when a group reaches every scribble only through
+        # edges below eps * max(w): its condition number then exceeds 1/eps
+        pos = graph.w > np.finfo(float).eps * graph.w.max(initial=0.0)
         adj = sparse.coo_matrix(
             (graph.w[pos], (graph.ei[pos], graph.ej[pos])), shape=(n, n)
         )

@@ -62,12 +62,15 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Objective at the start and after each accepted step, padded with the
-    final value to steps + 1 entries if the descent stops early, and the
-    divergent rows and edges summed over those iterates."""
+    final value to steps + 1 entries if the descent stops early, the
+    divergent rows and edges summed over those iterates, and the final
+    logits. A solve given those logits as init_logits starts at the returned
+    labels: its trace[0] is their objective, so its result is no worse."""
 
     trace: list[float] = field(default_factory=list)
     final_objective: float = float("nan")
     divergence_events: int = 0
+    logits: LogitField | None = None
 
 
 def _objective(y, s, unlabeled, graph, cfg, grad=False):
@@ -184,6 +187,7 @@ def solve_pseudo_labels(
                                     solver_cfg.steps, solver_cfg.learning_rate, record)
     report.trace += [value] * (solver_cfg.steps + 1 - len(report.trace))
     report.final_objective = value
+    report.logits = LogitField(logits.reshape(sigma.data.shape))
     return ProbField(labels(logits).reshape(sigma.data.shape)), report
 
 

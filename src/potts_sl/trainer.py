@@ -4,12 +4,10 @@ The classifier maps per-pixel features (RGB scaled to [0,1], normalized
 coordinates) through a K x 5 linear layer and softmax. Training alternates
 between solving for pseudo-labels at fixed predictions and full-batch
 backtracking gradient descent on the joint self-labeling loss at fixed
-pseudo-labels, so the joint loss trace is non-increasing by construction.
-Every descent is the solver's Armijo routine, whose first trial step is
-step_size and only shrinks. A pseudo-label candidate that would raise its
-sub-problem objective relative to the previous round's labels is rejected:
-the solver starts from the model logits, so nothing else bounds it by those
-labels.
+pseudo-labels. Every descent is the solver's Armijo routine, whose first
+trial step is step_size and only shrinks, and every pseudo-label solve after
+the first starts from the previous round's labels, so neither block step can
+raise the joint loss and its trace is non-increasing by construction.
 
 Also hosts the label-corruption robustness experiment on a synthetic blob
 dataset: the same linear-softmax classifier trained against mixed targets
@@ -36,7 +34,7 @@ from .simplex import (
     softmax_backward,
     softmax_rows,
 )
-from .solver import SolverConfig, _armijo_descent, pseudo_label_objective, solve_pseudo_labels
+from .solver import SolverConfig, _armijo_descent, solve_pseudo_labels
 from .synthetic import gaussian_blobs_dataset
 
 FEATURE_DIM = 5
@@ -174,12 +172,12 @@ def alternate(
 ):
     """Alternating minimization of the joint self-labeling loss.
 
-    Each round solves the pseudo-label sub-problem at the current predictions
-    (initialized from the model logits), keeps the candidate only if its final
-    objective does not exceed the previous labels' objective, evaluates the
-    pairwise term of the kept labels once, then runs inner epochs of
-    backtracking GD on the model. Returns (model, pseudo-labels, per-round
-    joint loss trace).
+    Each round solves the pseudo-label sub-problem at the current predictions,
+    evaluates the pairwise term of its labels once, then runs inner epochs of
+    backtracking GD on the model. The first solve starts from the model
+    logits; each later one from the previous solve's final logits, i.e. at
+    the previous labels, so its result is bounded by them. Returns (model,
+    pseudo-labels, per-round joint loss trace).
     """
     phi = pixel_features(image)
     classes = model.classes
@@ -187,19 +185,14 @@ def alternate(
     labeled = lab > 0
     targets = one_hot_rows(lab[labeled], classes)
     loss_cfg = cfg.loss_cfg
-    y = None
+    init = None
     trace: list[float] = []
     flat = model.pack()
     for _ in range(cfg.rounds):
-        sigma, logit_field = predict(PixelModel.unpack(flat, classes), image)
-        candidate, report = solve_pseudo_labels(
-            sigma, logit_field, scribbles, graph, loss_cfg, cfg.solver_cfg
-        )
-        if y is None or report.final_objective <= pseudo_label_objective(
-            sigma, y, scribbles, graph, loss_cfg
-        ):
-            y = candidate
-
+        sigma, model_logits = predict(PixelModel.unpack(flat, classes), image)
+        y, report = solve_pseudo_labels(sigma, model_logits if init is None else init,
+                                        scribbles, graph, loss_cfg, cfg.solver_cfg)
+        init = report.logits
         yf = y.flat()
         y_free = yf[~labeled]
         pairwise = edge_sum(loss_cfg.potts, yf, graph, scale=loss_cfg.lam)[0]

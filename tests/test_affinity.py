@@ -112,6 +112,22 @@ class TestBuildGraph:
             assert np.array_equal(
                 np.concatenate([idx[dst].ravel() for _, dst in graph.blocks]), graph.ej)
 
+    @pytest.mark.parametrize("kind,gamma", [
+        (NeighborhoodKind.SPARSE_WINDOW, None),
+        (NeighborhoodKind.DENSE_TRUNCATED, 1.5),
+    ])
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 5), (5, 1), (3, 7), (8, 8)])
+    def test_huge_radius_is_the_image_extent(self, kind, gamma, h, w):
+        # offsets past the image join no pixels; a radius of 10^9 must build
+        # the same graph as the largest radius that still reaches a pixel
+        image = Image(np.random.default_rng(h * 10 + w).integers(0, 256, size=(h, w, 3)))
+        cfg = lambda radius: AffinityConfig(kind=kind, radius=radius, spatial_bandwidth=gamma)
+        huge = build_graph(image, cfg(10**9))
+        whole = build_graph(image, cfg(max(h - 1, w - 1, 1)))
+        for name in ("ei", "ej", "w"):
+            assert np.array_equal(getattr(huge, name), getattr(whole, name))
+        assert huge.blocks == whole.blocks
+
     def test_channel_permutation_invariance(self):
         rng = np.random.default_rng(6)
         raw = rng.integers(0, 256, size=(4, 4, 3))

@@ -114,8 +114,9 @@ class TestOracleRw:
         assert code == 3
 
     def test_off_simplex_solution_exits_numerical(self, tmp_path, capsys):
-        # eta = 0 on 8x8 noise: affinities underflow and the CG solution's
-        # rows do not sum to 1 (the library case in test_oracles)
+        # eta = 0 on 8x8 noise: affinities underflow, so pixels reach the
+        # scribbles only through negligible edges and the grounding check
+        # refuses the singular system (the library case in test_oracles)
         rng = np.random.default_rng(5)
         write_image(Image(rng.integers(0, 256, size=(8, 8, 3))), tmp_path / "i.ppm")
         write_probfield(ProbField(rng.dirichlet(np.ones(3), size=(8, 8))), tmp_path / "p.pfld")
@@ -195,6 +196,13 @@ class TestSmallCommands:
         assert run("gradcheck", "--kind", "q", "--kind", "cce") == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("argv", [("gradcheck",), ("corrupt-bench", "--out", "unused")])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        assert run(*argv, "--seed", -1) == 1
+        err = capsys.readouterr().err
+        assert "error: argument --seed: must be a non-negative integer" in err
+        assert "Traceback" not in err
 
     def test_corrupt_bench_csv(self, tmp_path):
         out = tmp_path / "bench"

@@ -76,8 +76,9 @@ class TestRandomWalker:
 
     def test_underflowing_affinities_are_a_numerical_failure(self):
         # 8x8 noise at the default bandwidth: weights down to ~1e-215 still
-        # connect every pixel to a scribble, but with eta = 0 the system is so
-        # ill-conditioned that CG's solution rows do not sum to 1
+        # connect every pixel to a scribble, but with eta = 0 a system whose
+        # pixels reach the scribbles only through edges below eps * max(w) is
+        # singular in floating point, so the grounding check refuses it
         rng = np.random.default_rng(5)
         image = Image(rng.integers(0, 256, size=(8, 8, 3)))
         graph = build_graph(image, AffinityConfig())
@@ -85,8 +86,17 @@ class TestRandomWalker:
         labels = np.zeros(64, dtype=np.int64)
         labels[rng.permutation(64)[:4]] = rng.integers(1, 4, size=4)
         assert graph.w.min() < 1e-200
-        with pytest.raises(NumericalError, match="not on the simplex"):
+        with pytest.raises(NumericalError, match="component has no scribble"):
             random_walker_solve(sigma, ScribbleField(labels.reshape(8, 8)), graph, 0.0, 1.0)
+
+    def test_off_simplex_solution_is_a_numerical_failure(self, monkeypatch):
+        # a CG solution whose rows do not sum to 1 is not a probability field
+        from potts_sl import oracles
+
+        sigma, scribbles, graph = grid_instance(0)
+        monkeypatch.setattr(oracles, "cg", lambda a, b, **kw: (np.full(b.shape, 2.0), 0))
+        with pytest.raises(NumericalError, match="not on the simplex"):
+            random_walker_solve(sigma, scribbles, graph, 0.5, 1.0)
 
     def test_stationarity_matches_loss_bookkeeping(self):
         # the assembled system must be the exact stationary point of

@@ -1,16 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from potts_sl import (
     AffinityConfig,
     DataError,
+    NeighborhoodKind,
     Image,
     LossConfig,
     ScribbleField,
     argmax_decode,
     build_graph,
     miou,
+    pseudo_label_objective,
     sl_loss,
+    solve_pseudo_labels,
 )
 from potts_sl.data_terms import XentKind
 from potts_sl.losses import scribble_nll
@@ -203,6 +209,82 @@ class TestAlternate:
         for field in (sigma, y):
             assert field.data.min() >= 0.0
             np.testing.assert_allclose(field.data.sum(axis=2), 1.0, atol=1e-9)
+
+
+class TestWarmStart:
+    def test_each_solve_after_the_first_starts_at_the_last_labels(self, monkeypatch):
+        # block-coordinate descent: a solve that starts at the previous labels
+        # has their objective at the new predictions as trace[0], bit for bit,
+        # and cannot end above it
+        from potts_sl import trainer
+
+        solves = []
+
+        def recording(sigma, init_logits, *rest):
+            y, report = solve_pseudo_labels(sigma, init_logits, *rest)
+            solves.append((sigma, init_logits, y, report))
+            return y, report
+
+        monkeypatch.setattr(trainer, "solve_pseudo_labels", recording)
+        image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
+        graph = build_graph(image, AffinityConfig())
+        cfg = TrainConfig(rounds=4, inner_epochs=5, solver_cfg=SolverConfig(steps=40))
+        model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
+        _, y, _ = alternate(model, image, scribbles, graph, cfg)
+
+        assert len(solves) == cfg.rounds
+        assert np.array_equal(solves[0][1].data, predict(model, image)[1].data)
+        for (_, _, y_prev, _), (sigma, _, _, report) in zip(solves, solves[1:]):
+            assert report.trace[0] == pseudo_label_objective(
+                sigma, y_prev, scribbles, graph, cfg.loss_cfg)
+            assert report.final_objective <= report.trace[0]
+        assert y is solves[-1][2]
+
+
+@st.composite
+def alternation_cases(draw):
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    scribbled = draw(st.sampled_from(["none", "some", "all"]))
+    potts = draw(st.sampled_from(list(PottsKind)))
+    xent = draw(st.sampled_from(list(XentKind)))
+    neighborhood = draw(st.sampled_from(["nn4", "sparse:2"]))
+    seed = draw(st.integers(0, 2**16))
+    return h, w, scribbled, potts, xent, neighborhood, seed
+
+
+def with_every_kind_pair(test):
+    # one explicit example per (PottsKind, XentKind) pair, cycling through a
+    # 1xW, a rectangular and a square shape and both neighborhoods
+    shapes = [(1, 7), (5, 6), (9, 9)]
+    neighborhoods = ["nn4", "sparse:2"]
+    for i, (potts, xent) in enumerate(itertools.product(PottsKind, XentKind)):
+        h, w = shapes[i % 3]
+        test = example((h, w, "some", potts, xent, neighborhoods[i % 2], i))(test)
+    return settings(max_examples=40)(given(alternation_cases())(test))
+
+
+@with_every_kind_pair
+def test_joint_loss_never_rises(case):
+    # each solve starts at the previous labels and each model step at the
+    # previous model, so neither block step raises the joint loss; only
+    # rounding in the sum of its terms may move it by a few ulps
+    h, w, scribbled, potts, xent, neighborhood, seed = case
+    rng = np.random.default_rng(seed)
+    image = Image(rng.integers(0, 256, size=(h, w, 3)))
+    kind = NeighborhoodKind.NN4 if neighborhood == "nn4" else NeighborhoodKind.SPARSE_WINDOW
+    graph = build_graph(image, AffinityConfig(kind=kind, radius=2, color_bandwidth=60.0))
+    labels = rng.integers(1, 3, size=(h, w))
+    if scribbled == "none":
+        labels[:] = 0
+    elif scribbled == "some":
+        labels[rng.uniform(size=(h, w)) < 0.7] = 0
+    model = PixelModel(rng.standard_normal((2, 5)), rng.standard_normal(2))
+    cfg = TrainConfig(rounds=4, inner_epochs=5, solver_cfg=SolverConfig(steps=25),
+                      loss_cfg=LossConfig(potts=potts, xent=xent))
+    _, _, trace = alternate(model, image, ScribbleField(labels), graph, cfg)
+    assert np.all(np.isfinite(trace))
+    assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
 
 class TestDescent:
