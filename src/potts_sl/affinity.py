@@ -85,15 +85,25 @@ class AffinityConfig:
     def __post_init__(self):
         if not isinstance(self.kind, NeighborhoodKind):
             raise DataError(f"unknown neighborhood kind {self.kind!r}")
-        if not (np.isfinite(self.color_bandwidth) and self.color_bandwidth > 0):
-            raise DataError("color_bandwidth must be positive")
+        _check_bandwidth("color_bandwidth", self.color_bandwidth)
         if int(self.radius) != self.radius or self.radius < 1:
             raise DataError("radius must be an integer >= 1")
         self.radius = int(self.radius)
         if self.kind is NeighborhoodKind.DENSE_TRUNCATED:
-            g = self.spatial_bandwidth
-            if g is None or not (np.isfinite(g) and g > 0):
+            if self.spatial_bandwidth is None:
                 raise DataError("dense neighborhoods need a positive spatial_bandwidth")
+            _check_bandwidth("spatial_bandwidth", self.spatial_bandwidth)
+
+
+def _check_bandwidth(name, value):
+    """Refuse a kernel bandwidth unless it is positive and its Gaussian
+    denominator 2 * value**2 is a positive finite float (roughly
+    1e-162 < value < 1e154)."""
+    with np.errstate(over="ignore", under="ignore"):
+        denominator = 2.0 * np.float64(value) ** 2
+    if not (value > 0 and np.isfinite(denominator) and denominator > 0):
+        raise DataError(f"{name} must be positive with 2 * {name}**2 a positive "
+                        f"finite float, got {value!r}")
 
 
 @dataclass
@@ -213,7 +223,8 @@ def build_graph(image: Image, cfg: AffinityConfig) -> AffinityGraph:
         src = (slice(y0, y1), slice(x0, x1))
         dst = (slice(y0 + dy, y1 + dy), slice(x0 + dx, x1 + dx))
         diff2 = np.sum((img[src] - img[dst]) ** 2, axis=2)
-        weight = np.exp(-diff2 / beta2)
+        with np.errstate(over="ignore"):  # a tiny bandwidth gives exp(-inf) = 0
+            weight = np.exp(-diff2 / beta2)
         if cfg.kind is NeighborhoodKind.DENSE_TRUNCATED:
             dist2 = float(dy * dy + dx * dx)
             weight = weight * np.exp(-dist2 / (2.0 * cfg.spatial_bandwidth ** 2))

@@ -8,7 +8,7 @@ ignored, unknown keys are rejected. Keys:
     potts            bl | q | nq | cce | cd | lq
     xent             ce | rce | cce | quad
     neighborhood     nn4 | sparse:R | dense:R:GAMMA
-    color_bandwidth  float > 0
+    color_bandwidth  float > 0 whose 2 * value**2 is a positive finite float
     steps            accepted solver descent steps, int >= 1
     lr               solver first trial step, float > 0; each Armijo step
                      starts from the last accepted size and only halves it

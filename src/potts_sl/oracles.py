@@ -5,14 +5,15 @@ objective by solving per-class Laplacian systems; finite_diff_check validates
 analytic gradients with central differences; brute_force_discrete enumerates
 every labeling of a tiny discrete Potts instance. None of them share
 numerical code with the gradient-descent solver they are used to check.
+
+Only random_walker_solve needs scipy. It imports scipy.sparse, its csgraph
+and its linalg inside the calls (through _laplacian and cg), so importing
+this module, and the package, loads no scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import cg
 
 from .affinity import AffinityGraph
 from .errors import DataError, NumericalError
@@ -22,7 +23,21 @@ from .simplex import ProbField, ScribbleField, one_hot_rows
 _CG_TOL = 1e-10
 
 
-def _laplacian(graph: AffinityGraph) -> sparse.csr_matrix:
+def cg(*args, **kwargs):
+    """scipy.sparse.linalg.cg, imported at the first call.
+
+    random_walker_solve calls the solver through this module-level name, so
+    a caller can replace it to fake or instrument the solves.
+    """
+    from scipy.sparse.linalg import cg as scipy_cg
+
+    return scipy_cg(*args, **kwargs)
+
+
+def _laplacian(graph: AffinityGraph):
+    """Weighted graph Laplacian D - W as a scipy CSR matrix."""
+    from scipy import sparse
+
     n = graph.npixels
     rows = np.concatenate([graph.ei, graph.ej])
     cols = np.concatenate([graph.ej, graph.ei])
@@ -50,11 +65,15 @@ def random_walker_solve(
 
     solved by Jacobi-preconditioned conjugate gradients to 1e-10. Row sums of
     the solution are exactly 1 because the constant vector solves the summed
-    system. With eta = 0, a pixel group that no edge above eps * max(w)
-    connects to a scribble makes the system singular in floating point, and
-    NumericalError is raised before any solve. A solution that is not a
-    probability field anyway also raises NumericalError.
+    system. When 2 eta <= eps * lambda * max(w) (eta = 0 included), a pixel
+    group that no edge above eps * max(w) connects to a scribble makes the
+    system singular in floating point, and NumericalError is raised before
+    any solve. A solution that is not a probability field anyway also raises
+    NumericalError.
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     _check_instance(sigma, scribbles, graph)
     if not (np.isfinite(eta) and eta >= 0 and np.isfinite(lam) and lam >= 0):
         raise DataError("eta and lambda must be finite and >= 0")
@@ -69,11 +88,13 @@ def random_walker_solve(
     if unlabeled_idx.size == 0:
         return ProbField(out.reshape(sigma.data.shape))
 
-    if eta <= 0.0:
+    eps_w = np.finfo(float).eps * graph.w.max(initial=0.0)
+    if 2.0 * eta <= lam * eps_w:
         # lambda * L_UU alone is singular on any component without a scribble,
         # and numerically so when a group reaches every scribble only through
-        # edges below eps * max(w): its condition number then exceeds 1/eps
-        pos = graph.w > np.finfo(float).eps * graph.w.max(initial=0.0)
+        # edges below eps * max(w): its condition number then exceeds 1/eps.
+        # A diagonal 2 eta that small does not lift it above that bound.
+        pos = graph.w > eps_w
         adj = sparse.coo_matrix(
             (graph.w[pos], (graph.ei[pos], graph.ej[pos])), shape=(n, n)
         )
@@ -82,7 +103,8 @@ def random_walker_solve(
         grounded[comp[labeled]] = True
         if not grounded[comp[unlabeled_idx]].all():
             raise NumericalError(
-                "singular system: eta = 0 and a component has no scribble"
+                "singular system: eta is negligible next to lambda * max(w) "
+                "and a component has no scribble"
             )
 
     lap = _laplacian(graph)

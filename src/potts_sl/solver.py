@@ -27,7 +27,7 @@ import numpy as np
 
 from .affinity import AffinityGraph
 from .data_terms import row_values
-from .errors import DataError, LOG_CLAMP
+from .errors import DataError, LOG_CLAMP, NumericalError
 from .losses import LossConfig, _check_instance
 from .potts import edge_sum
 from .simplex import (
@@ -157,7 +157,9 @@ def solve_pseudo_labels(
 
     The returned field satisfies the scribble constraint exactly (pinned
     one-hots), and report.trace is non-increasing with steps + 1 entries
-    ending at the final objective.
+    ending at the final objective. A start objective that is not finite (eta
+    or lambda near the float range) raises NumericalError; from a finite
+    start the descent keeps every trace entry finite.
     """
     _check_instance(sigma, scribbles, graph)
     s = sigma.flat()
@@ -180,6 +182,8 @@ def solve_pseudo_labels(
         return value, softmax_backward(y, grad)
 
     def record(value):
+        if not (report.trace or np.isfinite(value)):
+            raise NumericalError(f"pseudo-label objective at the start point is {value!r}")
         report.trace.append(value)
         report.divergence_events += events
 

@@ -1,13 +1,14 @@
 """Seeded generators for desk-scale synthetic instances.
 
 Everything here is deterministic given the seed, so experiments and the
-acceptance suite reproduce bit-for-bit.
+acceptance suite reproduce bit-for-bit. Only smooth_prob_field needs scipy;
+it imports scipy.ndimage inside the call, so importing this module (which
+the trainer does) loads no scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .affinity import Image
 from .simplex import ProbField, ScribbleField, softmax_rows
@@ -70,6 +71,8 @@ def voronoi_image(rng: np.random.Generator, height: int, width: int, regions: in
 
 def smooth_prob_field(rng: np.random.Generator, height: int, width: int, classes: int, sharpness: float = 2.0) -> ProbField:
     """Spatially smooth random field: softmax of blurred white-noise logits."""
+    from scipy.ndimage import gaussian_filter
+
     logits = rng.standard_normal((height, width, classes))
     for c in range(classes):
         logits[:, :, c] = gaussian_filter(logits[:, :, c], sigma=2.0, mode="nearest")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,9 +161,30 @@ class TestValidation:
         with pytest.raises(DataError):
             AffinityConfig(color_bandwidth=0.0)
         with pytest.raises(DataError):
+            AffinityConfig(color_bandwidth=-3.0)
+        with pytest.raises(DataError):
             AffinityConfig(radius=0)
         with pytest.raises(DataError):
             AffinityConfig(kind=NeighborhoodKind.DENSE_TRUNCATED, radius=2)
+
+    @pytest.mark.parametrize("bandwidth", [1e200, 1e155, 1e-163, 1e-300, float("inf"), float("nan")])
+    def test_bandwidth_whose_kernel_denominator_is_not_finite_positive(self, bandwidth):
+        # 2 * bw**2 overflows or underflows: the kernel would be 0/0 or a
+        # Python OverflowError inside build_graph
+        with pytest.raises(DataError, match="color_bandwidth"):
+            AffinityConfig(color_bandwidth=bandwidth)
+        with pytest.raises(DataError, match="spatial_bandwidth"):
+            AffinityConfig(kind=NeighborhoodKind.DENSE_TRUNCATED, radius=2,
+                           spatial_bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e153, 1e-161])
+    def test_extreme_bandwidths_that_fit_build_a_graph(self, bandwidth):
+        rng = np.random.default_rng(0)
+        image = Image(rng.integers(0, 256, size=(4, 5, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = build_graph(image, AffinityConfig(color_bandwidth=bandwidth))
+        assert np.all(graph.w == (1.0 if bandwidth > 1 else 0.0))
 
     def test_graph_invariants_enforced(self):
         with pytest.raises(DataError):

@@ -277,6 +277,44 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
 
+    @staticmethod
+    def small_job(tmp_path, command, config, image):
+        labels = np.zeros((5, 5), dtype=np.int64)
+        labels[0, 0], labels[4, 4] = 1, 2
+        write_image(image, tmp_path / "i.ppm")
+        write_labels(labels, tmp_path / "s.pgm")
+        write_probfield(ProbField.uniform(5, 5, 2), tmp_path / "p.pfld")
+        (tmp_path / "c.cfg").write_text(config)
+        sigma = ["--sigma", tmp_path / "p.pfld"] if command != "train" else []
+        out = tmp_path / "out"
+        code = run(command, "--image", tmp_path / "i.ppm", "--scribbles", tmp_path / "s.pgm",
+                   *sigma, "--config", tmp_path / "c.cfg", "--out", out)
+        return code, sorted(f.name for f in out.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line", [
+        "color_bandwidth = 1e200",  # 2 * bw**2 overflows
+        "neighborhood = dense:2:1e200",
+        "color_bandwidth = 1e-300",  # 2 * bw**2 underflows: 0/0 on a flat image
+    ])
+    def test_extreme_bandwidth_is_data_error(self, line, tmp_path, capsys):
+        flat = Image(np.full((5, 5, 3), 80, dtype=np.uint8))
+        code, written = self.small_job(tmp_path, "solve", f"{line}\nsteps = 2\n", flat)
+        assert code == 2
+        assert "bandwidth**2 a positive finite float" in capsys.readouterr().err
+        assert written == []
+
+    @pytest.mark.parametrize("command", ["solve", "train"])
+    def test_non_finite_objective_is_numerical_failure(self, command, tmp_path, capsys):
+        # the objective overflows at the start point, so no inf trace is written
+        rng = np.random.default_rng(2)
+        image = Image(rng.integers(0, 256, size=(5, 5, 3)))
+        config = "eta = 1e308\nlambda = 1e308\nsteps = 3\nrounds = 2\n"
+        code, written = self.small_job(tmp_path, command, config, image)
+        assert code == 3
+        assert "start point is inf" in capsys.readouterr().err
+        assert written == []
+
 
 class TestClassLimit:
     """The CLI renders K <= 21 classes with its palette and refuses more

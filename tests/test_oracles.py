@@ -89,6 +89,26 @@ class TestRandomWalker:
         with pytest.raises(NumericalError, match="component has no scribble"):
             random_walker_solve(sigma, ScribbleField(labels.reshape(8, 8)), graph, 0.0, 1.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_negligible_eta_is_refused_before_any_solve(self, seed, monkeypatch):
+        # 2 eta = 2e-300 is far below eps * lambda * max(w), so the diagonal
+        # does not ground the pixels cut off by underflowing edges: the same
+        # check as at eta = 0 refuses the system, and CG never runs
+        from potts_sl import oracles
+
+        def no_cg(*args, **kwargs):
+            raise AssertionError("cg called on a system the grounding check refuses")
+
+        rng = np.random.default_rng(seed)
+        image = Image(rng.integers(0, 256, size=(8, 8, 3)))
+        graph = build_graph(image, AffinityConfig())
+        sigma = ProbField(rng.dirichlet(np.ones(3), size=(8, 8)))
+        labels = np.zeros(64, dtype=np.int64)
+        labels[rng.permutation(64)[:3]] = rng.integers(1, 4, size=3)
+        monkeypatch.setattr(oracles, "cg", no_cg)
+        with pytest.raises(NumericalError, match="component has no scribble"):
+            random_walker_solve(sigma, ScribbleField(labels.reshape(8, 8)), graph, 1e-300, 1.0)
+
     def test_off_simplex_solution_is_a_numerical_failure(self, monkeypatch):
         # a CG solution whose rows do not sum to 1 is not a probability field
         from potts_sl import oracles

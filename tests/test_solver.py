@@ -9,6 +9,7 @@ from potts_sl import (
     LogitField,
     LossConfig,
     NeighborhoodKind,
+    NumericalError,
     ProbField,
     ScribbleField,
     build_graph,
@@ -94,6 +95,13 @@ class TestMechanics:
         assert len(report.trace) == 58
         assert report.final_objective == report.trace[-1]
         assert pseudo_label_objective(sigma, y, scribbles, graph, cfg) == report.final_objective
+
+    def test_non_finite_start_objective_is_a_numerical_failure(self):
+        sigma, scribbles, graph = grid_instance(3)
+        cfg = LossConfig(eta=1e308, lam=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="start point is inf"):
+                solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=5))
 
     def test_monotone_trace_on_convex_instance(self):
         sigma, scribbles, graph = grid_instance(4)
