@@ -18,7 +18,7 @@ import enum
 import numpy as np
 
 from .errors import DIVERGENT, DataError, DivergentPointError, LOG_CLAMP
-from .simplex import Distribution, _pair_arrays
+from .simplex import Distribution, _pair_arrays, _row_max, _row_sum
 
 
 class XentKind(enum.Enum):
@@ -44,31 +44,34 @@ def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray, grad: bool = Fa
     along any coordinate sitting in the flat clamped region.
     """
     if kind is XentKind.CE:
-        div = np.any((y > 0.0) & (sigma <= LOG_CLAMP), axis=1)
+        div = _row_max((y > 0.0) & (sigma <= LOG_CLAMP))
         logs = np.log(np.maximum(sigma, LOG_CLAMP))
         grads = None
         if grad:
             gs = np.where(sigma > LOG_CLAMP, -y / np.maximum(sigma, LOG_CLAMP), 0.0)
             grads = (-logs, gs)
-        return -np.sum(y * logs, axis=1), div, grads
+        return -_row_sum(y * logs), div, grads
     if kind is XentKind.RCE:
-        div = np.any((sigma > 0.0) & (y <= LOG_CLAMP), axis=1)
+        div = _row_max((sigma > 0.0) & (y <= LOG_CLAMP))
         logs = np.log(np.maximum(y, LOG_CLAMP))
         grads = None
         if grad:
             gy = np.where(y > LOG_CLAMP, -sigma / np.maximum(y, LOG_CLAMP), 0.0)
             grads = (gy, -logs)
-        return -np.sum(sigma * logs, axis=1), div, grads
+        return -_row_sum(sigma * logs), div, grads
     if kind is XentKind.CCE:
         s = np.einsum("nk,nk->n", sigma, y)
         div = s <= LOG_CLAMP
         ss = np.maximum(s, LOG_CLAMP)
         grads = None
         if grad:
-            grads = (
-                np.where(div[:, None], 0.0, -sigma / ss[:, None]),
-                np.where(div[:, None], 0.0, -y / ss[:, None]),
-            )
+            grads = (-sigma, -y)
+            for g in grads:
+                for k in range(g.shape[1]):  # whole columns, as in simplex._row_sum
+                    g[:, k] /= ss
+            if div.any():
+                for g in grads:
+                    g[div] = 0.0
         return -np.log(ss), div, grads
     if kind is XentKind.QUAD:
         d = y - sigma

@@ -207,11 +207,41 @@ def softmax(logits) -> Distribution:
     return Distribution(e / e.sum())
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the class axis of an (N, K) array, as whole-column
+    operations.
+
+    The class axis is the short inner axis of the per-pixel arrays, and numpy
+    reduces along it with a loop over the N rows that pays a fixed cost per
+    row; K column operations pay it per column instead. Equals
+    a.max(axis=1) bit for bit, NaN rows included; on a bool array it is
+    np.any(axis=1).
+    """
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        np.maximum(out, a[:, k], out=out)
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the class axis of an (N, K) array, adding whole columns in
+    order to 0.0 (see _row_max).
+
+    That is numpy's order for K < 8, so the result equals a.sum(axis=1) bit
+    for bit there, and a row of -0.0 sums to +0.0; from K = 8 numpy sums
+    pairwise and the two differ by rounding.
+    """
+    out = a[:, 0] + 0.0
+    for k in range(1, a.shape[1]):
+        out += a[:, k]
+    return out
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax for an (N, K) array of logit vectors."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - _row_max(logits)[:, None]
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _row_sum(e)[:, None]
 
 
 def softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -219,7 +249,7 @@ def softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     Each row is (diag(p) - p p^T) g = p * (g - sum_k p g), zero at one-hot p.
     """
-    return p * (g - np.sum(p * g, axis=1, keepdims=True))
+    return p * (g - _row_sum(p * g)[:, None])
 
 
 def entropy(p) -> float:

@@ -73,18 +73,22 @@ class SolveReport:
     logits: LogitField | None = None
 
 
-def _objective(y, s, unlabeled, graph, cfg, grad=False):
+def _objective(y, s_free, free, graph, cfg, grad=False):
     """(value, divergence count, dist-space gradient or None) at y.
 
-    Divergent edges contribute their clamped value and no gradient; data rows
-    use the gradient of the clamped coupling.
+    free indexes the rows of y that carry a data term (the unscribbled
+    pixels) and s_free holds sigma's rows there. Divergent edges contribute
+    their clamped value and no gradient; data rows use the gradient of the
+    clamped coupling.
     """
-    vals, vdiv, gdata = row_values(cfg.xent, y[unlabeled], s[unlabeled], grad=grad)
+    vals, vdiv, gdata = row_values(cfg.xent, np.take(y, free, axis=0), s_free, grad=grad)
     value = cfg.eta * float(np.sum(vals))
     out = None
     if grad:
         out = np.zeros(y.shape)
-        out[unlabeled] = cfg.eta * gdata[0]
+        for k in range(y.shape[1]):  # whole columns, as in simplex._row_sum
+            out[free, k] = cfg.eta * gdata[0][:, k]
+    del gdata  # not held through edge_sum's (E, K) temporaries, the peak of a call
     pairwise, ediv = edge_sum(cfg.potts, y, graph, grad_out=out, scale=cfg.lam)
     value += pairwise
     return value, int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out
@@ -99,8 +103,8 @@ def pseudo_label_objective(
 ) -> float:
     """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
     _check_instance(sigma, scribbles, graph)
-    unlabeled = ~scribbles.labeled_mask().ravel()
-    value, _, _ = _objective(y.flat(), sigma.flat(), unlabeled, graph, cfg)
+    free = np.flatnonzero(scribbles.data.ravel() == 0)
+    value, _, _ = _objective(y.flat(), np.take(sigma.flat(), free, axis=0), free, graph, cfg)
     return value
 
 
@@ -113,19 +117,20 @@ def _initial_logits(sigma, init_logits):
     return init_logits.flat()
 
 
-def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None):
+def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, start=None):
     """Armijo backtracking gradient descent; returns (x, value).
 
-    value_grad(x) -> (value, gradient) runs once per trial. A step's first
+    value_grad(x) -> (value, gradient) runs once per trial, and at x unless
+    a start function is given to evaluate x in its place. A step's first
     trial takes the last accepted step size (at first step0), which halves
     until f(x - t g) < f(x) - 1e-4 t |g|^2 and never grows. The test is
     strict so that a trial which rounds back to x (t |g| below the float
     resolution of x) fails instead of passing as a null step. Stops after
     `steps` steps, at a zero gradient, or after _MAX_HALVINGS failed trials.
     record(value) runs at the start and at each accepted point, right after
-    value_grad evaluated it.
+    its evaluation.
     """
-    value, grad = value_grad(x)
+    value, grad = (value_grad if start is None else start)(x)
     record(value)
     t = step0
     for _ in range(steps):
@@ -157,38 +162,46 @@ def solve_pseudo_labels(
 
     The returned field satisfies the scribble constraint exactly (pinned
     one-hots), and report.trace is non-increasing with steps + 1 entries
-    ending at the final objective. A start objective that is not finite (eta
-    or lambda near the float range) raises NumericalError; from a finite
-    start the descent keeps every trace entry finite.
+    ending at the final objective. A start objective or gradient that is not
+    finite (eta or lambda near the float range) raises NumericalError; from a
+    finite start the descent keeps every trace entry finite.
     """
     _check_instance(sigma, scribbles, graph)
-    s = sigma.flat()
     lab = scribbles.data.ravel()
-    labeled = lab > 0
-    unlabeled = ~labeled
-    pinned = one_hot_rows(lab[labeled], sigma.classes)
+    scribbled = np.flatnonzero(lab)
+    free = np.flatnonzero(lab == 0)
+    s_free = np.take(sigma.flat(), free, axis=0)
+    pinned = one_hot_rows(lab[scribbled], sigma.classes)
     report = SolveReport()
     events = 0
 
     def labels(logits):
         y = softmax_rows(logits)
-        y[labeled] = pinned
+        y[scribbled] = pinned
         return y
 
     def value_grad(logits):
         nonlocal events
         y = labels(logits)
-        value, events, grad = _objective(y, s, unlabeled, graph, loss_cfg, grad=True)
+        value, events, grad = _objective(y, s_free, free, graph, loss_cfg, grad=True)
         return value, softmax_backward(y, grad)
 
     def record(value):
-        if not (report.trace or np.isfinite(value)):
-            raise NumericalError(f"pseudo-label objective at the start point is {value!r}")
         report.trace.append(value)
         report.divergence_events += events
 
+    def start(logits):
+        # an overflow at the start point is reported by the errors below alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = value_grad(logits)
+        if not np.isfinite(value):
+            raise NumericalError(f"pseudo-label objective at the start point is {value!r}")
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError("pseudo-label gradient at the start point is not finite")
+        return value, grad
+
     logits, value = _armijo_descent(_initial_logits(sigma, init_logits), value_grad,
-                                    solver_cfg.steps, solver_cfg.learning_rate, record)
+                                    solver_cfg.steps, solver_cfg.learning_rate, record, start)
     report.trace += [value] * (solver_cfg.steps + 1 - len(report.trace))
     report.final_objective = value
     report.logits = LogitField(logits.reshape(sigma.data.shape))

@@ -130,34 +130,38 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
 
     # the joint loss with every row scribbled (no free rows) is the NLL alone
     phi_s = pixel_features(image)[labeled]
-    targets = one_hot_rows(lab[labeled], model.classes)
-    every = np.ones(len(targets), dtype=bool)
-    value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, targets, targets[:0], 0.0, cfg.loss_cfg)
+    every, cls = np.arange(len(phi_s)), lab[labeled] - 1
+    y_free = np.zeros((0, model.classes))
+    value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, every[:0], y_free, 0.0,
+                                              cfg.loss_cfg)
     flat, _ = _armijo_descent(model.pack(), value_grad, cfg.pretrain_epochs, cfg.step_size)
     return PixelModel.unpack(flat, model.classes)
 
 
-def _sl_value_and_grad(flat, phi, labeled, targets, y_free, pairwise, cfg):
+def _sl_value_and_grad(flat, phi, scribbled, cls, free, y_free, pairwise, cfg):
     """Joint loss at fixed pseudo-labels and its gradient w.r.t. the model
     parameters.
 
-    labeled masks the scribble pixels and targets holds their one-hot rows;
-    y_free holds the pseudo-labels of the other pixels, and pairwise the
-    model-independent lambda * sum w P(y_i, y_j). Terms are added in
-    sl_loss's order, so the value equals sl_loss bit for bit.
+    scribbled indexes the scribble pixels (rows of phi) and cls holds their
+    0-based classes; free indexes the other pixels and y_free holds their
+    pseudo-labels, one row each. pairwise is the model-independent
+    lambda * sum w P(y_i, y_j). Terms are added in sl_loss's order, so the
+    value equals sl_loss bit for bit.
     """
-    model = PixelModel.unpack(flat, targets.shape[1])
+    model = PixelModel.unpack(flat, y_free.shape[1])
     probs = softmax_rows(phi @ model.weights.T + model.bias)
-    free = ~labeled
-    probs_free = probs[free]
+    probs_free = np.take(probs, free, axis=0)
     vals, _, grads = row_values(cfg.xent, y_free, probs_free, grad=True)
-    picked = np.sum(probs[labeled] * targets, axis=1)
+    picked = probs[scribbled, cls]
     value = float(-np.sum(np.log(np.maximum(picked, LOG_CLAMP)))) if picked.size else 0.0
     value += cfg.eta * float(np.sum(vals))
     value += pairwise
     glogit = np.zeros_like(probs)
-    glogit[labeled] = probs[labeled] - targets
-    glogit[free] += softmax_backward(probs_free, cfg.eta * grads[1])
+    glogit[scribbled] = probs[scribbled]
+    glogit[scribbled, cls] -= 1.0
+    gfree = softmax_backward(probs_free, cfg.eta * grads[1])
+    for k in range(glogit.shape[1]):  # whole columns, as in simplex._row_sum
+        glogit[free, k] += gfree[:, k]
     gw = glogit.T @ phi
     gb = glogit.sum(axis=0)
     return value, np.concatenate([gw.ravel(), gb])
@@ -182,8 +186,9 @@ def alternate(
     phi = pixel_features(image)
     classes = model.classes
     lab = scribbles.data.ravel()
-    labeled = lab > 0
-    targets = one_hot_rows(lab[labeled], classes)
+    scribbled = np.flatnonzero(lab)
+    cls = lab[scribbled] - 1
+    free = np.flatnonzero(lab == 0)
     loss_cfg = cfg.loss_cfg
     init = None
     trace: list[float] = []
@@ -194,9 +199,10 @@ def alternate(
                                         scribbles, graph, loss_cfg, cfg.solver_cfg)
         init = report.logits
         yf = y.flat()
-        y_free = yf[~labeled]
+        y_free = np.take(yf, free, axis=0)
         pairwise = edge_sum(loss_cfg.potts, yf, graph, scale=loss_cfg.lam)[0]
-        value_grad = lambda x: _sl_value_and_grad(x, phi, labeled, targets, y_free, pairwise, loss_cfg)
+        value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, y_free, pairwise,
+                                                  loss_cfg)
         flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, cfg.step_size)
         trace.append(value)
     return PixelModel.unpack(flat, classes), y, trace

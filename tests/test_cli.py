@@ -278,12 +278,14 @@ class TestExitCodes:
         assert run("--help") == 0
 
     @staticmethod
-    def small_job(tmp_path, command, config, image):
-        labels = np.zeros((5, 5), dtype=np.int64)
-        labels[0, 0], labels[4, 4] = 1, 2
+    def small_job(tmp_path, command, config, image, labels=None, sigma=None):
+        if labels is None:
+            labels = np.zeros((5, 5), dtype=np.int64)
+            labels[0, 0], labels[4, 4] = 1, 2
+            sigma = ProbField.uniform(5, 5, 2)
         write_image(image, tmp_path / "i.ppm")
         write_labels(labels, tmp_path / "s.pgm")
-        write_probfield(ProbField.uniform(5, 5, 2), tmp_path / "p.pfld")
+        write_probfield(sigma, tmp_path / "p.pfld")
         (tmp_path / "c.cfg").write_text(config)
         sigma = ["--sigma", tmp_path / "p.pfld"] if command != "train" else []
         out = tmp_path / "out"
@@ -304,15 +306,24 @@ class TestExitCodes:
         assert "bandwidth**2 a positive finite float" in capsys.readouterr().err
         assert written == []
 
-    @pytest.mark.parametrize("command", ["solve", "train"])
-    def test_non_finite_objective_is_numerical_failure(self, command, tmp_path, capsys):
-        # the objective overflows at the start point, so no inf trace is written
-        rng = np.random.default_rng(2)
-        image = Image(rng.integers(0, 256, size=(5, 5, 3)))
+    @pytest.mark.parametrize("command, size", [("solve", 5), ("train", 5), ("solve", 16),
+                                               ("train", 16)],
+                             ids=["solve", "train", "solve-16", "train-16"])
+    def test_non_finite_objective_is_numerical_failure(self, command, size, tmp_path, capsys):
+        # the objective overflows at the start point, so no inf trace is
+        # written; on the 16x16, K = 3 instance the edge gradients overflow
+        # too, and the failure line alone reaches stderr (a numpy
+        # RuntimeWarning fails this suite)
+        if size == 5:
+            job = (Image(np.random.default_rng(2).integers(0, 256, size=(5, 5, 3))),)
+        else:
+            sigma, scribbles, image = solver_oracle_instance(0, size, size)
+            job = (image, scribbles.data, sigma)
         config = "eta = 1e308\nlambda = 1e308\nsteps = 3\nrounds = 2\n"
-        code, written = self.small_job(tmp_path, command, config, image)
+        code, written = self.small_job(tmp_path, command, config, *job)
         assert code == 3
-        assert "start point is inf" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical failure: pseudo-label objective at the start point is inf\n")
         assert written == []
 
 

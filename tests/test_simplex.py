@@ -17,7 +17,7 @@ from potts_sl import (
     one_hot,
     softmax,
 )
-from potts_sl.simplex import one_hot_rows, softmax_backward, softmax_rows
+from potts_sl.simplex import _row_max, _row_sum, one_hot_rows, softmax_backward, softmax_rows
 from potts_sl.data_terms import XentKind, xent_value
 from helpers import interior_pair
 
@@ -96,6 +96,67 @@ class TestSoftmaxBackward:
                 zm[c] -= h
                 fd = (g[i] @ softmax_rows(zp[None])[0] - g[i] @ softmax_rows(zm[None])[0]) / (2 * h)
                 assert abs(fd - out[i, c]) <= 1e-6
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def wide_rows(n, k, seed):
+    """(n, k) floats over about 40 decades, both signs, with zeros of both
+    signs."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, k)) * np.exp(rng.uniform(-46, 46, (n, k)))
+    a[rng.uniform(size=(n, k)) < 0.1] = 0.0
+    a[rng.uniform(size=(n, k)) < 0.1] = -0.0
+    return a
+
+
+class TestClassAxisHelpers:
+    """The column-wise class-axis reductions against numpy's own."""
+
+    @pytest.mark.parametrize("k", range(1, 22))
+    def test_row_max_is_numpy_max_bit_for_bit(self, k):
+        a = wide_rows(300, k, k)
+        a[::7, k // 2] = np.nan
+        a[1::11, 0] = -np.inf
+        a[2::13] = -0.0
+        assert np.array_equal(bits(_row_max(a)), bits(np.max(a, axis=1)))
+        mask = a > 1.0
+        assert np.array_equal(_row_max(mask), np.any(mask, axis=1))
+
+    @pytest.mark.parametrize("k", range(1, 22))
+    def test_row_sum_is_numpy_sum(self, k):
+        a = wide_rows(300, k, 100 + k)
+        ours, ref = _row_sum(a), np.sum(a, axis=1)
+        if k <= 7:
+            assert np.array_equal(bits(ours), bits(ref))
+        else:
+            # numpy sums pairwise from 8 items: both are within (K - 1) eps
+            # sum |a| of the exact sum
+            bound = k * np.finfo(float).eps * np.sum(np.abs(a), axis=1)
+            assert np.all(np.abs(ours - ref) <= bound)
+
+    @pytest.mark.parametrize("k", range(2, 22))
+    def test_softmax_pair_matches_numpy_formulas(self, k):
+        rng = np.random.default_rng(200 + k)
+        z = 30.0 * rng.standard_normal((300, k))
+        g = 10.0 * rng.standard_normal((300, k))
+        ref = np.exp(z - z.max(axis=1, keepdims=True))
+        ref /= ref.sum(axis=1, keepdims=True)
+        p = softmax_rows(z)
+        back = softmax_backward(p, g)
+        back_ref = p * (g - np.sum(p * g, axis=1, keepdims=True))
+        if k <= 7:
+            assert np.array_equal(bits(p), bits(ref))
+            assert np.array_equal(bits(back), bits(back_ref))
+        else:
+            eps = np.finfo(float).eps
+            np.testing.assert_allclose(p, ref, rtol=2 * k * eps, atol=0)
+            # the row sums differ by at most k eps sum |p g|, and g minus
+            # them rounds within eps |g - sum p g|
+            bound = k * eps * p * (np.abs(g) + np.sum(np.abs(p * g), axis=1, keepdims=True))
+            assert np.all(np.abs(back - back_ref) <= bound)
 
 
 class TestEntropy:

@@ -97,11 +97,22 @@ class TestMechanics:
         assert pseudo_label_objective(sigma, y, scribbles, graph, cfg) == report.final_objective
 
     def test_non_finite_start_objective_is_a_numerical_failure(self):
+        # the gradient overflows too, silently: RuntimeWarnings fail this suite
         sigma, scribbles, graph = grid_instance(3)
         cfg = LossConfig(eta=1e308, lam=1e308)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="start point is inf"):
-                solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=5))
+        with pytest.raises(NumericalError, match="start point is inf"):
+            solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=5))
+
+    def test_non_finite_start_gradient_is_a_numerical_failure(self):
+        # RCE's d/dy is -sigma / y: at y = 2e-12 and eta = 1e300 it overflows
+        # while the objective, about eta * N * 27, stays finite
+        sigma, scribbles, graph = grid_instance(3)
+        y = np.full(sigma.data.shape, 2e-12)
+        y[..., 0] = 1.0 - 2e-12 * (sigma.classes - 1)
+        cfg = LossConfig(eta=1e300, lam=1.0, xent=XentKind.RCE)
+        with pytest.raises(NumericalError, match="gradient at the start point is not finite"):
+            solve_pseudo_labels(sigma, LogitField(np.log(y)), scribbles, graph, cfg,
+                                SolverConfig(steps=5))
 
     def test_monotone_trace_on_convex_instance(self):
         sigma, scribbles, graph = grid_instance(4)
@@ -288,6 +299,10 @@ def with_solver_examples(test):
 
 
 @with_solver_examples
+# the strategy draws K <= 4; from K = 8 numpy sums the class axis pairwise and
+# the solver adds its columns in order, so the invariants are checked there too
+@example((5, 6, 8, "some", PottsKind.CD, XentKind.CE, "sparse:2", 0.075, 3))
+@example((6, 7, 21, "some", PottsKind.NQ, XentKind.RCE, "nn4", 1.0, 4))
 def test_solver_invariants(case):
     sigma, scribbles, graph, cfg, solver_cfg, _ = solver_instance(case)
     y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, solver_cfg)
@@ -324,13 +339,13 @@ def test_objective_gradient_matches_finite_differences(potts, xent):
     # so a wrong scale or mask in the assembled gradient shows up here
     sigma, scribbles, graph = grid_instance(12, h=3, w=4, k=3, labeled=3)
     y = random_interior_field(np.random.default_rng(13), 3, 4, 3).flat()
-    s = sigma.flat()
-    unlabeled = ~scribbles.labeled_mask().ravel()
+    free = np.flatnonzero(scribbles.data.ravel() == 0)
+    s_free = sigma.flat()[free]
     cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
-    value, events, grad = _objective(y, s, unlabeled, graph, cfg, grad=True)
+    value, events, grad = _objective(y, s_free, free, graph, cfg, grad=True)
     assert events == 0
-    assert value == _objective(y, s, unlabeled, graph, cfg)[0]
-    f = lambda z: _objective(z.reshape(y.shape), s, unlabeled, graph, cfg)[0]
+    assert value == _objective(y, s_free, free, graph, cfg)[0]
+    f = lambda z: _objective(z.reshape(y.shape), s_free, free, graph, cfg)[0]
     assert finite_diff_check(f, grad, y) < 1e-6
 
 

@@ -144,12 +144,13 @@ class TestModelGradient:
         from potts_sl import ProbField
         y = ProbField(y)
         phi = pixel_features(image)
-        labeled = data.ravel() > 0
-        targets = one_hot_rows(data.ravel()[labeled], 2)
-        y_free = y.flat()[~labeled]
+        scribbled = np.flatnonzero(data.ravel())
+        free = np.flatnonzero(data.ravel() == 0)
+        y_free = y.flat()[free]
         pairwise = edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
         flat0 = rng.standard_normal(2 * 5 + 2) * 0.5
-        f = lambda p: _sl_value_and_grad(p, phi, labeled, targets, y_free, pairwise, cfg)
+        f = lambda p: _sl_value_and_grad(p, phi, scribbled, data.ravel()[scribbled] - 1, free,
+                                         y_free, pairwise, cfg)
         value, grad = f(flat0)
         assert finite_diff_check(lambda p: f(p)[0], grad, flat0) < 1e-4
         sigma, _ = predict(PixelModel.unpack(flat0, 2), image)
