@@ -18,7 +18,7 @@ import enum
 import numpy as np
 
 from .errors import DIVERGENT, DataError, DivergentPointError, LOG_CLAMP
-from .simplex import Distribution, _pair_arrays, _row_max, _row_sum
+from .simplex import Distribution, _pair_arrays, _row_dot, _row_max, _row_sum
 
 
 class XentKind(enum.Enum):
@@ -60,7 +60,7 @@ def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray, grad: bool = Fa
             grads = (gy, -logs)
         return -_row_sum(sigma * logs), div, grads
     if kind is XentKind.CCE:
-        s = np.einsum("nk,nk->n", sigma, y)
+        s = _row_dot(sigma, y)
         div = s <= LOG_CLAMP
         ss = np.maximum(s, LOG_CLAMP)
         grads = None
@@ -76,7 +76,7 @@ def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray, grad: bool = Fa
     if kind is XentKind.QUAD:
         d = y - sigma
         grads = (2.0 * d, -2.0 * d) if grad else None
-        return np.einsum("nk,nk->n", d, d), np.zeros(d.shape[0], dtype=bool), grads
+        return _row_dot(d, d), np.zeros(d.shape[0], dtype=bool), grads
     raise DataError(f"unknown cross-entropy kind {kind!r}")
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .affinity import AffinityGraph
 from .errors import DIVERGENT, DataError, DivergentPointError, LOG_CLAMP
-from .simplex import ProbField, _pair_arrays
+from .simplex import ProbField, _pair_arrays, _row_dot
 
 
 class PottsKind(enum.Enum):
@@ -65,16 +65,12 @@ class PottsKind(enum.Enum):
 LOG_KINDS = frozenset({PottsKind.CCE, PottsKind.CD, PottsKind.LQ})
 
 
-def _dot(a, b):
-    return np.einsum("...k,...k->...", a, b)
-
-
 def _row_terms(kind, y):
     """Per-row terms of y (..., K) that kind's kernel reads on both edge sides:
     (|y|^2, |y|) for NQ, (|y|, 1 / |y|^2) for CD, none for the other kinds."""
     if kind not in (PottsKind.NQ, PottsKind.CD):
         return ()
-    n2 = _dot(y, y)
+    n2 = _row_dot(y, y)
     if kind is PottsKind.NQ:
         return n2, np.sqrt(n2)
     return np.sqrt(n2), 1.0 / n2
@@ -87,17 +83,17 @@ def _row_terms(kind, y):
 
 
 def _bl(p, q, tp, tq, grad):
-    return 1.0 - _dot(p, q), None, (0.0, 0.0, -1.0) if grad else None
+    return 1.0 - _row_dot(p, q), None, (0.0, 0.0, -1.0) if grad else None
 
 
 def _q(p, q, tp, tq, grad):
     d = p - q
-    return 0.5 * _dot(d, d), None, (1.0, 1.0, -1.0) if grad else None
+    return 0.5 * _row_dot(d, d), None, (1.0, 1.0, -1.0) if grad else None
 
 
 def _nq(p, q, tp, tq, grad):
     (a2, ra), (b2, rb) = tp, tq
-    s = _dot(p, q)
+    s = _row_dot(p, q)
     coefs = None
     if grad:
         ab = np.sqrt(a2 * b2)
@@ -106,14 +102,14 @@ def _nq(p, q, tp, tq, grad):
 
 
 def _cce(p, q, tp, tq, grad):
-    s = _dot(p, q)
+    s = _row_dot(p, q)
     ss = np.maximum(s, LOG_CLAMP)
     return -np.log(ss), s <= LOG_CLAMP, (0.0, 0.0, -1.0 / ss) if grad else None
 
 
 def _cd(p, q, tp, tq, grad):
     (ra, ia), (rb, ib) = tp, tq
-    s = _dot(p, q)
+    s = _row_dot(p, q)
     c = s / (ra * rb)
     coefs = (ia, ib, -1.0 / np.maximum(s, LOG_CLAMP)) if grad else None
     return -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP, coefs
@@ -121,7 +117,7 @@ def _cd(p, q, tp, tq, grad):
 
 def _lq(p, q, tp, tq, grad):
     d = p - q
-    u = 1.0 - 0.5 * _dot(d, d)
+    u = 1.0 - 0.5 * _row_dot(d, d)
     uu = np.maximum(u, LOG_CLAMP)
     coefs = None
     if grad:
@@ -187,80 +183,100 @@ def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None
     order. When grad_out (N, K, C-contiguous) is given, scale * w_e * dP is
     added into it, with the gradient of divergent edges skipped.
 
+    Transposes y and grad_out into class planes for _plane_sum and the
+    gradient back; see there for the order of the arithmetic.
+    """
+    planes = np.ascontiguousarray(y.T)
+    if grad_out is None:
+        return _plane_sum(kind, planes, graph, scale=scale)
+    if not grad_out.flags.c_contiguous:
+        raise DataError("grad_out must be C-contiguous")
+    grad_planes = np.ascontiguousarray(grad_out.T)
+    result = _plane_sum(kind, planes, graph, grad_planes, scale)
+    grad_out[...] = grad_planes.T
+    return result
+
+
+def _plane_sum(kind, planes, graph, grad_planes=None, scale=1.0):
+    """edge_sum on class-major fields: planes is y as C-contiguous (K, N)
+    class planes, and grad_planes, if given, (K, N) planes of the same layout
+    that take the gradient.
+
     The per-row terms a kernel reads on both sides of an edge (|y|^2 and |y|
     for NQ; |y| and 1 / |y|^2 for CD) are computed once per call on all N
-    rows, not once per edge side.
+    rows, not once per edge side. The kernels see class-last views of the
+    planes, so every class-axis step they take is a whole contiguous plane.
 
     The gradient is built from each edge's coefficients (a_p, a_q, b) times
     scale * w_e. An (N,) array `own` sums a_p over the edges leaving a pixel
-    and a_q over the edges entering it; grad_out receives b * y_j at each
-    source i and b * y_i at each target j; own * y is added last. So the
-    only (E, K) work is one product and one sum per edge side. Values and
-    divergence masks are bit-identical to evaluating each edge on its own;
-    the gradient reorders the per-edge sums and matches them within a few
-    units in the last place of its largest entry.
+    and a_q over the edges entering it; each class plane receives b * y_j at
+    each source i and b * y_i at each target j; own * y is added last. So
+    the only per-edge work on the planes is one product and one sum per edge
+    side and class. Values and divergence masks are bit-identical to
+    evaluating each edge on its own; the gradient reorders the per-edge sums
+    and matches them within a few units in the last place of its largest
+    entry.
 
-    A graph with a grid layout is walked one offset block at a time on
-    shifted slices of y viewed as (H, W, K), and of the row terms viewed as
-    (H, W, ...): no (E, K) gather and no scatter. Any other graph gathers
-    y[ei], y[ej] and the row terms the same way and scatters with np.add.at.
+    A graph with a grid layout is walked one offset block at a time on the
+    (K, h, w) blocks planes[:, src] and planes[:, dst] of the planes viewed
+    as (K, H, W), and on the row terms viewed as (H, W): no gather and no
+    scatter. Any other graph gathers planes[:, ei], planes[:, ej] and the row
+    terms the same way and scatters into each class plane with np.add.at.
     Both paths give bit-identical results: the per-edge arithmetic is the
     same, values and masks are concatenated in edge order before the one dot
-    with w, and own and grad_out receive every block's source-side terms
+    with w, and own and the gradient receive every block's source-side terms
     first, then (from the E-long a_q and b kept per block) every block's
     target-side terms. A pixel occurs at most once per block side, so each
     entry receives its terms in the same order as np.add.at's pass over ei,
     then over ej.
     """
-    weights = None if grad_out is None else scale * graph.w
+    weights = None if grad_planes is None else scale * graph.w
     if graph.grid is None:
         ei, ej = graph.ei, graph.ej
-        terms = _row_terms(kind, y)
-        p, q = y[ei], y[ej]
-        v, div, coefs = _evaluate(kind, p, q, [t[ei] for t in terms],
+        terms = _row_terms(kind, planes.T)
+        p, q = planes[:, ei], planes[:, ej]
+        v, div, coefs = _evaluate(kind, p.T, q.T, [t[ei] for t in terms],
                                   [t[ej] for t in terms], weights)
         if coefs is not None:
             ap, aq, b = coefs
-            b = b[:, None]
-            own = np.zeros(len(y))
+            own = np.zeros(planes.shape[1])
             np.add.at(own, ei, ap)
-            np.add.at(grad_out, ei, b * q)
+            for g, qk in zip(grad_planes, q):
+                np.add.at(g, ei, b * qk)
             np.add.at(own, ej, aq)
-            np.add.at(grad_out, ej, b * p)
-            grad_out += own[:, None] * y
+            for g, pk in zip(grad_planes, p):
+                np.add.at(g, ej, b * pk)
+            grad_planes += own * planes
         return scale * float(np.dot(graph.w, v)), div
 
-    field = y.reshape(*graph.grid, -1)
-    terms = _row_terms(kind, field)
+    field = planes.reshape(-1, *graph.grid)
+    terms = _row_terms(kind, np.moveaxis(field, 0, -1))
     if weights is not None:
-        if not grad_out.flags.c_contiguous:
-            raise DataError("grad_out must be C-contiguous to take grid-block updates")
-        out = grad_out.reshape(field.shape)  # a view, as grad_out is contiguous
+        out = np.reshape(grad_planes, field.shape, copy=False)
         own = np.zeros(graph.grid)
     vs, divs, targets = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
     start = 0
     for src, dst in graph.blocks:
-        p, q = field[src], field[dst]
+        p, q = field[(slice(None), *src)], field[(slice(None), *dst)]
         wb = None
         if weights is not None:
-            h, w = p.shape[:-1]
+            h, w = p.shape[1:]
             wb = weights[start : start + h * w].reshape(h, w)
-        v, div, coefs = _evaluate(kind, p, q, [t[src] for t in terms],
-                                  [t[dst] for t in terms], wb)
+        v, div, coefs = _evaluate(kind, np.moveaxis(p, 0, -1), np.moveaxis(q, 0, -1),
+                                  [t[src] for t in terms], [t[dst] for t in terms], wb)
         if coefs is not None:
             ap, aq, b = coefs
-            b = b[..., None]
             own[src] += ap
-            out[src] += b * q
+            out[(slice(None), *src)] += b * q
             targets.append((dst, aq, b, p))
         vs.append(v)
         divs.append(div)
         start += v.size
     for dst, aq, b, p in targets:
         own[dst] += aq
-        out[dst] += b * p
+        out[(slice(None), *dst)] += b * p
     if weights is not None:
-        out += own[..., None] * field
+        out += own * field
     return (scale * float(np.dot(graph.w, np.concatenate(vs, axis=None))),
             np.concatenate(divs, axis=None))
 

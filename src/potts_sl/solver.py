@@ -29,7 +29,7 @@ from .affinity import AffinityGraph
 from .data_terms import row_values
 from .errors import DataError, LOG_CLAMP, NumericalError
 from .losses import LossConfig, _check_instance
-from .potts import edge_sum
+from .potts import _plane_sum
 from .simplex import (
     LogitField,
     ProbField,
@@ -76,22 +76,26 @@ class SolveReport:
 def _objective(y, s_free, free, graph, cfg, grad=False):
     """(value, divergence count, dist-space gradient or None) at y.
 
-    free indexes the rows of y that carry a data term (the unscribbled
-    pixels) and s_free holds sigma's rows there. Divergent edges contribute
-    their clamped value and no gradient; data rows use the gradient of the
-    clamped coupling.
+    y and the gradient are (K, N) class planes. free indexes the pixels that
+    carry a data term (the unscribbled ones) and s_free holds sigma's planes
+    there, (K, len(free)). Divergent edges contribute their clamped value and
+    no gradient; data rows use the gradient of the clamped coupling.
     """
-    vals, vdiv, gdata = row_values(cfg.xent, np.take(y, free, axis=0), s_free, grad=grad)
+    vals, vdiv, gdata = row_values(cfg.xent, np.take(y, free, axis=1).T, s_free.T, grad=grad)
     value = cfg.eta * float(np.sum(vals))
     out = None
     if grad:
         out = np.zeros(y.shape)
-        for k in range(y.shape[1]):  # whole columns, as in simplex._row_sum
-            out[free, k] = cfg.eta * gdata[0][:, k]
-    del gdata  # not held through edge_sum's (E, K) temporaries, the peak of a call
-    pairwise, ediv = edge_sum(cfg.potts, y, graph, grad_out=out, scale=cfg.lam)
+        out[:, free] = cfg.eta * gdata[0].T
+    del gdata  # not held through _plane_sum's per-edge temporaries, the peak of a call
+    pairwise, ediv = _plane_sum(cfg.potts, y, graph, out, cfg.lam)
     value += pairwise
     return value, int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out
+
+
+def _planes(field, index=slice(None)):
+    """(K, n) class planes of a field's pixels at index, C-contiguous."""
+    return np.ascontiguousarray(field.flat()[index].T)
 
 
 def pseudo_label_objective(
@@ -104,17 +108,17 @@ def pseudo_label_objective(
     """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
     _check_instance(sigma, scribbles, graph)
     free = np.flatnonzero(scribbles.data.ravel() == 0)
-    value, _, _ = _objective(y.flat(), np.take(sigma.flat(), free, axis=0), free, graph, cfg)
+    value, _, _ = _objective(_planes(y), _planes(sigma, free), free, graph, cfg)
     return value
 
 
 def _initial_logits(sigma, init_logits):
-    """init_logits if given, else the (clamped) log of sigma."""
+    """(K, N) planes of init_logits if given, else of the (clamped) log of sigma."""
     if init_logits is None:
-        return np.log(np.maximum(sigma.flat(), LOG_CLAMP))
+        return np.log(np.maximum(_planes(sigma), LOG_CLAMP))
     if init_logits.data.shape != sigma.data.shape:
         raise DataError("initial logits shape differs from the prediction field")
-    return init_logits.flat()
+    return _planes(init_logits)
 
 
 def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, start=None):
@@ -170,21 +174,21 @@ def solve_pseudo_labels(
     lab = scribbles.data.ravel()
     scribbled = np.flatnonzero(lab)
     free = np.flatnonzero(lab == 0)
-    s_free = np.take(sigma.flat(), free, axis=0)
-    pinned = one_hot_rows(lab[scribbled], sigma.classes)
+    s_free = _planes(sigma, free)
+    pinned = one_hot_rows(lab[scribbled], sigma.classes).T
     report = SolveReport()
     events = 0
 
     def labels(logits):
-        y = softmax_rows(logits)
-        y[scribbled] = pinned
+        y = softmax_rows(logits.T).T
+        y[:, scribbled] = pinned
         return y
 
     def value_grad(logits):
         nonlocal events
         y = labels(logits)
         value, events, grad = _objective(y, s_free, free, graph, loss_cfg, grad=True)
-        return value, softmax_backward(y, grad)
+        return value, softmax_backward(y.T, grad.T).T
 
     def record(value):
         report.trace.append(value)
@@ -204,8 +208,8 @@ def solve_pseudo_labels(
                                     solver_cfg.steps, solver_cfg.learning_rate, record, start)
     report.trace += [value] * (solver_cfg.steps + 1 - len(report.trace))
     report.final_objective = value
-    report.logits = LogitField(logits.reshape(sigma.data.shape))
-    return ProbField(labels(logits).reshape(sigma.data.shape)), report
+    report.logits = LogitField(logits.T.reshape(sigma.data.shape))
+    return ProbField(labels(logits).T.reshape(sigma.data.shape)), report
 
 
 def soft_jaccard(a: ProbField, b: ProbField) -> float:

@@ -22,7 +22,7 @@ from potts_sl.data_terms import XentKind
 from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind
 from potts_sl import solver
-from potts_sl.solver import SolverConfig, _armijo_descent, _objective
+from potts_sl.solver import SolverConfig, _armijo_descent, _objective, _planes
 from helpers import permute_classes, random_interior_field
 
 
@@ -338,9 +338,9 @@ def test_objective_gradient_matches_finite_differences(potts, xent):
     # eta and lambda differ from 1 and scribbled pixels carry no data term,
     # so a wrong scale or mask in the assembled gradient shows up here
     sigma, scribbles, graph = grid_instance(12, h=3, w=4, k=3, labeled=3)
-    y = random_interior_field(np.random.default_rng(13), 3, 4, 3).flat()
+    y = _planes(random_interior_field(np.random.default_rng(13), 3, 4, 3))
     free = np.flatnonzero(scribbles.data.ravel() == 0)
-    s_free = sigma.flat()[free]
+    s_free = _planes(sigma, free)
     cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
     value, events, grad = _objective(y, s_free, free, graph, cfg, grad=True)
     assert events == 0
