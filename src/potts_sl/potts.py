@@ -29,10 +29,13 @@ per-edge coefficients rather than two (E, K) gradient arrays:
   LQ    1 / uu             1 / uu             -1 / uu
 
 with s = p.q, ab = sqrt(|p|^2 |q|^2), and ss, uu the clamped ln arguments.
-edge_sum adds a pixel's gradient as own * y plus the b-weighted sum of its
-neighbours. Values and divergence masks are bit-identical to evaluating each
-edge on its own; gradients are the same sums in another order, equal to the
-per-edge formulas within a few units in the last place.
+The edge sum adds a pixel's gradient as own * y plus the b-weighted sum of
+its neighbours. It works on class-major fields, y held as (K, N) class
+planes, so each product and sum steps over a whole contiguous plane rather
+than K-long rows; the (N, K) edge_sum transposes in and out. Values and
+divergence masks are bit-identical to evaluating each edge on its own;
+gradients are the same sums in another order, equal to the per-edge
+formulas within a few units in the last place.
 """
 
 from __future__ import annotations
@@ -224,7 +227,8 @@ def _plane_sum(kind, planes, graph, grad_planes=None, scale=1.0):
     terms the same way and scatters into each class plane with np.add.at.
     Both paths give bit-identical results: the per-edge arithmetic is the
     same, values and masks are concatenated in edge order before the one dot
-    with w, and own and the gradient receive every block's source-side terms
+    with w (an einsum: BLAS would add in an order set by its thread count),
+    and own and the gradient receive every block's source-side terms
     first, then (from the E-long a_q and b kept per block) every block's
     target-side terms. A pixel occurs at most once per block side, so each
     entry receives its terms in the same order as np.add.at's pass over ei,
@@ -247,7 +251,7 @@ def _plane_sum(kind, planes, graph, grad_planes=None, scale=1.0):
             for g, pk in zip(grad_planes, p):
                 np.add.at(g, ej, b * pk)
             grad_planes += own * planes
-        return scale * float(np.dot(graph.w, v)), div
+        return scale * float(np.einsum("e,e->", graph.w, v)), div
 
     field = planes.reshape(-1, *graph.grid)
     terms = _row_terms(kind, np.moveaxis(field, 0, -1))
@@ -277,7 +281,7 @@ def _plane_sum(kind, planes, graph, grad_planes=None, scale=1.0):
         out[(slice(None), *dst)] += b * p
     if weights is not None:
         out += own * field
-    return (scale * float(np.dot(graph.w, np.concatenate(vs, axis=None))),
+    return (scale * float(np.einsum("e,e->", graph.w, np.concatenate(vs, axis=None))),
             np.concatenate(divs, axis=None))
 
 

@@ -240,13 +240,14 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the class (last) axis of two class-last arrays.
 
-    Sums the even and the odd classes in two lanes and adds the lanes, which
-    is the order np.einsum("...k,...k->...") takes on contiguous rows for
-    K < 8, so the two agree bit for bit there; from K = 8 einsum unrolls
-    further and the two differ by rounding. Unlike that einsum, each lane
-    adds its classes in order whatever the memory layout, so class-last views
-    of (K, ...) planes give the same result as contiguous rows, and run
-    faster: their class-axis steps are whole contiguous planes.
+    Sums the even and the odd classes in two lanes and adds the lanes. That
+    is the order numpy's np.einsum("...k,...k->...") loop takes on contiguous
+    rows of K < 8 (tests/test_simplex.py checks it bit for bit), so the two
+    agree exactly there; from K = 8 einsum unrolls further and the two
+    differ by rounding. Unlike that einsum, each lane adds its classes in
+    order whatever the memory layout, so class-last views of (K, ...) planes
+    give the same result as contiguous rows, and run faster: each class step
+    is a whole contiguous plane.
     """
     return (np.einsum("...k,...k->...", a[..., 0::2], b[..., 0::2])
             + np.einsum("...k,...k->...", a[..., 1::2], b[..., 1::2]))

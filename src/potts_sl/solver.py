@@ -12,6 +12,12 @@ the one-hot ground truth at every evaluation; the softmax Jacobian at a
 vertex is zero, so pinned pixels receive no logit update while their edges
 still pull on unlabeled neighbors.
 
+The solver holds its state class-major: logits, labels and gradients are
+(K, N) class planes, C-contiguous, from one transpose on entry to one on
+exit. The row-wise softmax and coupling routines take .T views of them, so
+their class-axis column operations run over contiguous planes, and the
+Potts term runs on them directly (potts._plane_sum).
+
 The logits descend by _armijo_descent, which the trainer shares: each step
 first tries the last accepted step size (at first the learning rate) and
 halves it until the objective drops enough, so it never rises. Divergent
@@ -127,9 +133,10 @@ def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, star
     value_grad(x) -> (value, gradient) runs once per trial, and at x unless
     a start function is given to evaluate x in its place. A step's first
     trial takes the last accepted step size (at first step0), which halves
-    until f(x - t g) < f(x) - 1e-4 t |g|^2 and never grows. The test is
-    strict so that a trial which rounds back to x (t |g| below the float
-    resolution of x) fails instead of passing as a null step. Stops after
+    until f(x - t g) < f(x) - 1e-4 t |g|^2 and never grows. |g|^2 is an
+    einsum, since BLAS would add it in an order set by its thread count. The
+    test is strict so that a trial which rounds back to x (t |g| below the
+    float resolution of x) fails instead of passing as a null step. Stops after
     `steps` steps, at a zero gradient, or after _MAX_HALVINGS failed trials.
     record(value) runs at the start and at each accepted point, right after
     its evaluation.
@@ -138,7 +145,8 @@ def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, star
     record(value)
     t = step0
     for _ in range(steps):
-        gnorm2 = float(np.vdot(grad, grad))
+        g = grad.ravel()
+        gnorm2 = float(np.einsum("i,i->", g, g))
         if gnorm2 == 0.0:
             break
         for _ in range(_MAX_HALVINGS):

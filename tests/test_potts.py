@@ -22,7 +22,7 @@ from potts_sl import (
 )
 from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, _evaluate, _row_terms, edge_sum, edge_values
+from potts_sl.potts import PottsKind, _evaluate, _plane_sum, _row_terms, edge_sum, edge_values
 from helpers import interior_pair, random_interior_field
 
 ALL_KINDS = list(PottsKind)
@@ -401,7 +401,8 @@ def per_edge_reference(kind, y, graph, scale, start):
         g = g.copy()
         g[div] = 0.0
         np.add.at(by_edge, index, weights[:, None] * g)
-    return scale * float(np.dot(graph.w, v)), div, by_coefs, by_edge
+    # the weighted sum in numpy's own (not BLAS's thread-dependent) order
+    return scale * float(np.einsum("e,e->", graph.w, v)), div, by_coefs, by_edge
 
 
 class TestRowTerms:
@@ -449,6 +450,50 @@ class TestRowTerms:
             assert c.shape == values.shape
             assert np.all(np.isfinite(c)) and not c[div].any()
             assert not any(np.shares_memory(c, t) for t in (*tp, *tq, weights))
+
+
+class TestClassPlanes:
+    """_plane_sum on (K, N) class planes against the row-major edge_sum and,
+    below K = 8 where _row_dot is einsum's order, the edge-by-edge reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        h=st.integers(1, 7),
+        w=st.integers(1, 7),
+        kind=st.sampled_from(ALL_KINDS),
+        cfg=st.sampled_from(NEIGHBORHOODS),
+        flat=st.booleans(),
+        k=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 21]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=1, w=1, kind=PottsKind.CD, cfg=NEIGHBORHOODS[0], flat=False, k=2, seed=0)
+    @example(h=1, w=6, kind=PottsKind.NQ, cfg=NEIGHBORHOODS[1], flat=False, k=21, seed=1)
+    @example(h=1, w=6, kind=PottsKind.LQ, cfg=NEIGHBORHOODS[2], flat=True, k=8, seed=2)
+    @example(h=6, w=5, kind=PottsKind.CCE, cfg=NEIGHBORHOODS[1], flat=True, k=5, seed=3)
+    def test_plane_sum_is_row_major_edge_sum(self, h, w, kind, cfg, flat, k, seed):
+        rng = np.random.default_rng(seed)
+        graph = build_graph(Image(rng.integers(0, 256, size=(h, w, 3))), cfg)
+        if flat:
+            graph = AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)
+        y = rng.dirichlet(np.ones(k), size=h * w)
+        hot = rng.uniform(size=h * w) < 0.3
+        y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
+        start = rng.normal(size=y.shape)
+        planes = np.ascontiguousarray(y.T)
+        value, div = _plane_sum(kind, planes, graph, scale=0.7)
+        grad_planes = np.ascontiguousarray(start.T)
+        value_g, div_g = _plane_sum(kind, planes, graph, grad_planes, 0.7)
+        out = start.copy()
+        ref_value, ref_div = edge_sum(kind, y, graph, grad_out=out, scale=0.7)
+        assert edge_sum(kind, y, graph, scale=0.7)[0] == ref_value
+        assert value == value_g == ref_value
+        for d in (div, div_g):
+            assert d.dtype == bool and np.array_equal(d, ref_div)
+        assert np.array_equal(grad_planes.T, out)
+        if k < 8:
+            r_value, r_div, by_coefs, _ = per_edge_reference(kind, y, graph, 0.7, start)
+            assert value == r_value and np.array_equal(div, r_div)
+            assert np.array_equal(out, by_coefs)
 
 
 class TestEdgeOrderInvariance:

@@ -17,7 +17,14 @@ from potts_sl import (
     one_hot,
     softmax,
 )
-from potts_sl.simplex import _row_max, _row_sum, one_hot_rows, softmax_backward, softmax_rows
+from potts_sl.simplex import (
+    _row_dot,
+    _row_max,
+    _row_sum,
+    one_hot_rows,
+    softmax_backward,
+    softmax_rows,
+)
 from potts_sl.data_terms import XentKind, xent_value
 from helpers import interior_pair
 
@@ -136,6 +143,28 @@ class TestClassAxisHelpers:
             # sum |a| of the exact sum
             bound = k * np.finfo(float).eps * np.sum(np.abs(a), axis=1)
             assert np.all(np.abs(ours - ref) <= bound)
+
+    @pytest.mark.parametrize("k", range(1, 22))
+    def test_row_dot_is_numpy_einsum(self, k):
+        a, b = wide_rows(300, k, 300 + k), wide_rows(300, k, 400 + k)
+        cases = [(a, b), (a.reshape(20, 15, k), b.reshape(20, 15, k)), (a[:1], b[:1]),
+                 (a[:1].reshape(1, 1, k), b[:1].reshape(1, 1, k))]
+        # class-last views of (K, ...) planes, as the solver and potts pass them
+        cases += [(np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T) for x, y in cases]
+        cases += [(np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0))[:, 2:9, 3:], 0, -1),
+                   np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0))[:, 2:9, 3:], 0, -1))
+                  for x, y in cases[1:2]]
+        for x, y in cases:
+            ours, ref = _row_dot(x, y), np.einsum("...k,...k->...", np.ascontiguousarray(x),
+                                                  np.ascontiguousarray(y))
+            assert ours.shape == ref.shape
+            if k <= 7:
+                # numpy's einsum loop on contiguous rows adds the even and the
+                # odd classes in two lanes for K < 8 on this build
+                assert np.array_equal(bits(ours), bits(ref))
+            else:
+                bound = 1e-15 * np.einsum("...k,...k->...", np.abs(x), np.abs(y))
+                assert np.all(np.abs(ours - ref) <= bound)
 
     @pytest.mark.parametrize("k", range(2, 22))
     def test_softmax_pair_matches_numpy_formulas(self, k):

@@ -189,6 +189,29 @@ class TestMechanics:
         y2, r2 = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=1))
         assert r1.trace[0] != r2.trace[0]
 
+    @pytest.mark.parametrize("with_init", [False, True])
+    def test_memory_layout_of_the_inputs_does_not_matter(self, with_init):
+        # the solver transposes its inputs into class planes, so fields
+        # holding F-ordered arrays (set after validation, which would copy
+        # them to C order) give the same bytes as C-ordered ones
+        sigma, scribbles, graph = grid_instance(12, h=7, w=5, k=5, labeled=4)
+        logits = np.random.default_rng(13).standard_normal(sigma.data.shape)
+        results = []
+        for order in ("C", "F"):
+            s = ProbField(sigma.data)
+            s.data = np.asarray(sigma.data, order=order)
+            assert s.data.flags.f_contiguous == (order == "F")
+            init = None
+            if with_init:
+                init = LogitField(logits)
+                init.data = np.asarray(logits, order=order)
+            y, report = solve_pseudo_labels(s, init, scribbles, graph, LossConfig(),
+                                            SolverConfig(steps=20))
+            assert y.data.flags.c_contiguous and report.logits.data.flags.c_contiguous
+            results.append((y.data, report.trace, report.logits.data, report.divergence_events))
+        (y0, t0, l0, d0), (y1, t1, l1, d1) = results
+        assert np.array_equal(y0, y1) and t0 == t1 and np.array_equal(l0, l1) and d0 == d1
+
 
 class TestArmijoDescent:
     @staticmethod
