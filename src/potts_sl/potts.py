@@ -186,24 +186,25 @@ def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None
     order. When grad_out (N, K, C-contiguous) is given, scale * w_e * dP is
     added into it, with the gradient of divergent edges skipped.
 
-    Transposes y and grad_out into class planes for _plane_sum and the
+    Transposes y and grad_out into class planes for plane_sum and the
     gradient back; see there for the order of the arithmetic.
     """
     planes = np.ascontiguousarray(y.T)
     if grad_out is None:
-        return _plane_sum(kind, planes, graph, scale=scale)
+        return plane_sum(kind, planes, graph, scale=scale)
     if not grad_out.flags.c_contiguous:
         raise DataError("grad_out must be C-contiguous")
     grad_planes = np.ascontiguousarray(grad_out.T)
-    result = _plane_sum(kind, planes, graph, grad_planes, scale)
+    result = plane_sum(kind, planes, graph, grad_planes, scale)
     grad_out[...] = grad_planes.T
     return result
 
 
-def _plane_sum(kind, planes, graph, grad_planes=None, scale=1.0):
+def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_planes=None,
+              scale=1.0):
     """edge_sum on class-major fields: planes is y as C-contiguous (K, N)
     class planes, and grad_planes, if given, (K, N) planes of the same layout
-    that take the gradient.
+    (DataError if not C-contiguous) that take the gradient.
 
     The per-row terms a kernel reads on both sides of an edge (|y|^2 and |y|
     for NQ; |y| and 1 / |y|^2 for CD) are computed once per call on all N
@@ -234,7 +235,11 @@ def _plane_sum(kind, planes, graph, grad_planes=None, scale=1.0):
     entry receives its terms in the same order as np.add.at's pass over ei,
     then over ej.
     """
-    weights = None if grad_planes is None else scale * graph.w
+    weights = None
+    if grad_planes is not None:
+        if not grad_planes.flags.c_contiguous:
+            raise DataError("grad_planes must be C-contiguous")
+        weights = scale * graph.w
     if graph.grid is None:
         ei, ej = graph.ei, graph.ej
         terms = _row_terms(kind, planes.T)
@@ -256,7 +261,7 @@ def _plane_sum(kind, planes, graph, grad_planes=None, scale=1.0):
     field = planes.reshape(-1, *graph.grid)
     terms = _row_terms(kind, np.moveaxis(field, 0, -1))
     if weights is not None:
-        out = np.reshape(grad_planes, field.shape, copy=False)
+        out = grad_planes.reshape(field.shape)  # a view: grad_planes is C-contiguous
         own = np.zeros(graph.grid)
     vs, divs, targets = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
     start = 0

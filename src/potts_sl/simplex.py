@@ -240,14 +240,17 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the class (last) axis of two class-last arrays.
 
-    Sums the even and the odd classes in two lanes and adds the lanes. That
-    is the order numpy's np.einsum("...k,...k->...") loop takes on contiguous
-    rows of K < 8 (tests/test_simplex.py checks it bit for bit), so the two
-    agree exactly there; from K = 8 einsum unrolls further and the two
-    differ by rounding. Unlike that einsum, each lane adds its classes in
-    order whatever the memory layout, so class-last views of (K, ...) planes
-    give the same result as contiguous rows, and run faster: each class step
-    is a whole contiguous plane.
+    Sums the even and the odd classes in two lanes, each adding its classes
+    in order to 0.0, and adds the odd lane to the even one. Each lane is an
+    einsum over a strided class slice, which numpy adds in order whatever
+    the memory layout, so class-last views of (K, ...) planes give the same
+    result as contiguous rows, and run faster: each class step is a whole
+    contiguous plane. tests/test_simplex.py checks that order bit for bit
+    against explicit lane sums. On numpy 2.4 (x86-64, AVX-512) it is also
+    the order of np.einsum("...k,...k->...") on contiguous rows of K < 8,
+    so the two agree exactly there; from K = 8 that einsum unrolls further
+    and the two differ by rounding. Another numpy or SIMD width may order
+    the plain einsum otherwise.
     """
     return (np.einsum("...k,...k->...", a[..., 0::2], b[..., 0::2])
             + np.einsum("...k,...k->...", a[..., 1::2], b[..., 1::2]))

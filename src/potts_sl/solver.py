@@ -16,7 +16,7 @@ The solver holds its state class-major: logits, labels and gradients are
 (K, N) class planes, C-contiguous, from one transpose on entry to one on
 exit. The row-wise softmax and coupling routines take .T views of them, so
 their class-axis column operations run over contiguous planes, and the
-Potts term runs on them directly (potts._plane_sum).
+Potts term runs on them directly (potts.plane_sum).
 
 The logits descend by _armijo_descent, which the trainer shares: each step
 first tries the last accepted step size (at first the learning rate) and
@@ -35,7 +35,7 @@ from .affinity import AffinityGraph
 from .data_terms import row_values
 from .errors import DataError, LOG_CLAMP, NumericalError
 from .losses import LossConfig, _check_instance
-from .potts import _plane_sum
+from .potts import plane_sum
 from .simplex import (
     LogitField,
     ProbField,
@@ -93,8 +93,8 @@ def _objective(y, s_free, free, graph, cfg, grad=False):
     if grad:
         out = np.zeros(y.shape)
         out[:, free] = cfg.eta * gdata[0].T
-    del gdata  # not held through _plane_sum's per-edge temporaries, the peak of a call
-    pairwise, ediv = _plane_sum(cfg.potts, y, graph, out, cfg.lam)
+    del gdata  # not held through plane_sum's per-edge temporaries, the peak of a call
+    pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam)
     value += pairwise
     return value, int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out
 

@@ -22,7 +22,7 @@ from potts_sl import (
 )
 from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, _evaluate, _plane_sum, _row_terms, edge_sum, edge_values
+from potts_sl.potts import PottsKind, _evaluate, _row_terms, edge_sum, edge_values, plane_sum
 from helpers import interior_pair, random_interior_field
 
 ALL_KINDS = list(PottsKind)
@@ -346,6 +346,8 @@ class TestGridPath:
         out = np.zeros((2, 12)).T  # (12, 2) but Fortran-ordered
         with pytest.raises(DataError):
             edge_sum(PottsKind.BL, y, graph, grad_out=out)
+        with pytest.raises(DataError):
+            plane_sum(PottsKind.BL, np.ascontiguousarray(y.T), graph, np.zeros((12, 2)).T)
 
 
 def per_edge_reference(kind, y, graph, scale, start):
@@ -453,7 +455,7 @@ class TestRowTerms:
 
 
 class TestClassPlanes:
-    """_plane_sum on (K, N) class planes against the row-major edge_sum and,
+    """plane_sum on (K, N) class planes against the row-major edge_sum and,
     below K = 8 where _row_dot is einsum's order, the edge-by-edge reference."""
 
     @settings(max_examples=80, deadline=None)
@@ -480,9 +482,9 @@ class TestClassPlanes:
         y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
         start = rng.normal(size=y.shape)
         planes = np.ascontiguousarray(y.T)
-        value, div = _plane_sum(kind, planes, graph, scale=0.7)
+        value, div = plane_sum(kind, planes, graph, scale=0.7)
         grad_planes = np.ascontiguousarray(start.T)
-        value_g, div_g = _plane_sum(kind, planes, graph, grad_planes, 0.7)
+        value_g, div_g = plane_sum(kind, planes, graph, grad_planes, 0.7)
         out = start.copy()
         ref_value, ref_div = edge_sum(kind, y, graph, grad_out=out, scale=0.7)
         assert edge_sum(kind, y, graph, scale=0.7)[0] == ref_value
