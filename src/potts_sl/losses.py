@@ -5,7 +5,8 @@ term; they differ in the middle: the first regularizes predictions directly
 with entropy, the second couples predictions to auxiliary pseudo-labels
 through a chosen cross-entropy. With the reverse cross-entropy and y == sigma
 the two coincide exactly, which is the splitting identity the alternating
-trainer relies on.
+trainer relies on. sl_loss, the pseudo-label solver and the trainer's model
+step all sum the second through _joint_terms.
 
 Scribble pixels never enter the entropy/coupling sums, but their edges do
 participate in the pairwise sum. Logs are clamped at LOG_CLAMP for evaluation.
@@ -14,6 +15,7 @@ participate in the pairwise sum. Logs are clamped at LOG_CLAMP for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,27 +46,48 @@ class LossConfig:
             raise DataError(f"bad cross-entropy kind {self.xent!r}")
 
 
-def _check_instance(sigma: ProbField, scribbles: ScribbleField, graph: AffinityGraph):
+def _check_instance(sigma: ProbField, scribbles: ScribbleField, graph: AffinityGraph, y=None):
     if (sigma.height, sigma.width) != (scribbles.height, scribbles.width):
-        raise DataError(
-            f"field is {sigma.height}x{sigma.width} but scribbles are "
-            f"{scribbles.height}x{scribbles.width}"
-        )
+        raise DataError(f"field is {sigma.height}x{sigma.width} but scribbles are "
+                        f"{scribbles.height}x{scribbles.width}")
     graph.check_covers(sigma.height, sigma.width)
     if scribbles.max_class() > sigma.classes:
-        raise DataError(
-            f"scribble class {scribbles.max_class()} exceeds K={sigma.classes}"
-        )
+        raise DataError(f"scribble class {scribbles.max_class()} exceeds K={sigma.classes}")
+    if y is not None and y.data.shape != sigma.data.shape:
+        raise DataError("pseudo-label field shape differs from prediction field")
+
+
+class JointTerms(NamedTuple):
+    """Parts of the joint loss; value adds them in this one order."""
+
+    nll: float
+    coupling: float
+    pairwise: float
+
+    @property
+    def value(self) -> float:
+        return self.nll + self.coupling + self.pairwise
+
+
+def _nll(picked) -> float:
+    """Clamped NLL of the scribbled classes' probabilities; 0.0 with none."""
+    return float(-np.sum(np.log(np.maximum(picked, LOG_CLAMP)))) if picked.size else 0.0
+
+
+def _joint_terms(cfg, picked, y_free, s_free, pairwise=0.0, grad=False):
+    """(JointTerms, divergent coupling rows, coupling gradient pair or None).
+
+    picked holds sigma's probability of the scribbled class at each scribble
+    pixel, y_free and s_free the (n, K) rows of y and sigma at the others. The
+    pair (d/dy, d/dsigma) is not scaled by eta; each caller scales its side."""
+    vals, div, grads = row_values(cfg.xent, y_free, s_free, grad=grad)
+    return JointTerms(_nll(picked), cfg.eta * float(np.sum(vals)), pairwise), div, grads
 
 
 def scribble_nll(sigma: ProbField, scribbles: ScribbleField) -> float:
     """Negative log-likelihood of the ground-truth classes on scribble pixels."""
     lab = scribbles.data.ravel()
-    labeled = lab > 0
-    if not np.any(labeled):
-        return 0.0
-    probs = sigma.flat()[labeled, lab[labeled] - 1]
-    return float(-np.sum(np.log(np.maximum(probs, LOG_CLAMP))))
+    return _nll(sigma.flat()[lab > 0, lab[lab > 0] - 1])
 
 
 def ws_loss(
@@ -96,22 +119,15 @@ def sl_loss(
     + lambda * pairwise sum over y. Requires y to equal the ground-truth
     one-hots on scribbled pixels (within the simplex tolerance).
     """
-    _check_instance(sigma, scribbles, graph)
-    if y.data.shape != sigma.data.shape:
-        raise DataError("pseudo-label field shape differs from prediction field")
+    _check_instance(sigma, scribbles, graph, y)
     lab = scribbles.data.ravel()
     labeled = lab > 0
     yf = y.flat()
     if np.any(labeled):
-        target = one_hot_rows(lab[labeled], y.classes)
-        gap = np.max(np.abs(yf[labeled] - target))
+        gap = np.max(np.abs(yf[labeled] - one_hot_rows(lab[labeled], y.classes)))
         if gap > 1e-6:
-            raise DataError(
-                f"pseudo-labels violate the scribble constraint by {gap:.3g}"
-            )
+            raise DataError(f"pseudo-labels violate the scribble constraint by {gap:.3g}")
     s = sigma.flat()
-    value = scribble_nll(sigma, scribbles)
-    vals, _, _ = row_values(cfg.xent, yf[~labeled], s[~labeled])
-    value += cfg.eta * float(np.sum(vals))
-    value += edge_sum(cfg.potts, yf, graph, scale=cfg.lam)[0]
-    return value
+    pairwise = edge_sum(cfg.potts, yf, graph, scale=cfg.lam)[0]
+    return _joint_terms(cfg, s[labeled, lab[labeled] - 1], yf[~labeled], s[~labeled],
+                        pairwise)[0].value

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import AffinityGraph
-from .data_terms import row_values
 from .errors import DataError, LOG_CLAMP, NumericalError
-from .losses import LossConfig, _check_instance
+from .losses import JointTerms, LossConfig, _check_instance, _joint_terms
 from .potts import plane_sum
 from .simplex import (
     LogitField,
@@ -69,34 +68,36 @@ class SolverConfig:
 class SolveReport:
     """Objective at the start and after each accepted step, padded with the
     final value to steps + 1 entries if the descent stops early, the
-    divergent rows and edges summed over those iterates, and the final
-    logits. A solve given those logits as init_logits starts at the returned
-    labels: its trace[0] is their objective, so its result is no worse."""
+    divergent rows and edges summed over those iterates, the final logits and
+    the JointTerms of the final labels (nll 0). A solve given those logits as
+    init_logits starts at the returned labels: its trace[0] is their
+    objective, so its result is no worse."""
 
     trace: list[float] = field(default_factory=list)
     final_objective: float = float("nan")
     divergence_events: int = 0
     logits: LogitField | None = None
+    terms: JointTerms | None = None
 
 
 def _objective(y, s_free, free, graph, cfg, grad=False):
-    """(value, divergence count, dist-space gradient or None) at y.
+    """(JointTerms, divergence count, dist-space gradient or None) at y.
 
     y and the gradient are (K, N) class planes. free indexes the pixels that
     carry a data term (the unscribbled ones) and s_free holds sigma's planes
     there, (K, len(free)). Divergent edges contribute their clamped value and
     no gradient; data rows use the gradient of the clamped coupling.
     """
-    vals, vdiv, gdata = row_values(cfg.xent, np.take(y, free, axis=1).T, s_free.T, grad=grad)
-    value = cfg.eta * float(np.sum(vals))
+    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), np.take(y, free, axis=1).T, s_free.T,
+                                      grad=grad)
     out = None
     if grad:
         out = np.zeros(y.shape)
         out[:, free] = cfg.eta * gdata[0].T
     del gdata  # not held through plane_sum's per-edge temporaries, the peak of a call
     pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam)
-    value += pairwise
-    return value, int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out
+    return (terms._replace(pairwise=pairwise),
+            int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out)
 
 
 def _planes(field, index=slice(None)):
@@ -112,10 +113,9 @@ def pseudo_label_objective(
     cfg: LossConfig,
 ) -> float:
     """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
-    _check_instance(sigma, scribbles, graph)
+    _check_instance(sigma, scribbles, graph, y)
     free = np.flatnonzero(scribbles.data.ravel() == 0)
-    value, _, _ = _objective(_planes(y), _planes(sigma, free), free, graph, cfg)
-    return value
+    return _objective(_planes(y), _planes(sigma, free), free, graph, cfg)[0].value
 
 
 def _initial_logits(sigma, init_logits):
@@ -185,7 +185,7 @@ def solve_pseudo_labels(
     s_free = _planes(sigma, free)
     pinned = one_hot_rows(lab[scribbled], sigma.classes).T
     report = SolveReport()
-    events = 0
+    events, terms = 0, None
 
     def labels(logits):
         y = softmax_rows(logits.T).T
@@ -193,13 +193,14 @@ def solve_pseudo_labels(
         return y
 
     def value_grad(logits):
-        nonlocal events
+        nonlocal events, terms
         y = labels(logits)
-        value, events, grad = _objective(y, s_free, free, graph, loss_cfg, grad=True)
-        return value, softmax_backward(y.T, grad.T).T
+        terms, events, grad = _objective(y, s_free, free, graph, loss_cfg, grad=True)
+        return terms.value, softmax_backward(y.T, grad.T).T
 
     def record(value):
         report.trace.append(value)
+        report.terms = terms
         report.divergence_events += events
 
     def start(logits):

@@ -23,9 +23,8 @@ import numpy as np
 
 from .affinity import AffinityGraph, Image
 from .data_terms import XentKind, row_values
-from .errors import DataError, LOG_CLAMP
-from .losses import LossConfig
-from .potts import edge_sum
+from .errors import DataError
+from .losses import LossConfig, _joint_terms
 from .simplex import (
     LogitField,
     ProbField,
@@ -145,17 +144,13 @@ def _sl_value_and_grad(flat, phi, scribbled, cls, free, y_free, pairwise, cfg):
     scribbled indexes the scribble pixels (rows of phi) and cls holds their
     0-based classes; free indexes the other pixels and y_free holds their
     pseudo-labels, one row each. pairwise is the model-independent
-    lambda * sum w P(y_i, y_j). Terms are added in sl_loss's order, so the
-    value equals sl_loss bit for bit.
+    lambda * sum w P(y_i, y_j).
     """
     model = PixelModel.unpack(flat, y_free.shape[1])
     probs = softmax_rows(phi @ model.weights.T + model.bias)
     probs_free = np.take(probs, free, axis=0)
-    vals, _, grads = row_values(cfg.xent, y_free, probs_free, grad=True)
-    picked = probs[scribbled, cls]
-    value = float(-np.sum(np.log(np.maximum(picked, LOG_CLAMP)))) if picked.size else 0.0
-    value += cfg.eta * float(np.sum(vals))
-    value += pairwise
+    terms, _, grads = _joint_terms(cfg, probs[scribbled, cls], y_free, probs_free, pairwise,
+                                   grad=True)
     glogit = np.zeros_like(probs)
     glogit[scribbled] = probs[scribbled]
     glogit[scribbled, cls] -= 1.0
@@ -164,7 +159,7 @@ def _sl_value_and_grad(flat, phi, scribbled, cls, free, y_free, pairwise, cfg):
         glogit[free, k] += gfree[:, k]
     gw = glogit.T @ phi
     gb = glogit.sum(axis=0)
-    return value, np.concatenate([gw.ravel(), gb])
+    return terms.value, np.concatenate([gw.ravel(), gb])
 
 
 def alternate(
@@ -177,10 +172,10 @@ def alternate(
     """Alternating minimization of the joint self-labeling loss.
 
     Each round solves the pseudo-label sub-problem at the current predictions,
-    evaluates the pairwise term of its labels once, then runs inner epochs of
-    backtracking GD on the model. The first solve starts from the model
-    logits; each later one from the previous solve's final logits, i.e. at
-    the previous labels, so its result is bounded by them. Returns (model,
+    takes the pairwise term of its labels from the solve, then runs inner
+    epochs of backtracking GD on the model. The first solve starts from the
+    model logits; each later one from the previous solve's final logits, i.e.
+    at the previous labels, so its result is bounded by them. Returns (model,
     pseudo-labels, per-round joint loss trace).
     """
     phi = pixel_features(image)
@@ -198,11 +193,9 @@ def alternate(
         y, report = solve_pseudo_labels(sigma, model_logits if init is None else init,
                                         scribbles, graph, loss_cfg, cfg.solver_cfg)
         init = report.logits
-        yf = y.flat()
-        y_free = np.take(yf, free, axis=0)
-        pairwise = edge_sum(loss_cfg.potts, yf, graph, scale=loss_cfg.lam)[0]
-        value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, y_free, pairwise,
-                                                  loss_cfg)
+        y_free = np.take(y.flat(), free, axis=0)
+        value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, y_free,
+                                                  report.terms.pairwise, loss_cfg)
         flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, cfg.step_size)
         trace.append(value)
     return PixelModel.unpack(flat, classes), y, trace

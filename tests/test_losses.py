@@ -11,11 +11,14 @@ from potts_sl import (
     ProbField,
     ScribbleField,
     build_graph,
+    pseudo_label_objective,
+    scribble_nll,
     sl_loss,
     ws_loss,
 )
-from potts_sl.data_terms import XentKind
-from potts_sl.potts import PottsKind
+from potts_sl.data_terms import XentKind, row_values
+from potts_sl.losses import _joint_terms
+from potts_sl.potts import PottsKind, edge_sum
 from helpers import random_interior_field
 
 
@@ -198,3 +201,45 @@ class TestSlLoss:
         scr_p = ScribbleField(relabeled)
         assert abs(ws_loss(sigma_p, scr_p, graph, cfg) - base_ws) < 1e-9
         assert abs(sl_loss(sigma_p, y_p, scr_p, graph, cfg) - base_sl) < 1e-9
+
+
+@pytest.mark.parametrize("potts", list(PottsKind))
+@pytest.mark.parametrize("xent", list(XentKind))
+def test_joint_terms_are_the_loss_parts(potts, xent):
+    # sl_loss, the solver and the trainer all sum the joint loss through
+    # _joint_terms, so its parts and their one order are pinned here
+    sigma, scribbles, graph = small_instance(12)
+    y = pin_to_scribbles(random_interior_field(np.random.default_rng(13), 4, 4, 3), scribbles)
+    cfg = LossConfig(eta=0.4, lam=2.0, potts=potts, xent=xent)
+    s, yf = sigma.flat(), y.flat()
+    lab = scribbles.data.ravel()
+    free = lab == 0
+    pairwise = edge_sum(potts, yf, graph, scale=cfg.lam)[0]
+    picked = s[~free, lab[~free] - 1]
+    terms, div, grads = _joint_terms(cfg, picked, yf[free], s[free], pairwise)
+    vals, ref_div, ref_grads = row_values(xent, yf[free], s[free], grad=True)
+    assert terms.nll == scribble_nll(sigma, scribbles)
+    assert terms.coupling == cfg.eta * float(np.sum(vals))
+    assert terms.pairwise == pairwise
+    assert terms.value == terms.nll + terms.coupling + terms.pairwise
+    assert sl_loss(sigma, y, scribbles, graph, cfg) == terms.value
+    assert np.array_equal(div, ref_div) and grads is None
+    # the gradient pair is row_values', unscaled by eta
+    with_grad, _, grads = _joint_terms(cfg, picked, yf[free], s[free], pairwise, grad=True)
+    assert with_grad == terms
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("shape", [(4, 5, 2), (5, 4, 3), (4, 5, 4)])
+@pytest.mark.parametrize("loss", [sl_loss, pseudo_label_objective],
+                         ids=["sl_loss", "pseudo_label_objective"])
+def test_pseudo_label_shape_must_match_the_predictions(loss, shape):
+    rng = np.random.default_rng(14)
+    graph = build_graph(Image(rng.integers(0, 256, size=(4, 5, 3))),
+                        AffinityConfig(color_bandwidth=60.0))
+    sigma = random_interior_field(rng, 4, 5, 3)
+    y = random_interior_field(rng, *shape)
+    no_scribbles = ScribbleField(np.zeros((4, 5), dtype=np.int64))
+    with pytest.raises(DataError, match="pseudo-label field shape differs"):
+        loss(sigma, y, no_scribbles, graph, LossConfig())

@@ -20,7 +20,7 @@ from potts_sl import (
 )
 from potts_sl.data_terms import XentKind
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind
+from potts_sl.potts import PottsKind, edge_sum
 from potts_sl import solver
 from potts_sl.solver import SolverConfig, _armijo_descent, _objective, _planes
 from helpers import permute_classes, random_interior_field
@@ -261,6 +261,27 @@ class TestArmijoDescent:
         assert np.array_equal(points[-1], np.ones(2))
         assert np.all(x == 1.0) and value == 1.0
 
+    def test_terms_are_those_of_the_last_accepted_point(self, monkeypatch):
+        # one trial per step from an oversized first step: the descent gives
+        # up on a rejected trial, whose terms must not reach the report
+        sigma, scribbles, graph = grid_instance(15, h=8, w=8, k=3, labeled=6)
+        cfg = LossConfig()
+        evaluated = []
+        objective = solver._objective
+
+        def spy(*args, **kwargs):
+            result = objective(*args, **kwargs)
+            evaluated.append(result[0])
+            return result
+
+        monkeypatch.setattr(solver, "_MAX_HALVINGS", 1)
+        monkeypatch.setattr(solver, "_objective", spy)
+        y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg,
+                                        SolverConfig(steps=20, learning_rate=1e4))
+        assert evaluated[-1].value > report.final_objective
+        assert report.terms.value == report.final_objective
+        assert report.terms.pairwise == edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
+
     def test_one_objective_per_step_on_nn4(self, monkeypatch):
         # every first trial passes on this instance, so a solve costs one
         # evaluation per step plus the one at the start
@@ -334,6 +355,9 @@ def test_solver_invariants(case):
     assert np.all(np.isfinite(report.trace))
     assert np.all(np.diff(report.trace) <= 0.0)
     assert report.final_objective == report.trace[-1]
+    assert report.terms.value == report.final_objective
+    assert report.terms.nll == 0.0
+    assert report.terms.pairwise == edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
     assert y.data.min() >= 0.0
     np.testing.assert_allclose(y.data.sum(axis=2), 1.0, atol=1e-12)
     labels = scribbles.data
@@ -365,10 +389,10 @@ def test_objective_gradient_matches_finite_differences(potts, xent):
     free = np.flatnonzero(scribbles.data.ravel() == 0)
     s_free = _planes(sigma, free)
     cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
-    value, events, grad = _objective(y, s_free, free, graph, cfg, grad=True)
+    terms, events, grad = _objective(y, s_free, free, graph, cfg, grad=True)
     assert events == 0
-    assert value == _objective(y, s_free, free, graph, cfg)[0]
-    f = lambda z: _objective(z.reshape(y.shape), s_free, free, graph, cfg)[0]
+    assert terms.value == _objective(y, s_free, free, graph, cfg)[0].value
+    f = lambda z: _objective(z.reshape(y.shape), s_free, free, graph, cfg)[0].value
     assert finite_diff_check(f, grad, y) < 1e-6
 
 

@@ -185,20 +185,23 @@ class TestAlternate:
         assert trace[-1] == sl_loss(sigma, y, scribbles, graph, cfg.loss_cfg)
         assert len(trace) == 3
 
-    def test_pairwise_term_once_per_round(self, monkeypatch):
+    def test_pairwise_term_taken_from_the_solve(self, monkeypatch):
         # at fixed pseudo-labels the pairwise term does not depend on the
-        # model, so the inner epochs reuse one evaluation per round
-        from potts_sl import trainer
+        # model, and the solve has already evaluated it at its final labels,
+        # so a round makes no edge_sum call of its own
+        from potts_sl import losses, potts, solver, trainer
 
         image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
         graph = build_graph(image, AffinityConfig())
         cfg = TrainConfig(rounds=3, inner_epochs=5, solver_cfg=SolverConfig(steps=10))
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
         calls = []
-        monkeypatch.setattr(trainer, "edge_sum",
-                            lambda *a, **k: calls.append(a) or edge_sum(*a, **k))
+        for module in (potts, losses, solver, trainer):
+            monkeypatch.setattr(module, "edge_sum",
+                                lambda *a, **k: calls.append(a) or edge_sum(*a, **k),
+                                raising=False)
         alternate(model, image, scribbles, graph, cfg)
-        assert len(calls) == cfg.rounds
+        assert calls == []
 
     def test_simplex_invariants_preserved(self):
         image, scribbles, _ = two_region_instance(seed=4, height=10, width=10)
