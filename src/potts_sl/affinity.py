@@ -8,8 +8,8 @@ so edge order is reproducible.
 Grid graphs list their edges one block per grid offset (dy, dx): the pixel
 pairs (Y[src], Y[dst]) of two equal-shaped rectangles of the (H, W) grid,
 read row-major. build_graph records that layout on the graph, so the
-pairwise terms can walk shifted slices of an (H, W, K) field instead of
-gathering rows by edge.
+pairwise terms can walk each block as one contiguous run of row-major pixel
+ids instead of gathering rows by edge.
 """
 
 from __future__ import annotations
@@ -117,7 +117,10 @@ class AffinityGraph:
     one (src, dst) pair of 2-D slice tuples per contiguous run of edges, in
     edge order. Block b's edges are the pixel pairs of the rectangles src and
     dst of the (H, W) grid, row-major, and its weights are the next
-    src-area entries of w. Hand-built graphs have no layout (grid is None).
+    src-area entries of w. Blocks are stored normalized: open and negative
+    slice bounds become explicit ones with 0 <= start <= stop, and empty
+    blocks are dropped. A slice step other than 1 is a DataError. Hand-built
+    graphs have no layout (grid is None).
     """
 
     npixels: int
@@ -148,11 +151,11 @@ class AffinityGraph:
             if h < 1 or w < 1 or h * w != self.npixels:
                 raise DataError(f"grid {h}x{w} does not cover {self.npixels} pixels")
             idx = np.arange(self.npixels, dtype=np.int64).reshape(h, w)
-            for src, dst in self.blocks:
-                if not all(isinstance(s, slice) for s in (*src, *dst)) or (
-                    idx[src].shape != idx[dst].shape
-                ):
+            blocks = [tuple(_rectangle(side, self.grid) for side in b) for b in self.blocks]
+            for src, dst in blocks:
+                if idx[src].shape != idx[dst].shape:
                     raise DataError("grid blocks must pair equal-shaped slice rectangles")
+            self.blocks = tuple(b for b in blocks if idx[b[0]].size)
             none = [np.zeros(0, dtype=np.int64)]
             src_ids = np.concatenate(none + [idx[src].ravel() for src, _ in self.blocks])
             dst_ids = np.concatenate(none + [idx[dst].ravel() for _, dst in self.blocks])
@@ -178,6 +181,21 @@ class AffinityGraph:
         np.add.at(d, self.ei, self.w)
         np.add.at(d, self.ej, self.w)
         return d
+
+
+def _rectangle(side, grid):
+    """A block side as two slices with explicit bounds 0 <= start <= stop
+    within grid and unit step; DataError for anything else."""
+    if not (isinstance(side, tuple) and len(side) == 2
+            and all(isinstance(s, slice) for s in side)):
+        raise DataError("grid blocks must pair equal-shaped slice rectangles")
+    try:
+        bounds = [s.indices(n) for s, n in zip(side, grid)]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"grid block slice is not a rectangle: {exc}") from None
+    if any(step != 1 for _, _, step in bounds):
+        raise DataError("grid block slices must have unit steps")
+    return tuple(slice(start, max(start, stop)) for start, stop, _ in bounds)
 
 
 def _forward_offsets(radius: int, height: int, width: int):

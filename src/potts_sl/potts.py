@@ -32,10 +32,12 @@ with s = p.q, ab = sqrt(|p|^2 |q|^2), and ss, uu the clamped ln arguments.
 The edge sum adds a pixel's gradient as own * y plus the b-weighted sum of
 its neighbours. It works on class-major fields, y held as (K, N) class
 planes, so each product and sum steps over a whole contiguous plane rather
-than K-long rows; the (N, K) edge_sum transposes in and out. Values and
-divergence masks are bit-identical to evaluating each edge on its own;
-gradients are the same sums in another order, equal to the per-edge
-formulas within a few units in the last place.
+than K-long rows; the (N, K) edge_sum transposes in and out. On a grid
+graph each offset block is one contiguous run of the planes, whose pairs
+across row ends are not edges: they carry weight 0 and are left out of the
+values and divergence masks. Values and masks are bit-identical to
+evaluating each edge on its own; gradients are the same sums in another
+order, equal to the per-edge formulas within a few units in the last place.
 """
 
 from __future__ import annotations
@@ -221,19 +223,32 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
     and matches them within a few units in the last place of its largest
     entry.
 
-    A graph with a grid layout is walked one offset block at a time on the
-    (K, h, w) blocks planes[:, src] and planes[:, dst] of the planes viewed
-    as (K, H, W), and on the row terms viewed as (H, W): no gather and no
-    scatter. Any other graph gathers planes[:, ei], planes[:, ej] and the row
-    terms the same way and scatters into each class plane with np.add.at.
-    Both paths give bit-identical results: the per-edge arithmetic is the
-    same, values and masks are concatenated in edge order before the one dot
-    with w (an einsum: BLAS would add in an order set by its thread count),
-    and own and the gradient receive every block's source-side terms
-    first, then (from the E-long a_q and b kept per block) every block's
-    target-side terms. A pixel occurs at most once per block side, so each
-    entry receives its terms in the same order as np.add.at's pass over ei,
-    then over ej.
+    A graph with a grid layout is walked one offset block at a time, each
+    block as one contiguous run of the planes and the row terms, with no
+    gather and no scatter. For a source rectangle of h rows and w columns
+    from (r0, c0) of an H x W grid, the run is the n = (h - 1) W + w pixels
+    from r0 W + c0, paired with the n pixels from the target rectangle's
+    first pixel; the kernels see the class-last views of the two (K, n)
+    slices. The block's edges are the run positions r W + c (r < h, c < w),
+    in edge order. The other pairs wrap from one row's end to the next row's
+    start and are not edges. They get weight 0, so their coefficients are
+    +-0. With scale >= 0, a_p, a_q >= 0 add +0.0 to own, which only holds
+    sums of such terms, and b <= 0 makes b * y -0.0 on y >= 0, the exact
+    additive identity. Values and masks are read back at the edge positions
+    only (an (h, w) view of the run), so a wrap pair that diverges reaches
+    neither. A run evaluates (h - 1) W + w pairs for h w edges: a few
+    percent more on a small window, and over all the blocks of a window as
+    wide as the image about twice as many.
+
+    Any other graph gathers planes[:, ei], planes[:, ej] and the row terms
+    and scatters into each class plane with np.add.at. Both paths give
+    bit-identical results: the per-edge arithmetic is the same, values and
+    masks are concatenated in edge order before the one dot with w (an
+    einsum: BLAS would add in an order set by its thread count), and own and
+    the gradient receive every block's source-side terms first, then (from
+    the run-long a_q and b kept per block) every block's target-side terms.
+    A pixel occurs at most once per run, so each entry receives its terms in
+    the same order as np.add.at's pass over ei, then over ej.
     """
     weights = None
     if grad_planes is not None:
@@ -258,36 +273,44 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
             grad_planes += own * planes
         return scale * float(np.einsum("e,e->", graph.w, v)), div
 
-    field = planes.reshape(-1, *graph.grid)
-    terms = _row_terms(kind, np.moveaxis(field, 0, -1))
+    width = graph.grid[1]
+    terms = _row_terms(kind, planes.T)
     if weights is not None:
-        out = grad_planes.reshape(field.shape)  # a view: grad_planes is C-contiguous
-        own = np.zeros(graph.grid)
+        own = np.zeros(planes.shape[1])
     vs, divs, targets = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
     start = 0
-    for src, dst in graph.blocks:
-        p, q = field[(slice(None), *src)], field[(slice(None), *dst)]
+    for (rows, cols), (to_rows, to_cols) in graph.blocks:
+        h, w = rows.stop - rows.start, cols.stop - cols.start
+        a, n = rows.start * width + cols.start, (h - 1) * width + w
+        t = to_rows.start * width + to_cols.start
+        p, q = planes[:, a : a + n], planes[:, t : t + n]
         wb = None
         if weights is not None:
-            h, w = p.shape[1:]
-            wb = weights[start : start + h * w].reshape(h, w)
-        v, div, coefs = _evaluate(kind, np.moveaxis(p, 0, -1), np.moveaxis(q, 0, -1),
-                                  [t[src] for t in terms], [t[dst] for t in terms], wb)
+            wb = np.zeros(n)
+            _at_edges(wb, h, w, width)[...] = weights[start : start + h * w].reshape(h, w)
+        v, div, coefs = _evaluate(kind, p.T, q.T, [x[a : a + n] for x in terms],
+                                  [x[t : t + n] for x in terms], wb)
         if coefs is not None:
             ap, aq, b = coefs
-            own[src] += ap
-            out[(slice(None), *src)] += b * q
-            targets.append((dst, aq, b, p))
-        vs.append(v)
-        divs.append(div)
-        start += v.size
-    for dst, aq, b, p in targets:
-        own[dst] += aq
-        out[(slice(None), *dst)] += b * p
+            own[a : a + n] += ap
+            grad_planes[:, a : a + n] += b * q
+            targets.append((t, aq, b, p))
+        vs.append(_at_edges(v, h, w, width))
+        divs.append(_at_edges(div, h, w, width))
+        start += h * w
+    for t, aq, b, p in targets:
+        own[t : t + aq.size] += aq
+        grad_planes[:, t : t + aq.size] += b * p
     if weights is not None:
-        out += own * field
+        grad_planes += own * planes
     return (scale * float(np.einsum("e,e->", graph.w, np.concatenate(vs, axis=None))),
             np.concatenate(divs, axis=None))
+
+
+def _at_edges(run, h, w, width):
+    """(h, w) view of the edge positions r * width + c of a block's 1-D run."""
+    step = run.strides[0]
+    return np.ndarray((h, w), run.dtype, run, 0, (width * step, step))
 
 
 def potts_value(kind: PottsKind, p, q):

@@ -18,7 +18,7 @@ from potts_sl import (
     sl_loss,
     solve_pseudo_labels,
 )
-from potts_sl.potts import PottsKind, potts_sum, potts_sum_grad
+from potts_sl.potts import PottsKind, plane_sum, potts_sum, potts_sum_grad
 from potts_sl.solver import SolverConfig
 from helpers import random_interior_field
 
@@ -210,6 +210,65 @@ class TestValidation:
         with pytest.raises(DataError):  # an integer index is not a slice rectangle
             AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
                           blocks=(((0, slice(0, 1)), (0, slice(1, 2))),))
+
+
+class TestBlockNormalization:
+    """Grid blocks are stored as unit-step slices with explicit bounds."""
+
+    # (src, dst) rectangles of a 4x5 grid for the offsets (0, 1), (1, 0) and
+    # (1, -1), written with open and negative bounds
+    OPEN = (
+        ((slice(None), slice(None, -1)), (slice(None), slice(1, None))),
+        ((slice(None, -1), slice(None)), (slice(1, None), slice(-5, 5))),
+        ((slice(0, -1), slice(1, None)), (slice(-3, 4), slice(None, 4))),
+    )
+    EXPLICIT = (
+        ((slice(0, 4), slice(0, 4)), (slice(0, 4), slice(1, 5))),
+        ((slice(0, 3), slice(0, 5)), (slice(1, 4), slice(0, 5))),
+        ((slice(0, 3), slice(1, 5)), (slice(1, 4), slice(0, 4))),
+    )
+
+    @staticmethod
+    def edges(blocks, grid):
+        idx = np.arange(grid[0] * grid[1]).reshape(grid)
+        return (np.concatenate([idx[src].ravel() for src, _ in blocks]),
+                np.concatenate([idx[dst].ravel() for _, dst in blocks]))
+
+    @pytest.mark.parametrize("kind", list(PottsKind))
+    def test_open_and_negative_bounds_match_the_edges_without_layout(self, kind):
+        rng = np.random.default_rng(3)
+        ei, ej = self.edges(self.OPEN, (4, 5))
+        w = rng.uniform(0.1, 1.0, size=ei.size)
+        graph = AffinityGraph(20, ei, ej, w, grid=(4, 5), blocks=self.OPEN)
+        assert graph.blocks == self.EXPLICIT
+        y = rng.dirichlet(np.ones(3), size=20)
+        y[::3] = np.eye(3)[rng.integers(0, 3, size=7)]
+        planes = np.ascontiguousarray(y.T)
+        results = []
+        for g in (graph, AffinityGraph(20, ei, ej, w)):
+            grad = np.zeros_like(planes)
+            value, div = plane_sum(kind, planes, g, grad, 0.7)
+            results.append((value, div, grad))
+        (v0, d0, g0), (v1, d1, g1) = results
+        assert v0 == v1 and np.array_equal(d0, d1) and g0.tobytes() == g1.tobytes()
+
+    def test_empty_blocks_are_dropped(self):
+        empty = ((slice(0, 0), slice(0, 2)), (slice(1, 1), slice(0, 2)))
+        block = ((slice(0, 1), slice(0, 1)), (slice(0, 1), slice(1, 2)))
+        graph = AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
+                              blocks=(empty, block, empty))
+        assert graph.blocks == (block,)
+
+    @pytest.mark.parametrize("cols, match", [
+        ((slice(0, 4, 2), slice(1, 4, 2)), "unit steps"),
+        ((slice(0, 4, -1), slice(1, 4, -1)), "unit steps"),
+        ((slice(0, 4, 0), slice(1, 4, 0)), "not a rectangle"),
+        ((slice(0.0, 3), slice(1, 4)), "not a rectangle"),
+    ])
+    def test_slices_that_are_not_unit_step_bounds_are_refused(self, cols, match):
+        blocks = (((slice(0, 1), cols[0]), (slice(0, 1), cols[1])),)
+        with pytest.raises(DataError, match=match):
+            AffinityGraph(npixels=4, ei=[0, 2], ej=[1, 3], w=[1.0, 1.0], grid=(1, 4), blocks=blocks)
 
 
 # Every library entry point that takes a field and a graph, called on

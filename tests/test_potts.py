@@ -455,8 +455,9 @@ class TestRowTerms:
 
 
 class TestClassPlanes:
-    """plane_sum on (K, N) class planes against the row-major edge_sum and,
-    below K = 8 where _row_dot is einsum's order, the edge-by-edge reference."""
+    """plane_sum on (K, N) class planes against the row-major edge_sum, the
+    same edges without a grid layout and, below K = 8 where _row_dot is
+    einsum's order, the edge-by-edge reference."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -466,20 +467,25 @@ class TestClassPlanes:
         cfg=st.sampled_from(NEIGHBORHOODS),
         flat=st.booleans(),
         k=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 21]),
+        hot=st.sampled_from([0.3, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(h=1, w=1, kind=PottsKind.CD, cfg=NEIGHBORHOODS[0], flat=False, k=2, seed=0)
-    @example(h=1, w=6, kind=PottsKind.NQ, cfg=NEIGHBORHOODS[1], flat=False, k=21, seed=1)
-    @example(h=1, w=6, kind=PottsKind.LQ, cfg=NEIGHBORHOODS[2], flat=True, k=8, seed=2)
-    @example(h=6, w=5, kind=PottsKind.CCE, cfg=NEIGHBORHOODS[1], flat=True, k=5, seed=3)
-    def test_plane_sum_is_row_major_edge_sum(self, h, w, kind, cfg, flat, k, seed):
+    @example(h=1, w=1, kind=PottsKind.CD, cfg=NEIGHBORHOODS[0], flat=False, k=2, hot=0.3, seed=0)
+    @example(h=1, w=6, kind=PottsKind.NQ, cfg=NEIGHBORHOODS[1], flat=False, k=21, hot=0.3, seed=1)
+    @example(h=1, w=6, kind=PottsKind.LQ, cfg=NEIGHBORHOODS[2], flat=True, k=8, hot=0.3, seed=2)
+    @example(h=6, w=5, kind=PottsKind.CCE, cfg=NEIGHBORHOODS[1], flat=True, k=5, hot=0.3, seed=3)
+    # all rows one-hot under a window as wide as the image: the grid path's
+    # runs hold pairs across row ends that diverge but are not edges
+    @example(h=5, w=3, kind=PottsKind.CD, cfg=NEIGHBORHOODS[1], flat=False, k=2, hot=1.0, seed=4)
+    @example(h=4, w=4, kind=PottsKind.LQ, cfg=NEIGHBORHOODS[2], flat=False, k=3, hot=1.0, seed=5)
+    def test_plane_sum_is_row_major_edge_sum(self, h, w, kind, cfg, flat, k, hot, seed):
         rng = np.random.default_rng(seed)
         graph = build_graph(Image(rng.integers(0, 256, size=(h, w, 3))), cfg)
         if flat:
             graph = AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)
         y = rng.dirichlet(np.ones(k), size=h * w)
-        hot = rng.uniform(size=h * w) < 0.3
-        y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
+        ishot = rng.uniform(size=h * w) < hot
+        y[ishot] = np.eye(k)[rng.integers(0, k, size=ishot.sum())]
         start = rng.normal(size=y.shape)
         planes = np.ascontiguousarray(y.T)
         value, div = plane_sum(kind, planes, graph, scale=0.7)
@@ -492,6 +498,11 @@ class TestClassPlanes:
         for d in (div, div_g):
             assert d.dtype == bool and np.array_equal(d, ref_div)
         assert np.array_equal(grad_planes.T, out)
+        no_layout = AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)
+        flat_planes = np.ascontiguousarray(start.T)
+        flat_value, flat_div = plane_sum(kind, planes, no_layout, flat_planes, 0.7)
+        assert flat_value == value and np.array_equal(flat_div, div)
+        assert flat_planes.tobytes() == grad_planes.tobytes()
         if k < 8:
             r_value, r_div, by_coefs, _ = per_edge_reference(kind, y, graph, 0.7, start)
             assert value == r_value and np.array_equal(div, r_div)
