@@ -228,16 +228,12 @@ class TestBlockNormalization:
         ((slice(0, 3), slice(1, 5)), (slice(1, 4), slice(0, 4))),
     )
 
-    @staticmethod
-    def edges(blocks, grid):
-        idx = np.arange(grid[0] * grid[1]).reshape(grid)
-        return (np.concatenate([idx[src].ravel() for src, _ in blocks]),
-                np.concatenate([idx[dst].ravel() for _, dst in blocks]))
-
     @pytest.mark.parametrize("kind", list(PottsKind))
     def test_open_and_negative_bounds_match_the_edges_without_layout(self, kind):
         rng = np.random.default_rng(3)
-        ei, ej = self.edges(self.OPEN, (4, 5))
+        idx = np.arange(20).reshape(4, 5)
+        ei = np.concatenate([idx[src].ravel() for src, _ in self.OPEN])
+        ej = np.concatenate([idx[dst].ravel() for _, dst in self.OPEN])
         w = rng.uniform(0.1, 1.0, size=ei.size)
         graph = AffinityGraph(20, ei, ej, w, grid=(4, 5), blocks=self.OPEN)
         assert graph.blocks == self.EXPLICIT

@@ -484,8 +484,8 @@ class TestClassPlanes:
         if flat:
             graph = AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)
         y = rng.dirichlet(np.ones(k), size=h * w)
-        ishot = rng.uniform(size=h * w) < hot
-        y[ishot] = np.eye(k)[rng.integers(0, k, size=ishot.sum())]
+        onehot = rng.uniform(size=h * w) < hot
+        y[onehot] = np.eye(k)[rng.integers(0, k, size=onehot.sum())]
         start = rng.normal(size=y.shape)
         planes = np.ascontiguousarray(y.T)
         value, div = plane_sum(kind, planes, graph, scale=0.7)
