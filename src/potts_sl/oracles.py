@@ -6,12 +6,15 @@ analytic gradients with central differences; brute_force_discrete enumerates
 every labeling of a tiny discrete Potts instance. None of them share
 numerical code with the gradient-descent solver they are used to check.
 
-Only random_walker_solve needs scipy. It imports scipy.sparse, its csgraph
-and its linalg inside the calls (through _laplacian and cg), so importing
-this module, and the package, loads no scipy.
+Only random_walker_solve needs scipy. It imports scipy.sparse inside the
+call, and scipy.sparse.csgraph only to check a system that may be singular,
+so importing this module, and the package, loads no scipy; scipy's linalg is
+never loaded.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -23,15 +26,49 @@ from .simplex import ProbField, ScribbleField, one_hot_rows
 _CG_TOL = 1e-10
 
 
-def cg(*args, **kwargs):
-    """scipy.sparse.linalg.cg, imported at the first call.
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.einsum("i,i->", u, v))
+
+
+def cg(a, b, *, rtol, atol, M, callback=None):
+    """Jacobi-preconditioned conjugate gradients for a x = b, from x = 0.
+
+    Takes the steps of scipy.sparse.linalg.cg, with M the inverse diagonal of
+    a as a vector (z = M * r), and its stopping rule: stop when
+    |r| < max(atol, rtol |b|), after at most 10 n iterations. Its dot
+    products are einsums: BLAS would split a long one between its threads and
+    add the parts in an order set by the thread count. Returns (x, info),
+    info 0 on convergence and the iteration count otherwise; b = 0 gives
+    zeros at once. callback(x) runs once per iteration.
 
     random_walker_solve calls the solver through this module-level name, so
     a caller can replace it to fake or instrument the solves.
     """
-    from scipy.sparse.linalg import cg as scipy_cg
-
-    return scipy_cg(*args, **kwargs)
+    x = np.zeros(b.shape)
+    bnorm = np.sqrt(_dot(b, b))
+    if bnorm == 0.0:
+        return x, 0
+    tol = max(atol, rtol * bnorm)
+    r = b.copy()
+    maxiter = 10 * b.size
+    for it in range(maxiter):
+        if np.sqrt(_dot(r, r)) < tol:
+            return x, 0
+        z = M * r
+        rho = _dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = a @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 def _laplacian(graph: AffinityGraph):
@@ -63,16 +100,21 @@ def random_walker_solve(
 
         (2 eta I + lambda L)_UU y_U = 2 eta sigma_U + lambda W_US ybar_S,
 
-    solved by Jacobi-preconditioned conjugate gradients to 1e-10. Row sums of
-    the solution are exactly 1 because the constant vector solves the summed
+    solved by Jacobi-preconditioned conjugate gradients (cg) to 1e-10. The K
+    class solves share no state, so they run on a pool of min(K, usable
+    CPUs) threads; cg's einsum dots, ufuncs and the CSR matvec release the
+    GIL. Each class's result is the one a serial loop gives, so the solution
+    does not depend on the worker or BLAS thread count. Row sums of the
+    solution are exactly 1 because the constant vector solves the summed
     system. When 2 eta <= eps * lambda * max(w) (eta = 0 included), a pixel
     group that no edge above eps * max(w) connects to a scribble makes the
     system singular in floating point, and NumericalError is raised before
     any solve. A solution that is not a probability field anyway also raises
     NumericalError.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
 
     _check_instance(sigma, scribbles, graph)
     if not (np.isfinite(eta) and eta >= 0 and np.isfinite(lam) and lam >= 0):
@@ -94,6 +136,8 @@ def random_walker_solve(
         # and numerically so when a group reaches every scribble only through
         # edges below eps * max(w): its condition number then exceeds 1/eps.
         # A diagonal 2 eta that small does not lift it above that bound.
+        from scipy.sparse.csgraph import connected_components
+
         pos = graph.w > eps_w
         adj = sparse.coo_matrix(
             (graph.w[pos], (graph.ei[pos], graph.ej[pos])), shape=(n, n)
@@ -109,23 +153,28 @@ def random_walker_solve(
 
     lap = _laplacian(graph)
     system = (2.0 * eta) * sparse.identity(n, format="csr") + lam * lap
-    a_uu = system[unlabeled_idx][:, unlabeled_idx].tocsr()
+    system_u = system[unlabeled_idx]
+    a_uu = system_u[:, unlabeled_idx].tocsr()
 
-    s_u = 2.0 * eta * sigma.flat()[unlabeled_idx]
-    rhs = s_u.copy()
+    rhs = 2.0 * eta * sigma.flat()[unlabeled_idx]
     if labeled.any():
-        labeled_idx = np.flatnonzero(labeled)
         # off-diagonal block of the system is -lambda * W_US
-        w_us = -system[unlabeled_idx][:, labeled_idx]
+        w_us = -system_u[:, np.flatnonzero(labeled)]
         rhs += np.asarray(w_us @ out[labeled])
 
     diag = a_uu.diagonal()
     if np.any(diag <= 0):
         raise NumericalError("singular system: zero diagonal in the Laplacian block")
-    precond = sparse.diags(1.0 / diag)
+    inv_diag = 1.0 / diag
 
-    for c in range(k):
-        x, info = cg(a_uu, rhs[:, c], rtol=_CG_TOL, atol=0.0, M=precond)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(k, cpus)) as pool:
+        solves = list(pool.map(
+            lambda b: cg(a_uu, b, rtol=_CG_TOL, atol=0.0, M=inv_diag), rhs.T))
+    for c, (x, info) in enumerate(solves):
         if info != 0:
             raise NumericalError(f"conjugate gradient failed to converge (info={info})")
         out[unlabeled_idx, c] = x

@@ -1,4 +1,5 @@
-"""A solve writes the same bytes whatever the OpenBLAS thread count.
+"""A solve and the random-walker oracle write the same bytes whatever the
+OpenBLAS thread count.
 
 Threaded BLAS reductions split a long dot product between threads and add
 the parts in another order, so a value computed with one moves in the last
@@ -36,18 +37,63 @@ sys.exit(main(["solve", "--image", str(work / "i.ppm"), "--scribbles", str(work 
 """
 
 
-def solve_outputs(work, threads):
+# The 128x128 nn4 oracle instance of seed 0, where BLAS dot products in the
+# conjugate gradients once moved the float64 solution and the written
+# objective with the thread count. Its last line is a sha256 of the float64
+# random_walker_solve result for the same files.
+ORACLE_CHILD = r"""
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+from potts_sl import (build_graph, random_walker_solve, read_config, read_image, read_probfield,
+                      read_scribbles, synthetic, write_image, write_labels, write_probfield)
+from potts_sl.cli import main
+
+work = Path(sys.argv[1])
+rng = np.random.default_rng(0)
+n, k = 128, 5
+write_image(synthetic.voronoi_image(rng, n, n, 8), work / "i.ppm")
+write_probfield(synthetic.smooth_prob_field(rng, n, n, k), work / "p.pfld")
+write_labels(synthetic.sparse_scribbles(rng, n, n, k, 33).data, work / "s.pgm")
+(work / "c.cfg").write_text("neighborhood = nn4\n")
+code = main(["oracle-rw", "--image", str(work / "i.ppm"), "--scribbles", str(work / "s.pgm"),
+             "--sigma", str(work / "p.pfld"), "--config", str(work / "c.cfg"),
+             "--out", str(work / "out")])
+cfg = read_config(work / "c.cfg")
+graph = build_graph(read_image(work / "i.ppm"), cfg.affinity)
+y = random_walker_solve(read_probfield(work / "p.pfld"), read_scribbles(work / "s.pgm", classes=k),
+                        graph, cfg.loss.eta, cfg.loss.lam)
+print(hashlib.sha256(y.data.tobytes()).hexdigest())
+sys.exit(code)
+"""
+
+
+def child_outputs(child, work, threads):
+    """(last stdout line, {output file name: bytes}) of one child run."""
     work.mkdir()
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
-    subprocess.run([sys.executable, "-c", CHILD, str(work)], env=env, capture_output=True,
-                   timeout=120, check=True)
-    return {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+    proc = subprocess.run([sys.executable, "-c", child, str(work)], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    files = {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+    return proc.stdout.splitlines()[-1], files
 
 
 def test_solve_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    one = solve_outputs(tmp_path / "one", "1")
-    two = solve_outputs(tmp_path / "two", "2")
+    _, one = child_outputs(CHILD, tmp_path / "one", "1")
+    _, two = child_outputs(CHILD, tmp_path / "two", "2")
     assert "solve_report.txt" in one and "y.pfld" in one
     assert one.keys() == two.keys()
     for name in one:
         assert one[name] == two[name], name
+
+
+def test_oracle_rw_does_not_depend_on_the_blas_thread_count(tmp_path):
+    digest_one, one = child_outputs(ORACLE_CHILD, tmp_path / "one", "1")
+    digest_two, two = child_outputs(ORACLE_CHILD, tmp_path / "two", "2")
+    assert "solve_report.txt" in one and "y.pfld" in one
+    assert one.keys() == two.keys()
+    for name in one:
+        assert one[name] == two[name], name
+    assert digest_one == digest_two

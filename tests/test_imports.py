@@ -2,7 +2,9 @@
 
 Importing the package, and the solve, train, gradcheck and metrics commands,
 need numpy only; scipy.sparse is imported by random_walker_solve (oracle-rw)
-and scipy.ndimage by synthetic.smooth_prob_field, inside those calls. Each
+and scipy.ndimage by synthetic.smooth_prob_field, inside those calls. The
+oracle's own conjugate gradients need no scipy.sparse.linalg, and a grounded
+system needs no scipy.sparse.csgraph, so oracle-rw loads neither. Each
 check runs in a fresh interpreter, since the test process itself has
 imported scipy long before.
 """
@@ -74,5 +76,7 @@ def test_oracle_rw_imports_scipy_when_it_runs(tmp_path):
     result = run_child(tmp_path, "oracle-rw")
     assert result["codes"] == {"oracle-rw": 0}
     assert result["loaded"]["import"] == []
-    assert "scipy.sparse.linalg" in result["loaded"]["oracle-rw"]
+    loaded = result["loaded"]["oracle-rw"]
+    assert "scipy.sparse" in loaded
+    assert "scipy.sparse.linalg" not in loaded and "scipy.sparse.csgraph" not in loaded
     assert (tmp_path / "rw" / "y.pfld").is_file()

@@ -162,6 +162,87 @@ class TestRandomWalker:
         assert np.array_equal(y_perm.data, y.data[..., perm])
 
 
+def grid_system(seed, h=7, w=9, eta=0.3, lam=6.0):
+    """(2 eta I + lam L, inverse diagonal, right-hand side) on a small grid."""
+    from scipy import sparse
+    from potts_sl import oracles
+
+    _, _, graph = grid_instance(seed, h, w)
+    a = ((2.0 * eta) * sparse.identity(h * w, format="csr") + lam * oracles._laplacian(graph)).tocsr()
+    b = np.random.default_rng(seed).standard_normal(h * w)
+    return a, 1.0 / a.diagonal(), b
+
+
+class TestConjugateGradient:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lam", [1.0, 6.0, 100.0])
+    def test_matches_scipy_cg_step_for_step(self, seed, lam):
+        from scipy import sparse
+        from scipy.sparse.linalg import cg as scipy_cg
+        from potts_sl import oracles
+
+        a, inv_diag, b = grid_system(seed, lam=lam)
+        ours, theirs = [], []
+        x, info = oracles.cg(a, b, rtol=1e-10, atol=0.0, M=inv_diag, callback=ours.append)
+        x_ref, info_ref = scipy_cg(a, b, rtol=1e-10, atol=0.0, M=sparse.diags(inv_diag),
+                                   callback=theirs.append)
+        assert info == info_ref == 0
+        assert len(ours) == len(theirs) > 0
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-8])
+    def test_final_residual_meets_the_tolerance(self, rtol):
+        from potts_sl import oracles
+
+        a, inv_diag, b = grid_system(7)
+        x, info = oracles.cg(a, b, rtol=rtol, atol=0.0, M=inv_diag)
+        assert info == 0
+        assert np.linalg.norm(b - a @ x) <= rtol * np.linalg.norm(b)
+
+    def test_zero_right_hand_side_returns_zeros_without_iterating(self):
+        from potts_sl import oracles
+
+        a, inv_diag, b = grid_system(1)
+        calls = []
+        x, info = oracles.cg(a, np.zeros_like(b), rtol=1e-10, atol=0.0, M=inv_diag,
+                             callback=calls.append)
+        assert info == 0 and calls == []
+        assert x.shape == b.shape and not x.any()
+
+    def test_pool_gives_the_serial_loop_bit_for_bit(self, monkeypatch):
+        # record each class's system, then solve the same systems one after
+        # another on this thread: the pooled solution must not differ by a
+        # bit. The workers may start the classes in either order.
+        from potts_sl import oracles
+
+        real_cg, calls = oracles.cg, []
+
+        def recording_cg(a, b, **kw):
+            calls.append((a, b, kw))
+            return real_cg(a, b, **kw)
+
+        sigma, scribbles, graph = grid_instance(3, h=12, w=13, k=5, labeled=10)
+        monkeypatch.setattr(oracles, "cg", recording_cg)
+        y = random_walker_solve(sigma, scribbles, graph, 0.3, 6.0)
+        assert len(calls) == 5
+        unlabeled = ~scribbles.labeled_mask().ravel()
+        flat = y.data.reshape(-1, 5)
+        matched = set()
+        for a, b, kw in calls:
+            x, info = real_cg(a, b, **kw)
+            assert info == 0
+            matched |= {c for c in range(5) if np.array_equal(flat[unlabeled, c], x)}
+        assert matched == set(range(5))
+
+    def test_unconverged_solve_is_a_numerical_failure(self, monkeypatch):
+        from potts_sl import oracles
+
+        sigma, scribbles, graph = grid_instance(0)
+        monkeypatch.setattr(oracles, "cg", lambda a, b, **kw: (np.zeros(b.shape), 3))
+        with pytest.raises(NumericalError, match="failed to converge"):
+            random_walker_solve(sigma, scribbles, graph, 0.5, 1.0)
+
+
 class TestFiniteDiff:
     def test_exact_for_quadratics(self):
         rng = np.random.default_rng(4)
