@@ -9,6 +9,9 @@ Argument order is fixed as (y, sigma) = (target, estimate) throughout:
 
 With a uniform target, RCE and CCE are constant (= ln K) in sigma, so they
 never push predictions to mimic an uninformative label; CE does.
+
+row_values takes y and sigma as (K, N) class planes, so its class sums are
+numpy reductions over axis 0 that add whole planes in class order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import enum
 import numpy as np
 
 from .errors import DIVERGENT, DataError, DivergentPointError, LOG_CLAMP
-from .simplex import Distribution, _pair_arrays, _row_dot, _row_max, _row_sum
+from .simplex import Distribution, _pair_arrays, _row_dot
 
 
 class XentKind(enum.Enum):
@@ -36,53 +39,56 @@ class XentKind(enum.Enum):
 
 
 def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray, grad: bool = False):
-    """Vectorized values over (N, K) pairs; returns (values, divergent, grads).
+    """Vectorized values over the pixels of (K, N) class planes y and sigma;
+    returns (values, divergent, grads), the first two of shape (N,).
 
     Log arguments are clamped at LOG_CLAMP so the returned values stay finite;
-    the mask records rows where the clamp was active. grads is None or the
-    pair (d/dy, d/dsigma) of the log-clamped loss: finite everywhere, and zero
-    along any coordinate sitting in the flat clamped region.
+    the mask records pixels where the clamp was active. grads is None or the
+    pair (d/dy, d/dsigma) of the log-clamped loss as (K, N) planes: finite
+    everywhere, and zero along any coordinate sitting in the flat clamped
+    region.
     """
     if kind is XentKind.CE:
-        div = _row_max((y > 0.0) & (sigma <= LOG_CLAMP))
+        div = ((y > 0.0) & (sigma <= LOG_CLAMP)).any(axis=0)
         logs = np.log(np.maximum(sigma, LOG_CLAMP))
         grads = None
         if grad:
             gs = np.where(sigma > LOG_CLAMP, -y / np.maximum(sigma, LOG_CLAMP), 0.0)
             grads = (-logs, gs)
-        return -_row_sum(y * logs), div, grads
+        return -(y * logs).sum(axis=0), div, grads
     if kind is XentKind.RCE:
-        div = _row_max((sigma > 0.0) & (y <= LOG_CLAMP))
+        div = ((sigma > 0.0) & (y <= LOG_CLAMP)).any(axis=0)
         logs = np.log(np.maximum(y, LOG_CLAMP))
         grads = None
         if grad:
             gy = np.where(y > LOG_CLAMP, -sigma / np.maximum(y, LOG_CLAMP), 0.0)
             grads = (gy, -logs)
-        return -_row_sum(sigma * logs), div, grads
+        return -(sigma * logs).sum(axis=0), div, grads
     if kind is XentKind.CCE:
-        s = _row_dot(sigma, y)
+        s = _row_dot(sigma.T, y.T)
         div = s <= LOG_CLAMP
         ss = np.maximum(s, LOG_CLAMP)
         grads = None
         if grad:
-            grads = (-sigma, -y)
+            grads = (-sigma / ss, -y / ss)
             for g in grads:
-                for k in range(g.shape[1]):  # whole columns, as in simplex._row_sum
-                    g[:, k] /= ss
-            if div.any():
-                for g in grads:
-                    g[div] = 0.0
+                g[:, div] = 0.0
         return -np.log(ss), div, grads
     if kind is XentKind.QUAD:
         d = y - sigma
         grads = (2.0 * d, -2.0 * d) if grad else None
-        return _row_dot(d, d), np.zeros(d.shape[0], dtype=bool), grads
+        return _row_dot(d.T, d.T), np.zeros(d.shape[1], dtype=bool), grads
     raise DataError(f"unknown cross-entropy kind {kind!r}")
+
+
+def _pair_planes(y, sigma):
+    """(K, 1) planes of one (target, estimate) pair."""
+    return [np.ascontiguousarray(a.T) for a in _pair_arrays(y, sigma)]
 
 
 def xent_value(kind: XentKind, y, sigma):
     """Coupling value for one (target, estimate) pair; DIVERGENT on clamped logs."""
-    v, div, _ = row_values(kind, *_pair_arrays(y, sigma))
+    v, div, _ = row_values(kind, *_pair_planes(y, sigma))
     if div[0]:
         return DIVERGENT
     return float(v[0])
@@ -90,10 +96,10 @@ def xent_value(kind: XentKind, y, sigma):
 
 def xent_grad(kind: XentKind, y, sigma):
     """(d/dy, d/dsigma) for one pair; refuses divergent points."""
-    _, div, (gy, gs) = row_values(kind, *_pair_arrays(y, sigma), grad=True)
+    _, div, (gy, gs) = row_values(kind, *_pair_planes(y, sigma), grad=True)
     if div[0]:
         raise DivergentPointError(f"{kind.name} gradient requested at a divergent pair")
-    return gy[0], gs[0]
+    return gy[:, 0], gs[:, 0]
 
 
 def corrupted_target(y, eta: float) -> Distribution:

@@ -22,7 +22,7 @@ import numpy as np
 from .affinity import AffinityGraph
 from .data_terms import XentKind, row_values
 from .errors import DataError, LOG_CLAMP
-from .potts import PottsKind, edge_sum
+from .potts import PottsKind, plane_sum
 from .simplex import ProbField, ScribbleField, entropy_rows, one_hot_rows
 
 
@@ -46,11 +46,13 @@ class LossConfig:
             raise DataError(f"bad cross-entropy kind {self.xent!r}")
 
 
-def _check_instance(sigma: ProbField, scribbles: ScribbleField, graph: AffinityGraph, y=None):
+def _check_instance(sigma: ProbField, scribbles: ScribbleField, graph: AffinityGraph = None,
+                    y=None):
     if (sigma.height, sigma.width) != (scribbles.height, scribbles.width):
         raise DataError(f"field is {sigma.height}x{sigma.width} but scribbles are "
                         f"{scribbles.height}x{scribbles.width}")
-    graph.check_covers(sigma.height, sigma.width)
+    if graph is not None:
+        graph.check_covers(sigma.height, sigma.width)
     if scribbles.max_class() > sigma.classes:
         raise DataError(f"scribble class {scribbles.max_class()} exceeds K={sigma.classes}")
     if y is not None and y.data.shape != sigma.data.shape:
@@ -78,14 +80,19 @@ def _joint_terms(cfg, picked, y_free, s_free, pairwise=0.0, grad=False):
     """(JointTerms, divergent coupling rows, coupling gradient pair or None).
 
     picked holds sigma's probability of the scribbled class at each scribble
-    pixel, y_free and s_free the (n, K) rows of y and sigma at the others. The
-    pair (d/dy, d/dsigma) is not scaled by eta; each caller scales its side."""
+    pixel, y_free and s_free the (K, n) class planes of y and sigma at the
+    others. The pair (d/dy, d/dsigma), also (K, n) planes, is not scaled by
+    eta; each caller scales its side."""
     vals, div, grads = row_values(cfg.xent, y_free, s_free, grad=grad)
     return JointTerms(_nll(picked), cfg.eta * float(np.sum(vals)), pairwise), div, grads
 
 
 def scribble_nll(sigma: ProbField, scribbles: ScribbleField) -> float:
-    """Negative log-likelihood of the ground-truth classes on scribble pixels."""
+    """Negative log-likelihood of the ground-truth classes on scribble pixels.
+
+    DataError if the scribbles are not sigma's shape or name a class above K.
+    """
+    _check_instance(sigma, scribbles)
     lab = scribbles.data.ravel()
     return _nll(sigma.flat()[lab > 0, lab[lab > 0] - 1])
 
@@ -98,11 +105,11 @@ def ws_loss(
 ) -> float:
     """Scribble NLL + eta * entropy over unlabeled + lambda * pairwise sum."""
     _check_instance(sigma, scribbles, graph)
-    s = sigma.flat()
+    s = sigma.planes()
     unlabeled = ~scribbles.labeled_mask().ravel()
     value = scribble_nll(sigma, scribbles)
-    value += cfg.eta * float(np.sum(entropy_rows(s[unlabeled])))
-    value += edge_sum(cfg.potts, s, graph, scale=cfg.lam)[0]
+    value += cfg.eta * float(np.sum(entropy_rows(s[:, unlabeled])))
+    value += plane_sum(cfg.potts, s, graph, scale=cfg.lam)[0]
     return value
 
 
@@ -122,12 +129,12 @@ def sl_loss(
     _check_instance(sigma, scribbles, graph, y)
     lab = scribbles.data.ravel()
     labeled = lab > 0
-    yf = y.flat()
+    yp = y.planes()
     if np.any(labeled):
-        gap = np.max(np.abs(yf[labeled] - one_hot_rows(lab[labeled], y.classes)))
+        gap = np.max(np.abs(yp[:, labeled] - one_hot_rows(lab[labeled], y.classes).T))
         if gap > 1e-6:
             raise DataError(f"pseudo-labels violate the scribble constraint by {gap:.3g}")
-    s = sigma.flat()
-    pairwise = edge_sum(cfg.potts, yf, graph, scale=cfg.lam)[0]
-    return _joint_terms(cfg, s[labeled, lab[labeled] - 1], yf[~labeled], s[~labeled],
+    s = sigma.planes()
+    pairwise = plane_sum(cfg.potts, yp, graph, scale=cfg.lam)[0]
+    return _joint_terms(cfg, s[lab[labeled] - 1, labeled], yp[:, ~labeled], s[:, ~labeled],
                         pairwise)[0].value

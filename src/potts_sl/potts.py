@@ -29,15 +29,15 @@ per-edge coefficients rather than two (E, K) gradient arrays:
   LQ    1 / uu             1 / uu             -1 / uu
 
 with s = p.q, ab = sqrt(|p|^2 |q|^2), and ss, uu the clamped ln arguments.
-The edge sum adds a pixel's gradient as own * y plus the b-weighted sum of
-its neighbours. It works on class-major fields, y held as (K, N) class
-planes, so each product and sum steps over a whole contiguous plane rather
-than K-long rows; the (N, K) edge_sum transposes in and out. On a grid
-graph each offset block is one contiguous run of the planes, whose pairs
-across row ends are not edges: they carry weight 0 and are left out of the
-values and divergence masks. Values and masks are bit-identical to
-evaluating each edge on its own; gradients are the same sums in another
-order, equal to the per-edge formulas within a few units in the last place.
+The edge sum (plane_sum) adds a pixel's gradient as own * y plus the
+b-weighted sum of its neighbours. It works on class-major fields, y held as
+(K, N) class planes, so each product and sum steps over a whole contiguous
+plane rather than K-long rows. On a grid graph each offset block is one
+contiguous run of the planes, whose pairs across row ends are not edges:
+they carry weight 0 and are left out of the values and divergence masks.
+Values and masks are bit-identical to evaluating each edge on its own;
+gradients are the same sums in another order, equal to the per-edge
+formulas within a few units in the last place.
 """
 
 from __future__ import annotations
@@ -181,32 +181,15 @@ def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray, grad: bool = Fals
     return values, div, (ap[..., None] * p + b * q, aq[..., None] * q + b * p)
 
 
-def edge_sum(kind: PottsKind, y: np.ndarray, graph: AffinityGraph, grad_out=None, scale=1.0):
-    """scale * sum_e w_e P(y_i, y_j) over the edges of graph; y is (N, K).
-
-    Returns (value, divergent) with the per-edge divergence mask in edge
-    order. When grad_out (N, K, C-contiguous) is given, scale * w_e * dP is
-    added into it, with the gradient of divergent edges skipped.
-
-    Transposes y and grad_out into class planes for plane_sum and the
-    gradient back; see there for the order of the arithmetic.
-    """
-    planes = np.ascontiguousarray(y.T)
-    if grad_out is None:
-        return plane_sum(kind, planes, graph, scale=scale)
-    if not grad_out.flags.c_contiguous:
-        raise DataError("grad_out must be C-contiguous")
-    grad_planes = np.ascontiguousarray(grad_out.T)
-    result = plane_sum(kind, planes, graph, grad_planes, scale)
-    grad_out[...] = grad_planes.T
-    return result
-
-
 def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_planes=None,
               scale=1.0):
-    """edge_sum on class-major fields: planes is y as C-contiguous (K, N)
-    class planes, and grad_planes, if given, (K, N) planes of the same layout
-    (DataError if not C-contiguous) that take the gradient.
+    """scale * sum_e w_e P(y_i, y_j) over the edges of graph, with y held as
+    C-contiguous (K, N) class planes.
+
+    Returns (value, divergent) with the per-edge divergence mask in edge
+    order. When grad_planes is given, (K, N) planes of the same layout
+    (DataError if not C-contiguous), scale * w_e * dP is added into it, with
+    the gradient of divergent edges skipped.
 
     The per-row terms a kernel reads on both sides of an edge (|y|^2 and |y|
     for NQ; |y| and 1 / |y|^2 for CD) are computed once per call on all N
@@ -335,7 +318,7 @@ def potts_sum(kind: PottsKind, field: ProbField, graph: AffinityGraph):
     Returns DIVERGENT if any positively weighted edge diverges.
     """
     graph.check_covers(field.height, field.width)
-    value, div = edge_sum(kind, field.flat(), graph)
+    value, div = plane_sum(kind, field.planes(), graph)
     if np.any(div & (graph.w > 0)):
         return DIVERGENT
     return value
@@ -347,9 +330,9 @@ def potts_sum_grad(kind: PottsKind, field: ProbField, graph: AffinityGraph):
     Raises DivergentPointError if any positively weighted edge diverges.
     """
     graph.check_covers(field.height, field.width)
-    y = field.flat()
+    y = field.planes()
     grad = np.zeros_like(y)
-    value, div = edge_sum(kind, y, graph, grad_out=grad)
+    value, div = plane_sum(kind, y, graph, grad)
     if np.any(div & (graph.w > 0)):
         raise DivergentPointError(f"{kind.name} edge sum has a divergent edge")
-    return value, grad.reshape(field.data.shape)
+    return value, grad.T.reshape(field.data.shape)

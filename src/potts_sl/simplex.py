@@ -3,6 +3,13 @@
 A pixel state is a point on the K-class probability simplex. Grids of such
 points serve both as classifier predictions and as (soft) pseudo-labels, so
 all loss and solver modules build on the types here.
+
+The fields hold (H, W, K) arrays, the layout of the files. The compute path
+holds per-pixel arrays as (K, N) class planes, C-contiguous (the fields'
+planes method), so a reduction over the classes is a numpy reduction over
+axis 0 that adds whole contiguous planes in class order. (With one pixel,
+N = 1, numpy reduces the K entries as one vector instead, pairwise from
+K = 8.)
 """
 
 from __future__ import annotations
@@ -114,6 +121,11 @@ class ProbField:
         """(N, K) view in row-major pixel order."""
         return self.data.reshape(-1, self.data.shape[2])
 
+    def planes(self, index=slice(None)) -> np.ndarray:
+        """(K, n) class planes of the pixels at index, C-contiguous: the
+        layout of the compute path."""
+        return np.ascontiguousarray(self.flat()[index].T)
+
     def at(self, row: int, col: int) -> Distribution:
         return Distribution(self.data[row, col])
 
@@ -150,6 +162,8 @@ class LogitField:
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1, self.data.shape[2])
+
+    planes = ProbField.planes
 
 
 @dataclass
@@ -207,36 +221,6 @@ def softmax(logits) -> Distribution:
     return Distribution(e / e.sum())
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """Maximum over the class axis of an (N, K) array, as whole-column
-    operations.
-
-    The class axis is the short inner axis of the per-pixel arrays, and numpy
-    reduces along it with a loop over the N rows that pays a fixed cost per
-    row; K column operations pay it per column instead. Equals
-    a.max(axis=1) bit for bit, NaN rows included; on a bool array it is
-    np.any(axis=1).
-    """
-    out = a[:, 0].copy()
-    for k in range(1, a.shape[1]):
-        np.maximum(out, a[:, k], out=out)
-    return out
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the class axis of an (N, K) array, adding whole columns in
-    order to 0.0 (see _row_max).
-
-    That is numpy's order for K < 8, so the result equals a.sum(axis=1) bit
-    for bit there, and a row of -0.0 sums to +0.0; from K = 8 numpy sums
-    pairwise and the two differ by rounding.
-    """
-    out = a[:, 0] + 0.0
-    for k in range(1, a.shape[1]):
-        out += a[:, k]
-    return out
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the class (last) axis of two class-last arrays.
 
@@ -257,18 +241,18 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax for an (N, K) array of logit vectors."""
-    z = logits - _row_max(logits)[:, None]
-    e = np.exp(z)
-    return e / _row_sum(e)[:, None]
+    """Softmax of each pixel's logit vector; logits are (K, N) class planes."""
+    e = np.exp(logits - logits.max(axis=0))
+    return e / e.sum(axis=0)
 
 
 def softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Chain rule through row-wise softmax: logit gradient of output gradient g.
+    """Chain rule through softmax_rows: logit gradient of output gradient g.
 
-    Each row is (diag(p) - p p^T) g = p * (g - sum_k p g), zero at one-hot p.
+    p and g are (K, N) class planes. Each pixel's column is
+    (diag(p) - p p^T) g = p * (g - sum_k p g), zero at one-hot p.
     """
-    return p * (g - _row_sum(p * g)[:, None])
+    return p * (g - (p * g).sum(axis=0))
 
 
 def entropy(p) -> float:
@@ -278,8 +262,8 @@ def entropy(p) -> float:
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Row-wise entropy of an (N, K) array."""
-    return -np.sum(np.where(p > 0.0, p * np.log(np.maximum(p, LOG_CLAMP)), 0.0), axis=1)
+    """Entropy of each pixel of (K, N) class planes."""
+    return -np.sum(np.where(p > 0.0, p * np.log(np.maximum(p, LOG_CLAMP)), 0.0), axis=0)
 
 
 def kl(p, q) -> float:

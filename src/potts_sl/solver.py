@@ -14,9 +14,8 @@ still pull on unlabeled neighbors.
 
 The solver holds its state class-major: logits, labels and gradients are
 (K, N) class planes, C-contiguous, from one transpose on entry to one on
-exit. The row-wise softmax and coupling routines take .T views of them, so
-their class-axis column operations run over contiguous planes, and the
-Potts term runs on them directly (potts.plane_sum).
+exit. The softmax, coupling and Potts routines all take those planes, so
+every class-axis step runs over whole contiguous planes.
 
 The logits descend by _armijo_descent, which the trainer shares: each step
 first tries the last accepted step size (at first the learning rate) and
@@ -88,21 +87,16 @@ def _objective(y, s_free, free, graph, cfg, grad=False):
     there, (K, len(free)). Divergent edges contribute their clamped value and
     no gradient; data rows use the gradient of the clamped coupling.
     """
-    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), np.take(y, free, axis=1).T, s_free.T,
+    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), np.take(y, free, axis=1), s_free,
                                       grad=grad)
     out = None
     if grad:
         out = np.zeros(y.shape)
-        out[:, free] = cfg.eta * gdata[0].T
+        out[:, free] = cfg.eta * gdata[0]
     del gdata  # not held through plane_sum's per-edge temporaries, the peak of a call
     pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam)
     return (terms._replace(pairwise=pairwise),
             int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out)
-
-
-def _planes(field, index=slice(None)):
-    """(K, n) class planes of a field's pixels at index, C-contiguous."""
-    return np.ascontiguousarray(field.flat()[index].T)
 
 
 def pseudo_label_objective(
@@ -115,16 +109,16 @@ def pseudo_label_objective(
     """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
     _check_instance(sigma, scribbles, graph, y)
     free = np.flatnonzero(scribbles.data.ravel() == 0)
-    return _objective(_planes(y), _planes(sigma, free), free, graph, cfg)[0].value
+    return _objective(y.planes(), sigma.planes(free), free, graph, cfg)[0].value
 
 
 def _initial_logits(sigma, init_logits):
     """(K, N) planes of init_logits if given, else of the (clamped) log of sigma."""
     if init_logits is None:
-        return np.log(np.maximum(_planes(sigma), LOG_CLAMP))
+        return np.log(np.maximum(sigma.planes(), LOG_CLAMP))
     if init_logits.data.shape != sigma.data.shape:
         raise DataError("initial logits shape differs from the prediction field")
-    return _planes(init_logits)
+    return init_logits.planes()
 
 
 def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, start=None):
@@ -182,13 +176,13 @@ def solve_pseudo_labels(
     lab = scribbles.data.ravel()
     scribbled = np.flatnonzero(lab)
     free = np.flatnonzero(lab == 0)
-    s_free = _planes(sigma, free)
+    s_free = sigma.planes(free)
     pinned = one_hot_rows(lab[scribbled], sigma.classes).T
     report = SolveReport()
     events, terms = 0, None
 
     def labels(logits):
-        y = softmax_rows(logits.T).T
+        y = softmax_rows(logits)
         y[:, scribbled] = pinned
         return y
 
@@ -196,7 +190,7 @@ def solve_pseudo_labels(
         nonlocal events, terms
         y = labels(logits)
         terms, events, grad = _objective(y, s_free, free, graph, loss_cfg, grad=True)
-        return terms.value, softmax_backward(y.T, grad.T).T
+        return terms.value, softmax_backward(y, grad)
 
     def record(value):
         report.trace.append(value)

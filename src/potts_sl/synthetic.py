@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .affinity import Image
-from .simplex import ProbField, ScribbleField, softmax_rows
+from .simplex import LogitField, ProbField, ScribbleField, softmax_rows
 
 # Distinct region colors for generated images (kept apart so affinity edges
 # are sharp at desk-scale color bandwidths).
@@ -69,6 +69,11 @@ def voronoi_image(rng: np.random.Generator, height: int, width: int, regions: in
     return Image(np.clip(img, 0, 255))
 
 
+def _softmax_field(logits: np.ndarray) -> ProbField:
+    """Softmax of an (H, W, K) logit array at each pixel."""
+    return ProbField(softmax_rows(LogitField(logits).planes()).T.reshape(logits.shape))
+
+
 def smooth_prob_field(rng: np.random.Generator, height: int, width: int, classes: int, sharpness: float = 2.0) -> ProbField:
     """Spatially smooth random field: softmax of blurred white-noise logits."""
     from scipy.ndimage import gaussian_filter
@@ -76,8 +81,7 @@ def smooth_prob_field(rng: np.random.Generator, height: int, width: int, classes
     logits = rng.standard_normal((height, width, classes))
     for c in range(classes):
         logits[:, :, c] = gaussian_filter(logits[:, :, c], sigma=2.0, mode="nearest")
-    probs = softmax_rows(sharpness * logits.reshape(-1, classes) / logits.std())
-    return ProbField(probs.reshape(height, width, classes))
+    return _softmax_field(sharpness * logits / logits.std())
 
 
 def sparse_scribbles(
@@ -115,8 +119,7 @@ def solver_oracle_instance(seed: int, height: int = 16, width: int = 16, classes
 
     logits = 1.5 * np.eye(classes)[cls - 1]
     logits = logits + 0.5 * rng.standard_normal((height, width, classes))
-    probs = softmax_rows(logits.reshape(-1, classes))
-    sigma = ProbField(probs.reshape(height, width, classes))
+    sigma = _softmax_field(logits)
 
     data = np.zeros((height, width), dtype=np.int64)
     pick = rng.permutation(height * width)[: 3 * classes]

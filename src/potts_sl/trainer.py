@@ -9,6 +9,10 @@ trial step is step_size and only shrinks, and every pseudo-label solve after
 the first starts from the previous round's labels, so neither block step can
 raise the joint loss and its trace is non-increasing by construction.
 
+Probabilities, logits, pseudo-labels and their gradients are (K, N) class
+planes, as in the solver: the logits are W phi^T + b for the (N, 5)
+features phi, and the weight gradient is G phi for the logit gradient G.
+
 Also hosts the label-corruption robustness experiment on a synthetic blob
 dataset: the same linear-softmax classifier trained against mixed targets
 eta * uniform + (1 - eta) * one_hot(observed) with each cross-entropy kind.
@@ -102,11 +106,15 @@ def pixel_features(image: Image) -> np.ndarray:
 
 def predict(model: PixelModel, image: Image):
     """Per-pixel softmax predictions; returns (ProbField, LogitField)."""
-    phi = pixel_features(image)
-    logits = phi @ model.weights.T + model.bias
-    probs = softmax_rows(logits)
+    logits = _logits(model, pixel_features(image))
     shape = (image.height, image.width, model.classes)
-    return ProbField(probs.reshape(shape)), LogitField(logits.reshape(shape))
+    return (ProbField(softmax_rows(logits).T.reshape(shape)),
+            LogitField(logits.T.reshape(shape)))
+
+
+def _logits(model, phi):
+    """(K, N) class planes of the model's logits at the (N, 5) features phi."""
+    return model.weights @ phi.T + model.bias[:, None]
 
 
 def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: TrainConfig) -> PixelModel:
@@ -130,7 +138,7 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
     # the joint loss with every row scribbled (no free rows) is the NLL alone
     phi_s = pixel_features(image)[labeled]
     every, cls = np.arange(len(phi_s)), lab[labeled] - 1
-    y_free = np.zeros((0, model.classes))
+    y_free = np.zeros((model.classes, 0))
     value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, every[:0], y_free, 0.0,
                                               cfg.loss_cfg)
     flat, _ = _armijo_descent(model.pack(), value_grad, cfg.pretrain_epochs, cfg.step_size)
@@ -143,22 +151,21 @@ def _sl_value_and_grad(flat, phi, scribbled, cls, free, y_free, pairwise, cfg):
 
     scribbled indexes the scribble pixels (rows of phi) and cls holds their
     0-based classes; free indexes the other pixels and y_free holds their
-    pseudo-labels, one row each. pairwise is the model-independent
-    lambda * sum w P(y_i, y_j).
+    pseudo-labels as (K, len(free)) class planes. pairwise is the
+    model-independent lambda * sum w P(y_i, y_j).
     """
-    model = PixelModel.unpack(flat, y_free.shape[1])
-    probs = softmax_rows(phi @ model.weights.T + model.bias)
-    probs_free = np.take(probs, free, axis=0)
-    terms, _, grads = _joint_terms(cfg, probs[scribbled, cls], y_free, probs_free, pairwise,
+    model = PixelModel.unpack(flat, y_free.shape[0])
+    probs = softmax_rows(_logits(model, phi))
+    probs_free = np.take(probs, free, axis=1)
+    terms, _, grads = _joint_terms(cfg, probs[cls, scribbled], y_free, probs_free, pairwise,
                                    grad=True)
     glogit = np.zeros_like(probs)
-    glogit[scribbled] = probs[scribbled]
-    glogit[scribbled, cls] -= 1.0
-    gfree = softmax_backward(probs_free, cfg.eta * grads[1])
-    for k in range(glogit.shape[1]):  # whole columns, as in simplex._row_sum
-        glogit[free, k] += gfree[:, k]
-    gw = glogit.T @ phi
-    gb = glogit.sum(axis=0)
+    glogit[:, scribbled] = probs[:, scribbled]
+    glogit[cls, scribbled] -= 1.0
+    glogit[:, free] += softmax_backward(probs_free, cfg.eta * grads[1])
+    gw = glogit @ phi
+    # adds each class's pixels in order; glogit.sum(axis=1) would add pairwise
+    gb = np.cumsum(glogit, axis=1)[:, -1]
     return terms.value, np.concatenate([gw.ravel(), gb])
 
 
@@ -193,7 +200,7 @@ def alternate(
         y, report = solve_pseudo_labels(sigma, model_logits if init is None else init,
                                         scribbles, graph, loss_cfg, cfg.solver_cfg)
         init = report.logits
-        y_free = np.take(y.flat(), free, axis=0)
+        y_free = y.planes(free)
         value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, y_free,
                                                   report.terms.pairwise, loss_cfg)
         flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, cfg.step_size)
@@ -206,18 +213,21 @@ def alternate(
 
 
 def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400, step0: float = 0.25):
-    """Linear-softmax weights fitted to soft targets with the given coupling."""
+    """Linear-softmax weights fitted to soft targets with the given coupling.
+
+    x holds one sample per row and targets one distribution per row."""
     n, dim = x.shape
     k = targets.shape[1]
     xa = np.column_stack([x, np.ones(n)])
+    target_planes = np.ascontiguousarray(targets.T)
 
     def value_grad(f):
         w = f.reshape(k, dim + 1)
-        probs = softmax_rows(xa @ w.T)
-        vals, _, grads = row_values(kind, targets, probs, grad=True)
+        probs = softmax_rows(w @ xa.T)
+        vals, _, grads = row_values(kind, target_planes, probs, grad=True)
         value = float(np.mean(vals))
         glogit = softmax_backward(probs, grads[1]) / n
-        return value, (glogit.T @ xa).ravel()
+        return value, (glogit @ xa).ravel()
 
     flat, _ = _armijo_descent(np.zeros((k * (dim + 1),)), value_grad, epochs, step0)
     return flat.reshape(k, dim + 1)
@@ -225,7 +235,7 @@ def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400, step0: fl
 
 def _accuracy(w, x, labels):
     xa = np.column_stack([x, np.ones(x.shape[0])])
-    pred = np.argmax(xa @ w.T, axis=1) + 1
+    pred = np.argmax(w @ xa.T, axis=0) + 1
     return float(np.mean(pred == labels))
 
 

@@ -1,5 +1,5 @@
-"""A solve and the random-walker oracle write the same bytes whatever the
-OpenBLAS thread count.
+"""A solve, a training run and the random-walker oracle write the same bytes
+whatever the OpenBLAS thread count.
 
 Threaded BLAS reductions split a long dot product between threads and add
 the parts in another order, so a value computed with one moves in the last
@@ -70,6 +70,27 @@ sys.exit(code)
 """
 
 
+# The train-nn4 benchmark instance of seed 0 (48x48, 3 rounds): the model's
+# logits and gradients are matrix products that BLAS computes.
+TRAIN_CHILD = r"""
+import sys
+from pathlib import Path
+
+from potts_sl import synthetic, write_image, write_labels
+from potts_sl.cli import main
+
+work = Path(sys.argv[1])
+image, scribbles, gt = synthetic.two_region_instance(0, 48, 48)
+write_image(image, work / "i.ppm")
+write_labels(scribbles.data, work / "s.pgm")
+write_labels(gt, work / "g.pgm")
+(work / "c.cfg").write_text("rounds = 3\n")
+sys.exit(main(["train", "--image", str(work / "i.ppm"), "--scribbles", str(work / "s.pgm"),
+               "--config", str(work / "c.cfg"), "--out", str(work / "out"),
+               "--gt", str(work / "g.pgm")]))
+"""
+
+
 def child_outputs(child, work, threads):
     """(last stdout line, {output file name: bytes}) of one child run."""
     work.mkdir()
@@ -97,3 +118,12 @@ def test_oracle_rw_does_not_depend_on_the_blas_thread_count(tmp_path):
     for name in one:
         assert one[name] == two[name], name
     assert digest_one == digest_two
+
+
+def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    _, one = child_outputs(TRAIN_CHILD, tmp_path / "one", "1")
+    _, two = child_outputs(TRAIN_CHILD, tmp_path / "two", "2")
+    assert {"loss_trace.txt", "miou.txt", "sigma.pfld", "y.pfld"} <= one.keys()
+    assert one.keys() == two.keys()
+    for name in one:
+        assert one[name] == two[name], name

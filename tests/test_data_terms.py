@@ -137,9 +137,10 @@ class TestFusedKernel:
     def test_grad_flag_keeps_values_and_mask(self, kind):
         rng = np.random.default_rng(9)
         k = 4
-        y = 0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k
-        sigma = 0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k
-        y[:3], sigma[:3] = np.eye(k)[0], np.eye(k)[1]
+        # (k, 40) class planes whose first 3 pixels are orthogonal one-hots
+        y = np.ascontiguousarray((0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k).T)
+        sigma = np.ascontiguousarray((0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k).T)
+        y[:, :3], sigma[:, :3] = np.eye(k)[:, :1], np.eye(k)[:, 1:2]
         v0, div0, none = row_values(kind, y, sigma)
         v1, div1, (gy, gs) = row_values(kind, y, sigma, grad=True)
         assert none is None
@@ -154,10 +155,10 @@ class TestFusedKernel:
         if kind is XentKind.RCE:
             assert not gy[y <= LOG_CLAMP].any()
         if kind is XentKind.CCE:
-            assert not gy[div1].any() and not gs[div1].any()
+            assert not gy[:, div1].any() and not gs[:, div1].any()
 
     def test_unknown_kind_rejected(self):
-        y = np.full((2, 3), 1.0 / 3.0)
+        y = np.full((3, 2), 1.0 / 3.0)
         for grad in (False, True):
             with pytest.raises(DataError):
                 row_values("nope", y, y, grad=grad)

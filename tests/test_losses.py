@@ -18,7 +18,7 @@ from potts_sl import (
 )
 from potts_sl.data_terms import XentKind, row_values
 from potts_sl.losses import _joint_terms
-from potts_sl.potts import PottsKind, edge_sum
+from potts_sl.potts import PottsKind, plane_sum
 from helpers import random_interior_field
 
 
@@ -211,13 +211,13 @@ def test_joint_terms_are_the_loss_parts(potts, xent):
     sigma, scribbles, graph = small_instance(12)
     y = pin_to_scribbles(random_interior_field(np.random.default_rng(13), 4, 4, 3), scribbles)
     cfg = LossConfig(eta=0.4, lam=2.0, potts=potts, xent=xent)
-    s, yf = sigma.flat(), y.flat()
+    s, yp = sigma.planes(), y.planes()
     lab = scribbles.data.ravel()
     free = lab == 0
-    pairwise = edge_sum(potts, yf, graph, scale=cfg.lam)[0]
-    picked = s[~free, lab[~free] - 1]
-    terms, div, grads = _joint_terms(cfg, picked, yf[free], s[free], pairwise)
-    vals, ref_div, ref_grads = row_values(xent, yf[free], s[free], grad=True)
+    pairwise = plane_sum(potts, yp, graph, scale=cfg.lam)[0]
+    picked = s[lab[~free] - 1, ~free]
+    terms, div, grads = _joint_terms(cfg, picked, yp[:, free], s[:, free], pairwise)
+    vals, ref_div, ref_grads = row_values(xent, yp[:, free], s[:, free], grad=True)
     assert terms.nll == scribble_nll(sigma, scribbles)
     assert terms.coupling == cfg.eta * float(np.sum(vals))
     assert terms.pairwise == pairwise
@@ -225,10 +225,22 @@ def test_joint_terms_are_the_loss_parts(potts, xent):
     assert sl_loss(sigma, y, scribbles, graph, cfg) == terms.value
     assert np.array_equal(div, ref_div) and grads is None
     # the gradient pair is row_values', unscaled by eta
-    with_grad, _, grads = _joint_terms(cfg, picked, yf[free], s[free], pairwise, grad=True)
+    with_grad, _, grads = _joint_terms(cfg, picked, yp[:, free], s[:, free], pairwise, grad=True)
     assert with_grad == terms
     for g, ref in zip(grads, ref_grads):
         assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("data, message", [
+    (np.ones((5, 5), dtype=np.int64), "field is 4x4 but scribbles are 5x5"),
+    # as many pixels as the field, in another shape: no index error to catch it
+    (np.ones((2, 8), dtype=np.int64), "field is 4x4 but scribbles are 2x8"),
+    (np.diag([1, 3, 0, 2]), "scribble class 3 exceeds K=2"),
+], ids=["larger", "same-size", "class-above-k"])
+def test_scribble_nll_checks_its_instance(data, message):
+    sigma = random_interior_field(np.random.default_rng(15), 4, 4, 2)
+    with pytest.raises(DataError, match=message):
+        scribble_nll(sigma, ScribbleField(data))
 
 
 @pytest.mark.parametrize("shape", [(4, 5, 2), (5, 4, 3), (4, 5, 4)])

@@ -22,7 +22,7 @@ from potts_sl import (
 )
 from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, _evaluate, _row_terms, edge_sum, edge_values, plane_sum
+from potts_sl.potts import PottsKind, _evaluate, _row_terms, edge_values, plane_sum
 from helpers import interior_pair, random_interior_field
 
 ALL_KINDS = list(PottsKind)
@@ -290,21 +290,21 @@ class TestFusedKernel:
         field = random_interior_field(rng, 3, 3, 3)
         graph = chain_graph(rng.uniform(0.2, 1.5, size=8))
         value, grad = potts_sum_grad(kind, field, graph)
-        start = rng.normal(size=(9, 3))
+        start = rng.normal(size=(3, 9))
         out = start.copy()
-        scaled, div = edge_sum(kind, field.flat(), graph, grad_out=out, scale=2.5)
+        scaled, div = plane_sum(kind, field.planes(), graph, out, 2.5)
         assert not div.any()
         assert abs(scaled - 2.5 * value) < 1e-12
-        np.testing.assert_allclose(out - start, 2.5 * grad.reshape(9, 3), atol=1e-12)
+        np.testing.assert_allclose((out - start).T, 2.5 * grad.reshape(9, 3), atol=1e-12)
 
     def test_edge_sum_counts_zero_weight_divergence_but_skips_its_gradient(self):
-        y = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        y = np.ascontiguousarray([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
         graph = AffinityGraph(npixels=3, ei=[0, 1], ej=[1, 2], w=[0.0, 1.0])
         out = np.zeros_like(y)
-        value, div = edge_sum(PottsKind.CCE, y, graph, grad_out=out)
+        value, div = plane_sum(PottsKind.CCE, y, graph, out)
         assert div.tolist() == [True, False]
         assert abs(value - math.log(2.0)) < 1e-12
-        np.testing.assert_allclose(out, [[0.0, 0.0], [-1.0, -1.0], [0.0, -2.0]], atol=1e-12)
+        np.testing.assert_allclose(out, [[0.0, -1.0, 0.0], [0.0, -1.0, -2.0]], atol=1e-12)
 
 
 NEIGHBORHOODS = [
@@ -328,10 +328,11 @@ class TestGridPath:
         hot = rng.uniform(size=h * w) < 0.5
         y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
         y[:2] = np.eye(k)[:2][: h * w]  # pixels 0 and 1 are neighbors: a divergent pair
+        planes = np.ascontiguousarray(y.T)
         results = []
         for g in (graph, flat):
-            out = np.full((h * w, k), 0.25)
-            value, div = edge_sum(kind, y, g, grad_out=out, scale=1.7)
+            out = np.full((k, h * w), 0.25)
+            value, div = plane_sum(kind, planes, g, out, 1.7)
             results.append((value, div, out))
         (v0, d0, g0), (v1, d1, g1) = results
         assert v0 == v1
@@ -342,12 +343,11 @@ class TestGridPath:
 
     def test_grid_path_rejects_a_gradient_buffer_it_cannot_view(self):
         graph = build_graph(Image(np.zeros((3, 4, 3))), AffinityConfig())
-        y = np.full((12, 2), 0.5)
-        out = np.zeros((2, 12)).T  # (12, 2) but Fortran-ordered
-        with pytest.raises(DataError):
-            edge_sum(PottsKind.BL, y, graph, grad_out=out)
-        with pytest.raises(DataError):
-            plane_sum(PottsKind.BL, np.ascontiguousarray(y.T), graph, np.zeros((12, 2)).T)
+        y = np.full((2, 12), 0.5)
+        out = np.zeros((12, 2)).T  # (2, 12) but Fortran-ordered
+        for g in (graph, AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)):
+            with pytest.raises(DataError):
+                plane_sum(PottsKind.BL, y, g, out)
 
 
 def per_edge_reference(kind, y, graph, scale, start):
@@ -408,7 +408,7 @@ def per_edge_reference(kind, y, graph, scale, start):
 
 
 class TestRowTerms:
-    """edge_sum against an edge-by-edge reference. Values and masks must be
+    """plane_sum against an edge-by-edge reference. Values and masks must be
     equal; the gradient must equal the coefficient form accumulated in edge
     order and match the per-edge (E, K) formulas to rounding."""
 
@@ -423,17 +423,18 @@ class TestRowTerms:
         hot = rng.uniform(size=h * w) < 0.4
         y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
         y[:2] = np.eye(k)[:2]  # neighbours 0 and 1: orthogonal one-hots
+        planes = np.ascontiguousarray(y.T)
         for start in (np.full(y.shape, 0.25), np.zeros(y.shape)):
             ref_value, ref_div, by_coefs, by_edge = per_edge_reference(kind, y, graph, 1.3, start)
             assert ref_div.any() == (kind in LOG_KINDS)
             for g in (graph, AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)):
-                out = start.copy()
-                value, div = edge_sum(kind, y, g, grad_out=out, scale=1.3)
+                out = np.ascontiguousarray(start.T)
+                value, div = plane_sum(kind, planes, g, out, 1.3)
                 assert value == ref_value
                 assert np.array_equal(div, ref_div)
-                assert np.array_equal(out, by_coefs)
-                assert np.abs(out - by_edge).max() <= 1e-14 * np.abs(by_edge).max()
-                assert edge_sum(kind, y, g, scale=1.3)[0] == ref_value
+                assert np.array_equal(out.T, by_coefs)
+                assert np.abs(out.T - by_edge).max() <= 1e-14 * np.abs(by_edge).max()
+                assert plane_sum(kind, planes, g, scale=1.3)[0] == ref_value
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_coefficients_have_value_shape_and_vanish_on_divergent_edges(self, kind):
@@ -455,9 +456,9 @@ class TestRowTerms:
 
 
 class TestClassPlanes:
-    """plane_sum on (K, N) class planes against the row-major edge_sum, the
-    same edges without a grid layout and, below K = 8 where _row_dot is
-    einsum's order, the edge-by-edge reference."""
+    """plane_sum on (K, N) class planes with and without the gradient, on
+    the same edges without a grid layout and, below K = 8 where _row_dot is
+    einsum's order, against the edge-by-edge reference."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -491,13 +492,8 @@ class TestClassPlanes:
         value, div = plane_sum(kind, planes, graph, scale=0.7)
         grad_planes = np.ascontiguousarray(start.T)
         value_g, div_g = plane_sum(kind, planes, graph, grad_planes, 0.7)
-        out = start.copy()
-        ref_value, ref_div = edge_sum(kind, y, graph, grad_out=out, scale=0.7)
-        assert edge_sum(kind, y, graph, scale=0.7)[0] == ref_value
-        assert value == value_g == ref_value
-        for d in (div, div_g):
-            assert d.dtype == bool and np.array_equal(d, ref_div)
-        assert np.array_equal(grad_planes.T, out)
+        assert value == value_g
+        assert div.dtype == div_g.dtype == bool and np.array_equal(div, div_g)
         no_layout = AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)
         flat_planes = np.ascontiguousarray(start.T)
         flat_value, flat_div = plane_sum(kind, planes, no_layout, flat_planes, 0.7)
@@ -506,7 +502,7 @@ class TestClassPlanes:
         if k < 8:
             r_value, r_div, by_coefs, _ = per_edge_reference(kind, y, graph, 0.7, start)
             assert value == r_value and np.array_equal(div, r_div)
-            assert np.array_equal(out, by_coefs)
+            assert np.array_equal(grad_planes.T, by_coefs)
 
 
 class TestEdgeOrderInvariance:
@@ -529,10 +525,11 @@ class TestEdgeOrderInvariance:
         y = rng.dirichlet(np.ones(k), size=h * w)
         hot = rng.uniform(size=h * w) < 0.3
         y[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
+        planes = np.ascontiguousarray(y.T)
         results = []
         for g in (graph, shuffled):
-            out = np.zeros_like(y)
-            value, div = edge_sum(kind, y, g, grad_out=out, scale=0.7)
+            out = np.zeros_like(planes)
+            value, div = plane_sum(kind, planes, g, out, 0.7)
             results.append((value, div, out))
         (v0, d0, g0), (v1, d1, g1) = results
         assert np.array_equal(d1, d0[perm])

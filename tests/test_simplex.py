@@ -19,8 +19,6 @@ from potts_sl import (
 )
 from potts_sl.simplex import (
     _row_dot,
-    _row_max,
-    _row_sum,
     one_hot_rows,
     softmax_backward,
     softmax_rows,
@@ -66,26 +64,27 @@ class TestSoftmax:
 class TestSoftmaxBackward:
     @staticmethod
     def instance(n, k, seed):
+        """(rng, p, g) with p and g (k, n) class planes."""
         rng = np.random.default_rng(seed)
-        p = softmax_rows(3.0 * rng.standard_normal((n, k)))
-        return rng, p, 10.0 * rng.standard_normal((n, k))
+        p = softmax_rows(3.0 * rng.standard_normal((k, n)))
+        return rng, p, 10.0 * rng.standard_normal((k, n))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(2, 21), st.integers(0, 2**32 - 1))
     def test_rows_are_the_softmax_jacobian_times_g(self, n, k, seed):
         _, p, g = self.instance(n, k, seed)
         out = softmax_backward(p, g)
-        for row, pi, gi in zip(out, p, g):
-            np.testing.assert_allclose(row, (np.diag(pi) - np.outer(pi, pi)) @ gi,
+        for col, pi, gi in zip(out.T, p.T, g.T):
+            np.testing.assert_allclose(col, (np.diag(pi) - np.outer(pi, pi)) @ gi,
                                        rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out.sum(axis=1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.sum(axis=0), 0.0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(2, 21), st.integers(0, 2**32 - 1))
     def test_exactly_zero_at_one_hot_rows(self, n, k, seed):
         # pinned (one-hot) pixels receive no logit update in the solver
         rng, _, g = self.instance(n, k, seed)
-        p = one_hot_rows(rng.integers(1, k + 1, size=n), k)
+        p = one_hot_rows(rng.integers(1, k + 1, size=n), k).T
         assert np.all(softmax_backward(p, g) == 0.0)
 
     @settings(max_examples=20, deadline=None)
@@ -93,16 +92,17 @@ class TestSoftmaxBackward:
     def test_matches_central_differences(self, k, seed):
         # softmax_backward(softmax(z), g) is the gradient of g . softmax(z)
         rng, _, g = self.instance(3, k, seed)
-        z = 3.0 * rng.standard_normal((3, k))
+        z = 3.0 * rng.standard_normal((k, 3))
         out = softmax_backward(softmax_rows(z), g)
         h = 1e-6
         for i in range(3):
             for c in range(k):
-                zp, zm = z[i].copy(), z[i].copy()
+                zp, zm = z[:, i].copy(), z[:, i].copy()
                 zp[c] += h
                 zm[c] -= h
-                fd = (g[i] @ softmax_rows(zp[None])[0] - g[i] @ softmax_rows(zm[None])[0]) / (2 * h)
-                assert abs(fd - out[i, c]) <= 1e-6
+                fd = (g[:, i] @ softmax_rows(zp[:, None])[:, 0]
+                      - g[:, i] @ softmax_rows(zm[:, None])[:, 0]) / (2 * h)
+                assert abs(fd - out[c, i]) <= 1e-6
 
 
 def bits(a):
@@ -120,29 +120,7 @@ def wide_rows(n, k, seed):
 
 
 class TestClassAxisHelpers:
-    """The column-wise class-axis reductions against numpy's own."""
-
-    @pytest.mark.parametrize("k", range(1, 22))
-    def test_row_max_is_numpy_max_bit_for_bit(self, k):
-        a = wide_rows(300, k, k)
-        a[::7, k // 2] = np.nan
-        a[1::11, 0] = -np.inf
-        a[2::13] = -0.0
-        assert np.array_equal(bits(_row_max(a)), bits(np.max(a, axis=1)))
-        mask = a > 1.0
-        assert np.array_equal(_row_max(mask), np.any(mask, axis=1))
-
-    @pytest.mark.parametrize("k", range(1, 22))
-    def test_row_sum_is_numpy_sum(self, k):
-        a = wide_rows(300, k, 100 + k)
-        ours, ref = _row_sum(a), np.sum(a, axis=1)
-        if k <= 7:
-            assert np.array_equal(bits(ours), bits(ref))
-        else:
-            # numpy sums pairwise from 8 items: both are within (K - 1) eps
-            # sum |a| of the exact sum
-            bound = k * np.finfo(float).eps * np.sum(np.abs(a), axis=1)
-            assert np.all(np.abs(ours - ref) <= bound)
+    """The class-axis primitives against numpy's own formulas."""
 
     @pytest.mark.parametrize("k", range(1, 22))
     def test_row_dot_is_numpy_einsum(self, k):
@@ -175,24 +153,23 @@ class TestClassAxisHelpers:
 
     @pytest.mark.parametrize("k", range(2, 22))
     def test_softmax_pair_matches_numpy_formulas(self, k):
+        # on (K, N) planes numpy reduces axis 0 by adding whole planes in
+        # class order, so the pair is these formulas bit for bit at every K
         rng = np.random.default_rng(200 + k)
-        z = 30.0 * rng.standard_normal((300, k))
-        g = 10.0 * rng.standard_normal((300, k))
-        ref = np.exp(z - z.max(axis=1, keepdims=True))
-        ref /= ref.sum(axis=1, keepdims=True)
+        z = 30.0 * rng.standard_normal((k, 300))
+        g = 10.0 * rng.standard_normal((k, 300))
+        ref = np.exp(z - z.max(axis=0))
+        ref /= ref.sum(axis=0)
         p = softmax_rows(z)
-        back = softmax_backward(p, g)
-        back_ref = p * (g - np.sum(p * g, axis=1, keepdims=True))
-        if k <= 7:
-            assert np.array_equal(bits(p), bits(ref))
-            assert np.array_equal(bits(back), bits(back_ref))
-        else:
-            eps = np.finfo(float).eps
-            np.testing.assert_allclose(p, ref, rtol=2 * k * eps, atol=0)
-            # the row sums differ by at most k eps sum |p g|, and g minus
-            # them rounds within eps |g - sum p g|
-            bound = k * eps * p * (np.abs(g) + np.sum(np.abs(p * g), axis=1, keepdims=True))
-            assert np.all(np.abs(back - back_ref) <= bound)
+        assert np.array_equal(bits(p), bits(ref))
+        back_ref = p * (g - np.sum(p * g, axis=0))
+        assert np.array_equal(bits(softmax_backward(p, g)), bits(back_ref))
+        # the sum adds one plane at a time in class order, the order the
+        # byte-identical outputs rest on
+        total = p[0]
+        for row in p[1:]:
+            total = total + row
+        assert np.array_equal(bits(p.sum(axis=0)), bits(total))
 
 
 class TestEntropy:

@@ -20,9 +20,9 @@ from potts_sl import (
 )
 from potts_sl.data_terms import XentKind
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, edge_sum
+from potts_sl.potts import PottsKind, plane_sum
 from potts_sl import solver
-from potts_sl.solver import SolverConfig, _armijo_descent, _objective, _planes
+from potts_sl.solver import SolverConfig, _armijo_descent, _objective
 from helpers import permute_classes, random_interior_field
 
 
@@ -280,7 +280,7 @@ class TestArmijoDescent:
                                         SolverConfig(steps=20, learning_rate=1e4))
         assert evaluated[-1].value > report.final_objective
         assert report.terms.value == report.final_objective
-        assert report.terms.pairwise == edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
+        assert report.terms.pairwise == plane_sum(cfg.potts, y.planes(), graph, scale=cfg.lam)[0]
 
     def test_one_objective_per_step_on_nn4(self, monkeypatch):
         # every first trial passes on this instance, so a solve costs one
@@ -357,7 +357,7 @@ def test_solver_invariants(case):
     assert report.final_objective == report.trace[-1]
     assert report.terms.value == report.final_objective
     assert report.terms.nll == 0.0
-    assert report.terms.pairwise == edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
+    assert report.terms.pairwise == plane_sum(cfg.potts, y.planes(), graph, scale=cfg.lam)[0]
     assert y.data.min() >= 0.0
     np.testing.assert_allclose(y.data.sum(axis=2), 1.0, atol=1e-12)
     labels = scribbles.data
@@ -385,9 +385,9 @@ def test_objective_gradient_matches_finite_differences(potts, xent):
     # eta and lambda differ from 1 and scribbled pixels carry no data term,
     # so a wrong scale or mask in the assembled gradient shows up here
     sigma, scribbles, graph = grid_instance(12, h=3, w=4, k=3, labeled=3)
-    y = _planes(random_interior_field(np.random.default_rng(13), 3, 4, 3))
+    y = random_interior_field(np.random.default_rng(13), 3, 4, 3).planes()
     free = np.flatnonzero(scribbles.data.ravel() == 0)
-    s_free = _planes(sigma, free)
+    s_free = sigma.planes(free)
     cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
     terms, events, grad = _objective(y, s_free, free, graph, cfg, grad=True)
     assert events == 0

@@ -21,7 +21,7 @@ from potts_sl import (
 from potts_sl.data_terms import XentKind
 from potts_sl.losses import scribble_nll
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, edge_sum
+from potts_sl.potts import PottsKind, plane_sum
 from potts_sl.simplex import one_hot_rows
 from potts_sl.solver import SolverConfig
 from potts_sl.synthetic import gaussian_blobs_dataset, two_region_instance
@@ -146,8 +146,8 @@ class TestModelGradient:
         phi = pixel_features(image)
         scribbled = np.flatnonzero(data.ravel())
         free = np.flatnonzero(data.ravel() == 0)
-        y_free = y.flat()[free]
-        pairwise = edge_sum(cfg.potts, y.flat(), graph, scale=cfg.lam)[0]
+        y_free = y.planes(free)
+        pairwise = plane_sum(cfg.potts, y.planes(), graph, scale=cfg.lam)[0]
         flat0 = rng.standard_normal(2 * 5 + 2) * 0.5
         f = lambda p: _sl_value_and_grad(p, phi, scribbled, data.ravel()[scribbled] - 1, free,
                                          y_free, pairwise, cfg)
@@ -188,20 +188,34 @@ class TestAlternate:
     def test_pairwise_term_taken_from_the_solve(self, monkeypatch):
         # at fixed pseudo-labels the pairwise term does not depend on the
         # model, and the solve has already evaluated it at its final labels,
-        # so a round makes no edge_sum call of its own
+        # so a round evaluates the pairwise term only inside the solve
         from potts_sl import losses, potts, solver, trainer
 
         image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
         graph = build_graph(image, AffinityConfig())
         cfg = TrainConfig(rounds=3, inner_epochs=5, solver_cfg=SolverConfig(steps=10))
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
-        calls = []
+        solving, in_solve = [], []
+
+        def solve(*args):
+            solving.append(True)
+            try:
+                return solve_pseudo_labels(*args)
+            finally:
+                solving.pop()
+
+        def counted(*args, **kwargs):
+            in_solve.append(bool(solving))
+            return plane_sum(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "solve_pseudo_labels", solve)
+        # every module that binds plane_sum; the trainer binds none, and
+        # would be caught if it did
         for module in (potts, losses, solver, trainer):
-            monkeypatch.setattr(module, "edge_sum",
-                                lambda *a, **k: calls.append(a) or edge_sum(*a, **k),
-                                raising=False)
+            monkeypatch.setattr(module, "plane_sum", counted, raising=module is not trainer)
         alternate(model, image, scribbles, graph, cfg)
-        assert calls == []
+        assert len(in_solve) >= cfg.rounds * (cfg.solver_cfg.steps + 1)
+        assert all(in_solve)
 
     def test_simplex_invariants_preserved(self):
         image, scribbles, _ = two_region_instance(seed=4, height=10, width=10)
@@ -253,18 +267,21 @@ def alternation_cases(draw):
     potts = draw(st.sampled_from(list(PottsKind)))
     xent = draw(st.sampled_from(list(XentKind)))
     neighborhood = draw(st.sampled_from(["nn4", "sparse:2"]))
+    k = draw(st.integers(2, 5))
     seed = draw(st.integers(0, 2**16))
-    return h, w, scribbled, potts, xent, neighborhood, seed
+    return h, w, scribbled, potts, xent, neighborhood, k, seed
 
 
 def with_every_kind_pair(test):
     # one explicit example per (PottsKind, XentKind) pair, cycling through a
-    # 1xW, a rectangular and a square shape and both neighborhoods
+    # 1xW, a rectangular and a square shape, both neighborhoods and K = 2..5,
+    # and one at K = 21
     shapes = [(1, 7), (5, 6), (9, 9)]
     neighborhoods = ["nn4", "sparse:2"]
     for i, (potts, xent) in enumerate(itertools.product(PottsKind, XentKind)):
         h, w = shapes[i % 3]
-        test = example((h, w, "some", potts, xent, neighborhoods[i % 2], i))(test)
+        test = example((h, w, "some", potts, xent, neighborhoods[i % 2], 2 + i % 4, i))(test)
+    test = example((9, 9, "some", PottsKind.CD, XentKind.CCE, "sparse:2", 21, 24))(test)
     return settings(max_examples=40)(given(alternation_cases())(test))
 
 
@@ -273,17 +290,17 @@ def test_joint_loss_never_rises(case):
     # each solve starts at the previous labels and each model step at the
     # previous model, so neither block step raises the joint loss; only
     # rounding in the sum of its terms may move it by a few ulps
-    h, w, scribbled, potts, xent, neighborhood, seed = case
+    h, w, scribbled, potts, xent, neighborhood, k, seed = case
     rng = np.random.default_rng(seed)
     image = Image(rng.integers(0, 256, size=(h, w, 3)))
     kind = NeighborhoodKind.NN4 if neighborhood == "nn4" else NeighborhoodKind.SPARSE_WINDOW
     graph = build_graph(image, AffinityConfig(kind=kind, radius=2, color_bandwidth=60.0))
-    labels = rng.integers(1, 3, size=(h, w))
+    labels = rng.integers(1, k + 1, size=(h, w))
     if scribbled == "none":
         labels[:] = 0
     elif scribbled == "some":
         labels[rng.uniform(size=(h, w)) < 0.7] = 0
-    model = PixelModel(rng.standard_normal((2, 5)), rng.standard_normal(2))
+    model = PixelModel(rng.standard_normal((k, 5)), rng.standard_normal(k))
     cfg = TrainConfig(rounds=4, inner_epochs=5, solver_cfg=SolverConfig(steps=25),
                       loss_cfg=LossConfig(potts=potts, xent=xent))
     _, _, trace = alternate(model, image, ScribbleField(labels), graph, cfg)

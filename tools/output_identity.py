@@ -1,0 +1,187 @@
+"""Compare the files two source trees of potts-sl write, byte for byte.
+
+    python tools/output_identity.py PARENT_TREE CHANGE_TREE [--work DIR]
+
+Each tree writes the same set of files in its own interpreter, with
+PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
+
+- one job of each benchmark workload (<tree>/perfbench/workloads.py) at
+  seeds 0 and 3: its input files, its output files and its stdout;
+- `solve` on a 32x32 instance (K = 5, 60 steps) for every (potts, xent)
+  pair on nn4, sparse:2 and dense:3:1.5, and on a 24x24 nn4 instance at
+  K = 8 and K = 21;
+- `train --gt` on a 20x20 two-region instance (2 rounds, 60 steps) for every
+  pair on nn4 and sparse:2;
+- `corrupt-bench --seed 0` and `gradcheck`.
+
+Every job runs with relative paths from the set's folder, so stdout does not
+name the folder, and its exit code goes to exit_codes.txt. The change's set
+is compared with the parent's at the same thread count. The script prints
+each file that differs and the largest relative change of any value in a
+solve_report.txt or loss_trace.txt, and exits 1 on any difference, 2 if a
+tree cannot write its set, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+THREADS = ("1", "2")
+TRACE_FILES = ("solve_report.txt", "loss_trace.txt")
+POTTS = ("bl", "q", "nq", "cce", "cd", "lq")
+XENT = ("ce", "rce", "cce", "quad")
+
+
+def write_set(tree: Path, root: Path) -> None:
+    """Write the file set of the potts_sl on sys.path into root."""
+    import numpy as np
+
+    import potts_sl
+    from potts_sl import synthetic, write_image, write_labels, write_probfield
+    from potts_sl.cli import main
+
+    if Path(potts_sl.__file__).resolve().parent != (tree / "src" / "potts_sl").resolve():
+        sys.exit(f"imported potts_sl from {potts_sl.__file__}, not from {tree / 'src'}")
+    sys.path.insert(0, str(tree / "perfbench"))
+    import workloads
+
+    root.mkdir(parents=True)
+    os.chdir(root)
+    codes = []
+
+    def run(name, argv):
+        out = Path(name)
+        out.mkdir(parents=True, exist_ok=True)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            code = main(argv)
+        (out / "stdout.txt").write_text(buf.getvalue())
+        codes.append(f"{name}\t{code}\n")
+
+    for (name, workload), seed in itertools.product(workloads.make_workloads().items(), (0, 3)):
+        folder = Path("bench") / f"{name}-{seed}"
+        folder.mkdir(parents=True)
+        inputs = workload.generate(seed, folder)
+        run(str(folder / "out"), workload.argv(inputs, folder / "out"))
+
+    def grid_instance(folder, n, k, seed):
+        folder.mkdir(parents=True)
+        rng = np.random.default_rng(seed)
+        write_image(synthetic.voronoi_image(rng, n, n, 6), folder / "image.ppm")
+        write_probfield(synthetic.smooth_prob_field(rng, n, n, k), folder / "sigma.pfld")
+        write_labels(synthetic.sparse_scribbles(rng, n, n, k, 3).data, folder / "scribbles.pgm")
+        return ["--image", str(folder / "image.ppm"), "--scribbles", str(folder / "scribbles.pgm"),
+                "--sigma", str(folder / "sigma.pfld")]
+
+    solve_sets = [("k5", 32, 5, ("nn4", "sparse:2", "dense:3:1.5")),
+                  ("k8", 24, 8, ("nn4",)), ("k21", 24, 21, ("nn4",))]
+    for label, n, k, neighborhoods in solve_sets:
+        files = grid_instance(Path("solve") / label, n, k, seed=n + k)
+        for neighborhood, potts, xent in itertools.product(neighborhoods, POTTS, XENT):
+            folder = Path("solve") / label / f"{neighborhood.replace(':', '-')}-{potts}-{xent}"
+            folder.mkdir(parents=True)
+            cfg = folder / "run.cfg"
+            cfg.write_text(f"neighborhood = {neighborhood}\npotts = {potts}\nxent = {xent}\n"
+                           "steps = 60\n")
+            run(str(folder), ["solve", *files, "--config", str(cfg), "--out", str(folder)])
+
+    folder = Path("train")
+    folder.mkdir()
+    image, scribbles, gt = synthetic.two_region_instance(5, 20, 20)
+    write_image(image, folder / "image.ppm")
+    write_labels(scribbles.data, folder / "scribbles.pgm")
+    write_labels(gt, folder / "gt.pgm")
+    for neighborhood, potts, xent in itertools.product(("nn4", "sparse:2"), POTTS, XENT):
+        out = folder / f"{neighborhood.replace(':', '-')}-{potts}-{xent}"
+        out.mkdir()
+        cfg = out / "run.cfg"
+        cfg.write_text(f"neighborhood = {neighborhood}\npotts = {potts}\nxent = {xent}\n"
+                       "rounds = 2\nsteps = 60\n")
+        run(str(out), ["train", "--image", str(folder / "image.ppm"),
+                       "--scribbles", str(folder / "scribbles.pgm"), "--config", str(cfg),
+                       "--out", str(out), "--gt", str(folder / "gt.pgm")])
+
+    Path("corrupt").mkdir()
+    run("corrupt", ["corrupt-bench", "--seed", "0", "--out", "corrupt"])
+    run("gradcheck", ["gradcheck"])
+    Path("exit_codes.txt").write_text("".join(codes))
+
+
+def file_set(root: Path) -> dict:
+    return {p.relative_to(root): p for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def trace_change(a: Path, b: Path) -> float:
+    """Largest relative change between the numeric values of two trace files."""
+    worst = 0.0
+    for la, lb in zip(a.read_text().splitlines(), b.read_text().splitlines()):
+        try:
+            va, vb = float(la.split("\t")[-1]), float(lb.split("\t")[-1])
+        except ValueError:
+            continue
+        if va != vb:
+            worst = max(worst, abs(va - vb) / max(abs(va), abs(vb)))
+    return worst
+
+
+def compare(parent: Path, change: Path) -> tuple[list[str], float, int]:
+    """(files that differ or exist on one side only, largest trace change, files compared)."""
+    pa, ch = file_set(parent), file_set(change)
+    differ, worst = [], 0.0
+    for rel in sorted(pa.keys() | ch.keys()):
+        if rel not in pa or rel not in ch:
+            differ.append(f"{rel} (only in the {'parent' if rel in pa else 'change'})")
+        elif pa[rel].read_bytes() != ch[rel].read_bytes():
+            differ.append(str(rel))
+            if rel.name in TRACE_FILES:
+                worst = max(worst, trace_change(pa[rel], ch[rel]))
+    return differ, worst, len(pa.keys() | ch.keys())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="folder for the written sets (default: a temporary one, removed)")
+    parser.add_argument("--write", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.write:  # child: args.parent is the tree, args.change the set's folder
+        write_set(args.parent.resolve(), args.change.resolve())
+        return 0
+
+    with contextlib.ExitStack() as stack:
+        work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        status = 0
+        for threads in THREADS:
+            roots = {}
+            for side, tree in (("parent", args.parent), ("change", args.change)):
+                tree = tree.resolve()
+                roots[side] = work.resolve() / f"{side}-blas{threads}"
+                env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                           OPENBLAS_NUM_THREADS=threads, PYTHONDONTWRITEBYTECODE="1")
+                proc = subprocess.run([sys.executable, __file__, "--write", str(tree),
+                                       str(roots[side])], env=env)
+                if proc.returncode != 0:
+                    print(f"{side} tree {tree} failed to write its set "
+                          f"(OPENBLAS_NUM_THREADS={threads})")
+                    return 2
+            differ, worst, total = compare(roots["parent"], roots["change"])
+            for name in differ:
+                print(f"differs: {name}")
+            print(f"OPENBLAS_NUM_THREADS={threads}: {len(differ)} of {total} files differ; "
+                  f"largest relative trace change {worst:.3g}")
+            status = status or (1 if differ else 0)
+        return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
