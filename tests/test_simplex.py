@@ -17,8 +17,10 @@ from potts_sl import (
     one_hot,
     softmax,
 )
+from potts_sl.errors import LOG_CLAMP
 from potts_sl.simplex import (
     _row_dot,
+    entropy_rows,
     one_hot_rows,
     softmax_backward,
     softmax_rows,
@@ -121,6 +123,42 @@ def wide_rows(n, k, seed):
 
 class TestClassAxisHelpers:
     """The class-axis primitives against numpy's own formulas."""
+
+    @pytest.mark.parametrize("k", range(1, 22))
+    def test_plane_max_is_numpy_row_max_bit_for_bit(self, k):
+        # softmax_rows shifts by, and the data terms flag divergence with,
+        # class-axis max and any over (K, N) planes; both keep the row
+        # layout's result, NaN, infinities and signed zeros included
+        a = wide_rows(300, k, k)
+        a[::7, k // 2] = np.nan
+        a[1::11, 0] = -np.inf
+        a[2::13] = -0.0
+        planes = np.ascontiguousarray(a.T)
+        assert np.array_equal(bits(planes.max(axis=0)), bits(np.max(a, axis=1)))
+        mask = a > 1.0
+        assert np.array_equal(np.ascontiguousarray(mask.T).any(axis=0), np.any(mask, axis=1))
+
+    @pytest.mark.parametrize("k", range(1, 22))
+    def test_entropy_rows_sums_planes_in_class_order(self, k):
+        rng = np.random.default_rng(100 + k)
+        p = softmax_rows(30.0 * rng.standard_normal((k, 300)))
+        p[:, ::9] = one_hot_rows(rng.integers(1, k + 1, size=p[:, ::9].shape[1]), k).T
+        p[rng.uniform(size=p.shape) < 0.1] = 0.0
+        terms = np.where(p > 0.0, p * np.log(np.maximum(p, LOG_CLAMP)), 0.0)
+        total = terms[0]
+        for row in terms[1:]:
+            total = total + row
+        assert np.array_equal(bits(entropy_rows(p)), bits(-total))
+        # numpy's row layout adds in that order for K < 8 and pairwise
+        # from K = 8; both are within (K - 1) eps sum |terms| of the exact sum
+        ref = np.sum(np.ascontiguousarray(terms.T), axis=1)
+        if k <= 7:
+            assert np.array_equal(bits(total), bits(ref))
+        else:
+            bound = k * np.finfo(float).eps * np.sum(np.abs(terms), axis=0)
+            assert np.all(np.abs(total - ref) <= bound)
+        for col, h in zip(p.T[:20], entropy_rows(p)[:20]):
+            assert abs(entropy(col) - h) <= 1e-12 * max(1.0, abs(h))
 
     @pytest.mark.parametrize("k", range(1, 22))
     def test_row_dot_is_numpy_einsum(self, k):
