@@ -5,17 +5,17 @@ truncated dense neighborhoods additionally apply a spatial Gaussian factor.
 Pixel ids are row-major, and each undirected edge is stored once with i < j,
 so edge order is reproducible.
 
-Grid graphs list their edges one block per grid offset (dy, dx): the pixel
-pairs (Y[src], Y[dst]) of two equal-shaped rectangles of the (H, W) grid,
-read row-major. build_graph records that layout on the graph, so the
-pairwise terms can walk each block as one contiguous run of row-major pixel
-ids instead of gathering rows by edge.
+A graph built over an (H, W) grid lists its edges one rectangle per grid
+offset (dy, dx): the pixel pairs (Y[src], Y[dst]) of two equal-shaped
+rectangles, read row-major. The graph derives that layout from its edge
+list, so the pairwise terms can walk each rectangle as one contiguous run
+of row-major pixel ids instead of gathering rows by edge.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,23 +113,22 @@ class AffinityGraph:
     Arrays ei/ej/w hold one row per edge with ei < ej, no self-loops, and
     finite nonnegative weights.
 
-    Optional grid layout: `grid` is the image shape (H, W) and `blocks` holds
-    one (src, dst) pair of 2-D slice tuples per contiguous run of edges, in
-    edge order. Block b's edges are the pixel pairs of the rectangles src and
-    dst of the (H, W) grid, row-major, and its weights are the next
-    src-area entries of w. Blocks are stored normalized: open and negative
-    slice bounds become explicit ones with 0 <= start <= stop, and empty
-    blocks are dropped. A slice step other than 1 is a DataError. Hand-built
-    graphs have no layout (grid is None).
+    A graph given `grid` = (H, W) derives `runs`: one (a, t, h, w) per
+    stretch of edges with one grid offset, whose sources are the h x w
+    rectangle of the grid from pixel a, read row-major, and whose targets
+    are the same rectangle from pixel t. The stretches end wherever
+    ej - ei or the row offset ej // W - ei // W changes, so an offset's
+    rectangle must be listed whole: two same-offset rectangles side by side
+    are refused with DataError, as is any stretch whose sources are not a
+    rectangle. Hand-built graphs may have no layout (grid is None).
     """
 
     npixels: int
     ei: np.ndarray
     ej: np.ndarray
     w: np.ndarray
-    kind: NeighborhoodKind = NeighborhoodKind.NN4
     grid: tuple[int, int] | None = None
-    blocks: tuple = ()
+    runs: tuple = field(init=False, default=())
 
     def __post_init__(self):
         self.ei = np.ascontiguousarray(np.asarray(self.ei, dtype=np.int64))
@@ -137,8 +136,9 @@ class AffinityGraph:
         self.w = np.ascontiguousarray(np.asarray(self.w, dtype=np.float64))
         if not (self.ei.shape == self.ej.shape == self.w.shape) or self.ei.ndim != 1:
             raise DataError("edge arrays must be 1-D and equal length")
-        if self.npixels < 1:
-            raise DataError("graph needs at least one pixel")
+        if not _is_count(self.npixels):
+            raise DataError(f"npixels must be an integer >= 1, got {self.npixels!r}")
+        self.npixels = int(self.npixels)
         if self.ei.size:
             if self.ei.min() < 0 or self.ej.max() >= self.npixels:
                 raise DataError("edge endpoint out of range")
@@ -147,20 +147,13 @@ class AffinityGraph:
             if not np.all(np.isfinite(self.w)) or self.w.min() < 0:
                 raise DataError("edge weights must be finite and >= 0")
         if self.grid is not None:
-            h, w = self.grid
-            if h < 1 or w < 1 or h * w != self.npixels:
+            if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 2
+                    and all(_is_count(n) for n in self.grid)):
+                raise DataError(f"grid must be two integers >= 1, got {self.grid!r}")
+            h, w = self.grid = tuple(map(int, self.grid))
+            if h * w != self.npixels:
                 raise DataError(f"grid {h}x{w} does not cover {self.npixels} pixels")
-            idx = np.arange(self.npixels, dtype=np.int64).reshape(h, w)
-            blocks = [tuple(_rectangle(side, self.grid) for side in b) for b in self.blocks]
-            for src, dst in blocks:
-                if idx[src].shape != idx[dst].shape:
-                    raise DataError("grid blocks must pair equal-shaped slice rectangles")
-            self.blocks = tuple(b for b in blocks if idx[b[0]].size)
-            none = [np.zeros(0, dtype=np.int64)]
-            src_ids = np.concatenate(none + [idx[src].ravel() for src, _ in self.blocks])
-            dst_ids = np.concatenate(none + [idx[dst].ravel() for _, dst in self.blocks])
-            if not (np.array_equal(src_ids, self.ei) and np.array_equal(dst_ids, self.ej)):
-                raise DataError("grid blocks do not list the edges ei/ej in order")
+            self.runs = _grid_runs(self.ei, self.ej, w)
 
     @property
     def nedges(self) -> int:
@@ -169,9 +162,7 @@ class AffinityGraph:
     def check_covers(self, height: int, width: int):
         """Raise DataError unless this graph is over an H x W field: the pixel
         counts agree and a recorded grid layout is (H, W)."""
-        if self.npixels != height * width or (
-            self.grid is not None and tuple(self.grid) != (height, width)
-        ):
+        if self.npixels != height * width or self.grid not in (None, (height, width)):
             layout = f"a {self.grid[0]}x{self.grid[1]} grid" if self.grid else f"{self.npixels} pixels"
             raise DataError(f"graph covers {layout}, field is {height}x{width}")
 
@@ -183,19 +174,30 @@ class AffinityGraph:
         return d
 
 
-def _rectangle(side, grid):
-    """A block side as two slices with explicit bounds 0 <= start <= stop
-    within grid and unit step; DataError for anything else."""
-    if not (isinstance(side, tuple) and len(side) == 2
-            and all(isinstance(s, slice) for s in side)):
-        raise DataError("grid blocks must pair equal-shaped slice rectangles")
-    try:
-        bounds = [s.indices(n) for s, n in zip(side, grid)]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"grid block slice is not a rectangle: {exc}") from None
-    if any(step != 1 for _, _, step in bounds):
-        raise DataError("grid block slices must have unit steps")
-    return tuple(slice(start, max(start, stop)) for start, stop, _ in bounds)
+def _is_count(n) -> bool:
+    """Whether n is an integer >= 1 (numpy integers included, bool not)."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
+def _grid_runs(ei, ej, width):
+    """(a, t, h, w) per stretch of constant grid offset of the edge list;
+    DataError unless each stretch's sources are a row-major rectangle."""
+    if not ei.size:
+        return ()
+    offset, rows = ej - ei, ej // width - ei // width
+    cuts = np.flatnonzero((offset[1:] != offset[:-1]) | (rows[1:] != rows[:-1])) + 1
+    runs = []
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), ei.size]):
+        src, a = ei[lo:hi], int(ei[lo])
+        breaks = np.flatnonzero(np.diff(src) != 1)
+        w = min(int(breaks[0]) + 1 if breaks.size else hi - lo, width - a % width)
+        h = (hi - lo) // w
+        rectangle = a + width * np.arange(h)[:, None] + np.arange(w)
+        if h * w != hi - lo or not np.array_equal(src, rectangle.ravel()):
+            raise DataError("grid edges must list each offset's pixel pairs as one "
+                            "row-major rectangle")
+        runs.append((a, int(ej[lo]), h, w))
+    return tuple(runs)
 
 
 def _forward_offsets(radius: int, height: int, width: int):
@@ -232,7 +234,7 @@ def build_graph(image: Image, cfg: AffinityConfig) -> AffinityGraph:
         offsets = _forward_offsets(cfg.radius, h, w)
 
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    eis, ejs, ws, blocks = [], [], [], []
+    eis, ejs, ws = [], [], []
     for dy, dx in offsets:
         y0, y1 = 0, h - dy
         x0, x1 = max(0, -dx), min(w, w - dx)
@@ -249,7 +251,6 @@ def build_graph(image: Image, cfg: AffinityConfig) -> AffinityGraph:
         eis.append(idx[src].ravel())
         ejs.append(idx[dst].ravel())
         ws.append(weight.ravel())
-        blocks.append((src, dst))
 
     if eis:
         ei = np.concatenate(eis)
@@ -259,6 +260,4 @@ def build_graph(image: Image, cfg: AffinityConfig) -> AffinityGraph:
         ei = np.zeros(0, dtype=np.int64)
         ej = np.zeros(0, dtype=np.int64)
         wv = np.zeros(0)
-    return AffinityGraph(
-        npixels=h * w, ei=ei, ej=ej, w=wv, kind=cfg.kind, grid=(h, w), blocks=tuple(blocks)
-    )
+    return AffinityGraph(npixels=h * w, ei=ei, ej=ej, w=wv, grid=(h, w))

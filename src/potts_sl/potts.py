@@ -32,12 +32,13 @@ with s = p.q, ab = sqrt(|p|^2 |q|^2), and ss, uu the clamped ln arguments.
 The edge sum (plane_sum) adds a pixel's gradient as own * y plus the
 b-weighted sum of its neighbours. It works on class-major fields, y held as
 (K, N) class planes, so each product and sum steps over a whole contiguous
-plane rather than K-long rows. On a grid graph each offset block is one
-contiguous run of the planes, whose pairs across row ends are not edges:
-they carry weight 0 and are left out of the values and divergence masks.
-Values and masks are bit-identical to evaluating each edge on its own;
-gradients are the same sums in another order, equal to the per-edge
-formulas within a few units in the last place.
+plane rather than K-long rows. On a grid graph each of graph.runs (one per
+grid offset) is one contiguous stretch of the planes, whose pairs across
+row ends are not edges: they carry weight 0 and are left out of the values
+and divergence masks. Values and masks are bit-identical to evaluating each
+edge on its own; gradients are the same sums in another order, equal to the
+per-edge formulas within a few units in the last place. potts_grad sums its
+one pair with plane_sum too, so the gradient checks test this assembly.
 """
 
 from __future__ import annotations
@@ -162,25 +163,6 @@ def _evaluate(kind, p, q, tp, tq, weights=None):
     return values, div, coefs
 
 
-def edge_values(kind: PottsKind, p: np.ndarray, q: np.ndarray, grad: bool = False):
-    """Vectorized P over (..., K) pairs, with (dP/dp, dP/dq) when grad is set.
-
-    Returns (values, divergent, grads) where values are exact for
-    non-divergent rows and log-clamped (-ln LOG_CLAMP) on divergent ones,
-    divergent flags rows whose ln argument fell at/below the clamp, and grads
-    is None or the pair (dP/dp, dP/dq) = (a_p p + b q, a_q q + b p) built
-    from the kernel's coefficients, with divergent rows zeroed; callers
-    decide whether to refuse (potts_grad) or skip and count (the solver).
-    """
-    tp, tq = _row_terms(kind, p), _row_terms(kind, q)
-    if not grad:
-        return _evaluate(kind, p, q, tp, tq)
-    ones = np.ones(np.broadcast_shapes(p.shape, q.shape)[:-1])
-    values, div, (ap, aq, b) = _evaluate(kind, p, q, tp, tq, ones)
-    b = b[..., None]
-    return values, div, (ap[..., None] * p + b * q, aq[..., None] * q + b * p)
-
-
 def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_planes=None,
               scale=1.0):
     """scale * sum_e w_e P(y_i, y_j) over the edges of graph, with y held as
@@ -206,30 +188,28 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
     and matches them within a few units in the last place of its largest
     entry.
 
-    A graph with a grid layout is walked one offset block at a time, each
-    block as one contiguous run of the planes and the row terms, with no
-    gather and no scatter. For a source rectangle of h rows and w columns
-    from (r0, c0) of an H x W grid, the run is the n = (h - 1) W + w pixels
-    from r0 W + c0, paired with the n pixels from the target rectangle's
-    first pixel; the kernels see the class-last views of the two (K, n)
-    slices. The block's edges are the run positions r W + c (r < h, c < w),
-    in edge order. The other pairs wrap from one row's end to the next row's
-    start and are not edges. They get weight 0, so their coefficients are
-    +-0. With scale >= 0, a_p, a_q >= 0 add +0.0 to own, which only holds
-    sums of such terms, and b <= 0 makes b * y -0.0 on y >= 0, the exact
-    additive identity. Values and masks are read back at the edge positions
-    only (an (h, w) view of the run), so a wrap pair that diverges reaches
-    neither. A run evaluates (h - 1) W + w pairs for h w edges: a few
-    percent more on a small window, and over all the blocks of a window as
-    wide as the image about twice as many.
+    A graph with a grid layout is walked one of graph.runs at a time, each as
+    one contiguous stretch of the planes and the row terms, with no gather
+    and no scatter. Run (a, t, h, w) of an H x W grid pairs the
+    n = (h - 1) W + w pixels from a with the n pixels from t; the kernels
+    see the class-last views of the two (K, n) slices. Its edges are the
+    positions r W + c (r < h, c < w), in edge order. The other pairs wrap
+    from one row's end to the next row's start and are not edges. They get
+    weight 0, so their coefficients are +-0. With scale >= 0, a_p, a_q >= 0
+    add +0.0 to own, which only holds sums of such terms, and b <= 0 makes
+    b * y -0.0 on y >= 0, the exact additive identity. Values and masks are
+    read back at the edge positions only (an (h, w) view of the run), so a
+    wrap pair that diverges reaches neither. A run evaluates (h - 1) W + w
+    pairs for h w edges: a few percent more on a small window, and over all
+    the runs of a window as wide as the image about twice as many.
 
     Any other graph gathers planes[:, ei], planes[:, ej] and the row terms
     and scatters into each class plane with np.add.at. Both paths give
     bit-identical results: the per-edge arithmetic is the same, values and
     masks are concatenated in edge order before the one dot with w (an
     einsum: BLAS would add in an order set by its thread count), and own and
-    the gradient receive every block's source-side terms first, then (from
-    the run-long a_q and b kept per block) every block's target-side terms.
+    the gradient receive every run's source-side terms first, then (from
+    the a_q and b kept per run) every run's target-side terms.
     A pixel occurs at most once per run, so each entry receives its terms in
     the same order as np.add.at's pass over ei, then over ej.
     """
@@ -262,10 +242,8 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
         own = np.zeros(planes.shape[1])
     vs, divs, targets = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
     start = 0
-    for (rows, cols), (to_rows, to_cols) in graph.blocks:
-        h, w = rows.stop - rows.start, cols.stop - cols.start
-        a, n = rows.start * width + cols.start, (h - 1) * width + w
-        t = to_rows.start * width + to_cols.start
+    for a, t, h, w in graph.runs:
+        n = (h - 1) * width + w
         p, q = planes[:, a : a + n], planes[:, t : t + n]
         wb = None
         if weights is not None:
@@ -291,25 +269,38 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
 
 
 def _at_edges(run, h, w, width):
-    """(h, w) view of the edge positions r * width + c of a block's 1-D run."""
+    """(h, w) view of the edge positions r * width + c of a 1-D run."""
     step = run.strides[0]
     return np.ndarray((h, w), run.dtype, run, 0, (width * step, step))
 
 
 def potts_value(kind: PottsKind, p, q):
-    """P(p, q) for one pair; DIVERGENT if a log argument hits the clamp."""
-    v, div, _ = edge_values(kind, *_pair_arrays(p, q))
+    """P(p, q) for one pair; DIVERGENT if a log argument hits the clamp.
+
+    The value is the kernel's own, as plane_sum evaluates each edge: its
+    weighted sum would turn the -0.0 of -ln 1 into +0.0.
+    """
+    a, b = _pair_arrays(p, q)
+    v, div, _ = _evaluate(kind, a, b, _row_terms(kind, a), _row_terms(kind, b))
     if div[0]:
         return DIVERGENT
     return float(v[0])
 
 
+# The one-edge graph potts_grad sums its pair on, held as (K, 2) planes.
+_PAIR = AffinityGraph(2, [0], [1], [1.0], grid=(1, 2))
+
+
 def potts_grad(kind: PottsKind, p, q):
-    """(dP/dp, dP/dq) for one pair; refuses divergent points."""
-    _, div, (gp, gq) = edge_values(kind, *_pair_arrays(p, q), grad=True)
+    """(dP/dp, dP/dq) for one pair, assembled by plane_sum; refuses divergent
+    points."""
+    a, b = _pair_arrays(p, q)
+    planes = np.stack([a[0], b[0]], axis=1)
+    grad = np.zeros_like(planes)
+    _, div = plane_sum(kind, planes, _PAIR, grad)
     if div[0]:
         raise DivergentPointError(f"{kind.name} gradient requested at a divergent pair")
-    return gp[0], gq[0]
+    return tuple(grad.T.copy())
 
 
 def potts_sum(kind: PottsKind, field: ProbField, graph: AffinityGraph):

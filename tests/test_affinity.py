@@ -18,9 +18,22 @@ from potts_sl import (
     sl_loss,
     solve_pseudo_labels,
 )
+from potts_sl.affinity import _forward_offsets
 from potts_sl.potts import PottsKind, plane_sum, potts_sum, potts_sum_grad
 from potts_sl.solver import SolverConfig
 from helpers import random_interior_field
+
+
+def offset_runs(kind, radius, h, w):
+    """(a, t, h, w) of each grid offset's source and target rectangles, in
+    the offset order of build_graph."""
+    offsets = [(0, 1), (1, 0)] if kind is NeighborhoodKind.NN4 else _forward_offsets(radius, h, w)
+    runs = []
+    for dy, dx in offsets:
+        x0, x1 = max(0, -dx), min(w, w - dx)
+        if dy < h and x0 < x1:
+            runs.append((x0, dy * w + x0 + dx, h - dy, x1 - x0))
+    return tuple(runs)
 
 
 def pair_scan_oracle(image, cfg):
@@ -105,13 +118,8 @@ class TestBuildGraph:
             assert set(got) == set(oracle)
             for key in oracle:
                 assert abs(got[key] - oracle[key]) < 1e-12
-            # the recorded grid blocks, read in order, are the edge list
             assert graph.grid == (h, w)
-            idx = np.arange(h * w).reshape(h, w)
-            assert np.array_equal(
-                np.concatenate([idx[src].ravel() for src, _ in graph.blocks]), graph.ei)
-            assert np.array_equal(
-                np.concatenate([idx[dst].ravel() for _, dst in graph.blocks]), graph.ej)
+            assert graph.runs == offset_runs(kind, radius, h, w)
 
     @pytest.mark.parametrize("kind,gamma", [
         (NeighborhoodKind.SPARSE_WINDOW, None),
@@ -127,7 +135,19 @@ class TestBuildGraph:
         whole = build_graph(image, cfg(max(h - 1, w - 1, 1)))
         for name in ("ei", "ej", "w"):
             assert np.array_equal(getattr(huge, name), getattr(whole, name))
-        assert huge.blocks == whole.blocks
+        assert huge.runs == whole.runs == offset_runs(kind, max(h - 1, w - 1, 1), h, w)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_runs_cut_where_the_row_offset_changes(self, radius):
+        # at W = 2R the offsets (0, R) and (1, -R) have the same ej - ei and
+        # are listed one after the other; only the row offset tells them apart
+        h, w = 3, 2 * radius
+        image = Image(np.random.default_rng(radius).integers(0, 256, size=(h, w, 3)))
+        graph = build_graph(image, AffinityConfig(kind=NeighborhoodKind.SPARSE_WINDOW,
+                                                  radius=radius))
+        runs = offset_runs(NeighborhoodKind.SPARSE_WINDOW, radius, h, w)
+        assert graph.runs == runs
+        assert runs[radius - 1][1] - runs[radius - 1][0] == runs[radius][1] - runs[radius][0]
 
     def test_channel_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -193,50 +213,52 @@ class TestValidation:
             AffinityGraph(npixels=2, ei=[0], ej=[1], w=[-1.0])
         with pytest.raises(DataError):
             AffinityGraph(npixels=2, ei=[0], ej=[2], w=[1.0])
-        block = ((slice(0, 1), slice(0, 1)), (slice(0, 1), slice(1, 2)))
-        AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2), blocks=(block,))
+        assert AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2)).runs == ((0, 1, 1, 1),)
         with pytest.raises(DataError):  # grid does not cover the pixels
-            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(2, 2), blocks=(block,))
-        with pytest.raises(DataError):  # block areas do not sum to the edge count
-            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2), blocks=(block, block))
-        with pytest.raises(DataError):  # blocks list edge 0-1, the edge list says 0-3
-            AffinityGraph(npixels=4, ei=[0], ej=[3], w=[1.0], grid=(2, 2), blocks=(block,))
-        with pytest.raises(DataError):  # same pixel ids, but a 1x2 row against a 2x1 column
-            AffinityGraph(npixels=4, ei=[0, 1], ej=[1, 3], w=[1.0, 1.0], grid=(2, 2),
-                          blocks=(((slice(0, 1), slice(0, 2)), (slice(0, 2), slice(1, 2))),))
-        with pytest.raises(DataError):  # target slice runs past the grid edge
-            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
-                          blocks=(((slice(0, 1), slice(0, 2)), (slice(0, 1), slice(1, 3))),))
-        with pytest.raises(DataError):  # an integer index is not a slice rectangle
-            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
-                          blocks=(((0, slice(0, 1)), (0, slice(1, 2))),))
+            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(2, 2))
+
+    @pytest.mark.parametrize("npixels", [2.0, 2.5, True, 0, -2, "2", None])
+    def test_pixel_count_must_be_a_positive_integer(self, npixels):
+        with pytest.raises(DataError, match="npixels"):
+            AffinityGraph(npixels=npixels, ei=[0], ej=[1], w=[1.0])
+
+    @pytest.mark.parametrize("grid", [(1.0, 2.0), (1, 2.0), (1, 2, 1), (2,), (True, 2), (0, 2),
+                                      (-1, -2), "12", 2])
+    def test_grid_must_be_two_positive_integers(self, grid):
+        with pytest.raises(DataError, match="grid"):
+            AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=grid)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        graph = AffinityGraph(npixels=np.int64(2), ei=[0], ej=[1], w=[1.0],
+                              grid=(np.int32(1), np.uint8(2)))
+        assert graph.npixels == 2 and graph.grid == (1, 2)
+        assert type(graph.npixels) is int and all(type(n) is int for n in graph.grid)
+        np.testing.assert_array_equal(graph.degrees(), [1.0, 1.0])
 
 
-class TestBlockNormalization:
-    """Grid blocks are stored as unit-step slices with explicit bounds."""
+class TestGridRuns:
+    """A grid graph derives one (a, t, h, w) run per grid offset from its
+    edge list, and refuses an edge list that is not whole rectangles."""
 
-    # (src, dst) rectangles of a 4x5 grid for the offsets (0, 1), (1, 0) and
-    # (1, -1), written with open and negative bounds
-    OPEN = (
-        ((slice(None), slice(None, -1)), (slice(None), slice(1, None))),
-        ((slice(None, -1), slice(None)), (slice(1, None), slice(-5, 5))),
-        ((slice(0, -1), slice(1, None)), (slice(-3, 4), slice(None, 4))),
-    )
-    EXPLICIT = (
+    # (src, dst) rectangles of a 4x5 grid for the offsets (0, 1), (1, 0) and (1, -1)
+    RECTANGLES = (
         ((slice(0, 4), slice(0, 4)), (slice(0, 4), slice(1, 5))),
         ((slice(0, 3), slice(0, 5)), (slice(1, 4), slice(0, 5))),
         ((slice(0, 3), slice(1, 5)), (slice(1, 4), slice(0, 4))),
     )
 
-    @pytest.mark.parametrize("kind", list(PottsKind))
-    def test_open_and_negative_bounds_match_the_edges_without_layout(self, kind):
-        rng = np.random.default_rng(3)
+    def edges(self, rectangles):
         idx = np.arange(20).reshape(4, 5)
-        ei = np.concatenate([idx[src].ravel() for src, _ in self.OPEN])
-        ej = np.concatenate([idx[dst].ravel() for _, dst in self.OPEN])
+        return (np.concatenate([idx[src].ravel() for src, _ in rectangles]),
+                np.concatenate([idx[dst].ravel() for _, dst in rectangles]))
+
+    @pytest.mark.parametrize("kind", list(PottsKind))
+    def test_hand_built_grid_matches_the_edges_without_layout(self, kind):
+        rng = np.random.default_rng(3)
+        ei, ej = self.edges(self.RECTANGLES)
         w = rng.uniform(0.1, 1.0, size=ei.size)
-        graph = AffinityGraph(20, ei, ej, w, grid=(4, 5), blocks=self.OPEN)
-        assert graph.blocks == self.EXPLICIT
+        graph = AffinityGraph(20, ei, ej, w, grid=(4, 5))
+        assert graph.runs == ((0, 1, 4, 4), (0, 5, 3, 5), (1, 5, 3, 4))
         y = rng.dirichlet(np.ones(3), size=20)
         y[::3] = np.eye(3)[rng.integers(0, 3, size=7)]
         planes = np.ascontiguousarray(y.T)
@@ -246,25 +268,35 @@ class TestBlockNormalization:
             value, div = plane_sum(kind, planes, g, grad, 0.7)
             results.append((value, div, grad))
         (v0, d0, g0), (v1, d1, g1) = results
-        assert v0 == v1 and np.array_equal(d0, d1) and g0.tobytes() == g1.tobytes()
+        assert np.float64(v0).tobytes() == np.float64(v1).tobytes()
+        assert np.array_equal(d0, d1) and g0.tobytes() == g1.tobytes()
 
-    def test_empty_blocks_are_dropped(self):
-        empty = ((slice(0, 0), slice(0, 2)), (slice(1, 1), slice(0, 2)))
-        block = ((slice(0, 1), slice(0, 1)), (slice(0, 1), slice(1, 2)))
-        graph = AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(1, 2),
-                              blocks=(empty, block, empty))
-        assert graph.blocks == (block,)
+    def test_shuffled_grid_edges_are_refused(self):
+        ei, ej = self.edges(self.RECTANGLES)
+        perm = np.random.default_rng(4).permutation(ei.size)
+        AffinityGraph(20, ei[perm], ej[perm], np.ones(ei.size))  # fine without a layout
+        with pytest.raises(DataError, match="rectangle"):
+            AffinityGraph(20, ei[perm], ej[perm], np.ones(ei.size), grid=(4, 5))
 
-    @pytest.mark.parametrize("cols, match", [
-        ((slice(0, 4, 2), slice(1, 4, 2)), "unit steps"),
-        ((slice(0, 4, -1), slice(1, 4, -1)), "unit steps"),
-        ((slice(0, 4, 0), slice(1, 4, 0)), "not a rectangle"),
-        ((slice(0.0, 3), slice(1, 4)), "not a rectangle"),
-    ])
-    def test_slices_that_are_not_unit_step_bounds_are_refused(self, cols, match):
-        blocks = (((slice(0, 1), cols[0]), (slice(0, 1), cols[1])),)
-        with pytest.raises(DataError, match=match):
-            AffinityGraph(npixels=4, ei=[0, 2], ej=[1, 3], w=[1.0, 1.0], grid=(1, 4), blocks=blocks)
+    def test_a_rectangle_listed_as_two_column_halves_is_refused(self):
+        # offset (0, 1)'s 4x4 source rectangle as columns 0-1, then columns 2-3
+        halves = (((slice(0, 4), slice(0, 2)), (slice(0, 4), slice(1, 3))),
+                  ((slice(0, 4), slice(2, 4)), (slice(0, 4), slice(3, 5))))
+        ei, ej = self.edges(halves)
+        with pytest.raises(DataError, match="rectangle"):
+            AffinityGraph(20, ei, ej, np.ones(ei.size), grid=(4, 5))
+
+    def test_a_stretch_whose_sources_skip_a_pixel_is_refused(self):
+        # offset (0, 1) from pixels 0, 1 and 3 of one row: pixel 2 is skipped
+        with pytest.raises(DataError, match="rectangle"):
+            AffinityGraph(5, [0, 1, 3], [1, 2, 4], [1.0, 1.0, 1.0], grid=(1, 5))
+
+    def test_one_pixel_grid_has_no_runs(self):
+        graph = AffinityGraph(1, [], [], [], grid=(1, 1))
+        assert graph.runs == ()
+        grad = np.zeros((3, 1))
+        assert plane_sum(PottsKind.CD, np.full((3, 1), 1 / 3), graph, grad)[0] == 0.0
+        assert not grad.any()
 
 
 # Every library entry point that takes a field and a graph, called on

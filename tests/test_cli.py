@@ -82,7 +82,7 @@ class TestSolve:
 
         def build_without_layout(image, cfg):
             g = build(image, cfg)
-            return AffinityGraph(g.npixels, g.ei, g.ej, g.w, g.kind)
+            return AffinityGraph(g.npixels, g.ei, g.ej, g.w)
 
         outs = []
         for name, builder in (("grid", build), ("flat", build_without_layout)):

@@ -22,7 +22,7 @@ from potts_sl import (
 )
 from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, _evaluate, _row_terms, edge_values, plane_sum
+from potts_sl.potts import PottsKind, _evaluate, _row_terms, plane_sum
 from helpers import interior_pair, random_interior_field
 
 ALL_KINDS = list(PottsKind)
@@ -264,26 +264,52 @@ def rows_with_divergent_head(rng, n=40, k=4, head=3):
     return p, q
 
 
-class TestFusedKernel:
+class TestSinglePair:
+    """potts_value and potts_grad against the kernel on the pair's own rows,
+    bit for bit: the value is _evaluate's, and the gradient is
+    (a_p p + b q, a_q q + b p) from its coefficients."""
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_grad_flag_keeps_values_and_mask(self, kind):
-        p, q = rows_with_divergent_head(np.random.default_rng(10))
-        v0, div0, none = edge_values(kind, p, q)
-        v1, div1, (gp, gq) = edge_values(kind, p, q, grad=True)
-        assert none is None
-        assert np.array_equal(v0, v1) and np.array_equal(div0, div1)
-        assert np.array_equal(div1[:3], np.full(3, kind in LOG_KINDS))
-        assert not div1[3:].any()
-        assert gp.shape == gq.shape == p.shape
-        assert np.all(np.isfinite(gp)) and np.all(np.isfinite(gq))
-        assert not gp[div1].any() and not gq[div1].any()
+    @pytest.mark.parametrize("k", range(2, 22))
+    def test_pair_api_is_the_kernel_bit_for_bit(self, kind, k):
+        rng = np.random.default_rng(k)
+        onehot = np.eye(k)
+        pairs = [(onehot[0], onehot[0]), (onehot[0], onehot[1]), (onehot[1], 0.5 * onehot[1] + 0.5 / k)]
+        for _ in range(20):
+            p, q = rng.dirichlet(np.ones(k), size=2)
+            if rng.uniform() < 0.3:
+                p = onehot[rng.integers(k)]
+            pairs.append((p, q))
+        for p, q in pairs:
+            tp, tq = _row_terms(kind, p[None]), _row_terms(kind, q[None])
+            v, div, (ap, aq, b) = _evaluate(kind, p[None], q[None], tp, tq, np.ones(1))
+            value = potts_value(kind, p, q)
+            if div[0]:
+                assert kind in LOG_KINDS and is_divergent(value)
+                with pytest.raises(DivergentPointError):
+                    potts_grad(kind, p, q)
+                continue
+            assert np.float64(value).tobytes() == v[0].tobytes()
+            gp, gq = potts_grad(kind, p, q)
+            assert gp.tobytes() == (ap[0] * p + b[0] * q).tobytes()
+            assert gq.tobytes() == (aq[0] * q + b[0] * p).tobytes()
+        assert is_divergent(potts_value(kind, onehot[0], onehot[1])) == (kind in LOG_KINDS)
 
     def test_unknown_kind_rejected(self):
-        p, q = rows_with_divergent_head(np.random.default_rng(11))
-        for grad in (False, True):
-            with pytest.raises(DataError):
-                edge_values("nope", p, q, grad=grad)
+        p, q = [0.3, 0.7], [0.6, 0.4]
+        with pytest.raises(DataError):
+            potts_value("nope", p, q)
+        with pytest.raises(DataError):
+            potts_grad("nope", p, q)
+        graph = AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0])
+        planes = np.ascontiguousarray(np.array([p, q]).T)
+        for g in (graph, AffinityGraph(2, [0], [1], [1.0], grid=(1, 2))):
+            for grad in (None, np.zeros_like(planes)):
+                with pytest.raises(DataError):
+                    plane_sum("nope", planes, g, grad)
 
+
+class TestFusedKernel:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_edge_sum_scales_value_and_adds_gradient(self, kind):
         rng = np.random.default_rng(12)

@@ -146,8 +146,7 @@ class TestMechanics:
         rng = np.random.default_rng(8)
         perm = rng.permutation(graph.nedges)
         shuffled = AffinityGraph(
-            npixels=graph.npixels, ei=graph.ei[perm], ej=graph.ej[perm],
-            w=graph.w[perm], kind=graph.kind,
+            npixels=graph.npixels, ei=graph.ei[perm], ej=graph.ej[perm], w=graph.w[perm],
         )
         y_shuf, _ = solve_pseudo_labels(sigma, None, scribbles, graph=shuffled,
                                         loss_cfg=cfg, solver_cfg=SolverConfig(steps=50))

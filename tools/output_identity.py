@@ -12,7 +12,11 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   K = 8 and K = 21;
 - `train --gt` on a 20x20 two-region instance (2 rounds, 60 steps) for every
   pair on nn4 and sparse:2;
-- `corrupt-bench --seed 0` and `gradcheck`.
+- `corrupt-bench --seed 0` and `gradcheck`;
+- pair_api.txt: the repr of `potts_value` and of both `potts_grad` vectors
+  for every kind on seeded pairs at K = 2, 4, 8 and 21, one-hot and
+  divergent pairs included, since gradcheck prints too few digits to show
+  a last-bit change.
 
 Every job runs with relative paths from the set's folder, so stdout does not
 name the folder, and its exit code goes to exit_codes.txt. The change's set
@@ -45,7 +49,8 @@ def write_set(tree: Path, root: Path) -> None:
     import numpy as np
 
     import potts_sl
-    from potts_sl import synthetic, write_image, write_labels, write_probfield
+    from potts_sl import (DivergentPointError, PottsKind, is_divergent, potts_grad, potts_value,
+                          synthetic, write_image, write_labels, write_probfield)
     from potts_sl.cli import main
 
     if Path(potts_sl.__file__).resolve().parent != (tree / "src" / "potts_sl").resolve():
@@ -113,6 +118,26 @@ def write_set(tree: Path, root: Path) -> None:
     run("corrupt", ["corrupt-bench", "--seed", "0", "--out", "corrupt"])
     run("gradcheck", ["gradcheck"])
     Path("exit_codes.txt").write_text("".join(codes))
+
+    rng = np.random.default_rng(0)
+    lines = []
+    for k in (2, 4, 8, 21):
+        onehot = np.eye(k)
+        pairs = [(onehot[0], onehot[0]), (onehot[0], onehot[1])]
+        for _ in range(25):
+            p, q = rng.dirichlet(np.ones(k), size=2)
+            p = onehot[rng.integers(k)] if rng.uniform() < 0.3 else p
+            q = onehot[rng.integers(k)] if rng.uniform() < 0.3 else q
+            pairs.append((p, q))
+        for (p, q), kind in itertools.product(pairs, PottsKind):
+            value = potts_value(kind, p, q)
+            try:
+                grads = " ".join(repr(g.tolist()) for g in potts_grad(kind, p, q))
+            except DivergentPointError:
+                grads = "divergent"
+            value = "divergent" if is_divergent(value) else repr(value)
+            lines.append(f"{kind.value}\t{k}\t{value}\t{grads}\n")
+    Path("pair_api.txt").write_text("".join(lines))
 
 
 def file_set(root: Path) -> dict:
