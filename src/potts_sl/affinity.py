@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_count
+from .simplex import _Grid
 
 
 @dataclass
-class Image:
+class Image(_Grid):
     """H x W RGB image, channels in 0..255."""
 
     data: np.ndarray
@@ -45,18 +46,6 @@ class Image:
         else:
             raise DataError("image must hold numbers")
         self.data = a
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def npixels(self) -> int:
-        return self.data.shape[0] * self.data.shape[1]
 
     def as_float(self) -> np.ndarray:
         return self.data.astype(np.float64)
@@ -86,9 +75,7 @@ class AffinityConfig:
         if not isinstance(self.kind, NeighborhoodKind):
             raise DataError(f"unknown neighborhood kind {self.kind!r}")
         _check_bandwidth("color_bandwidth", self.color_bandwidth)
-        if int(self.radius) != self.radius or self.radius < 1:
-            raise DataError("radius must be an integer >= 1")
-        self.radius = int(self.radius)
+        self.radius = check_count("radius", self.radius)
         if self.kind is NeighborhoodKind.DENSE_TRUNCATED:
             if self.spatial_bandwidth is None:
                 raise DataError("dense neighborhoods need a positive spatial_bandwidth")
@@ -106,7 +93,7 @@ def _check_bandwidth(name, value):
                         f"finite float, got {value!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class AffinityGraph:
     """Undirected weighted edge set over row-major pixel ids.
 
@@ -121,6 +108,8 @@ class AffinityGraph:
     rectangle must be listed whole: two same-offset rectangles side by side
     are refused with DataError, as is any stretch whose sources are not a
     rectangle. Hand-built graphs may have no layout (grid is None).
+
+    Two graphs compare equal only if they are the same object.
     """
 
     npixels: int
@@ -136,9 +125,7 @@ class AffinityGraph:
         self.w = np.ascontiguousarray(np.asarray(self.w, dtype=np.float64))
         if not (self.ei.shape == self.ej.shape == self.w.shape) or self.ei.ndim != 1:
             raise DataError("edge arrays must be 1-D and equal length")
-        if not _is_count(self.npixels):
-            raise DataError(f"npixels must be an integer >= 1, got {self.npixels!r}")
-        self.npixels = int(self.npixels)
+        self.npixels = check_count("npixels", self.npixels)
         if self.ei.size:
             if self.ei.min() < 0 or self.ej.max() >= self.npixels:
                 raise DataError("edge endpoint out of range")
@@ -147,10 +134,9 @@ class AffinityGraph:
             if not np.all(np.isfinite(self.w)) or self.w.min() < 0:
                 raise DataError("edge weights must be finite and >= 0")
         if self.grid is not None:
-            if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 2
-                    and all(_is_count(n) for n in self.grid)):
+            if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 2):
                 raise DataError(f"grid must be two integers >= 1, got {self.grid!r}")
-            h, w = self.grid = tuple(map(int, self.grid))
+            h, w = self.grid = tuple(check_count("grid", n) for n in self.grid)
             if h * w != self.npixels:
                 raise DataError(f"grid {h}x{w} does not cover {self.npixels} pixels")
             self.runs = _grid_runs(self.ei, self.ej, w)
@@ -172,11 +158,6 @@ class AffinityGraph:
         np.add.at(d, self.ei, self.w)
         np.add.at(d, self.ej, self.w)
         return d
-
-
-def _is_count(n) -> bool:
-    """Whether n is an integer >= 1 (numpy integers included, bool not)."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
 def _grid_runs(ei, ej, width):

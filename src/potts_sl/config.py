@@ -15,6 +15,10 @@ ignored, unknown keys are rejected. Keys:
     rounds           alternation rounds, int >= 1
     seed             integer; accepted for compatibility with older configs
                      and otherwise ignored: solve and train are deterministic
+
+The parser only parses: it turns each value's text into a number or a kind.
+The dataclasses it fills check the ranges, so a bad value's DataError names
+their field (lr is learning_rate, lambda is lam), as it does in the library.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .affinity import AffinityConfig, NeighborhoodKind
 from .data_terms import XentKind
-from .errors import DataError
+from .errors import DataError, check_count
 from .losses import LossConfig
 from .potts import PottsKind
 from .solver import SolverConfig
@@ -39,6 +43,9 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     rounds: int = 10
 
+    def __post_init__(self):
+        self.rounds = check_count("rounds", self.rounds)
+
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             rounds=self.rounds,
@@ -47,25 +54,18 @@ class RunConfig:
         )
 
 
-def _parse_float(key, raw, minimum=None, strict=False):
+def _parse_float(key, raw):
     try:
-        v = float(raw)
+        return float(raw)
     except ValueError:
         raise DataError(f"config key {key}: {raw!r} is not a number") from None
-    if minimum is not None and (v < minimum or (strict and v <= minimum)):
-        op = ">" if strict else ">="
-        raise DataError(f"config key {key}: must be {op} {minimum}, got {raw}")
-    return v
 
 
-def _parse_int(key, raw, minimum=None):
+def _parse_int(key, raw):
     try:
-        v = int(raw)
+        return int(raw)
     except ValueError:
         raise DataError(f"config key {key}: {raw!r} is not an integer") from None
-    if minimum is not None and v < minimum:
-        raise DataError(f"config key {key}: must be >= {minimum}, got {raw}")
-    return v
 
 
 def _parse_neighborhood(raw: str) -> dict:
@@ -75,11 +75,11 @@ def _parse_neighborhood(raw: str) -> dict:
         return {"kind": NeighborhoodKind.NN4}
     if parts[0] == "sparse" and len(parts) == 2:
         return {"kind": NeighborhoodKind.SPARSE_WINDOW,
-                "radius": _parse_int("neighborhood", parts[1], 1)}
+                "radius": _parse_int("neighborhood", parts[1])}
     if parts[0] == "dense" and len(parts) == 3:
         return {"kind": NeighborhoodKind.DENSE_TRUNCATED,
-                "radius": _parse_int("neighborhood", parts[1], 1),
-                "spatial_bandwidth": _parse_float("neighborhood", parts[2], 0.0, strict=True)}
+                "radius": _parse_int("neighborhood", parts[1]),
+                "spatial_bandwidth": _parse_float("neighborhood", parts[2])}
     raise DataError(
         f"config key neighborhood: {raw!r} is not nn4 | sparse:R | dense:R:GAMMA"
     )
@@ -106,30 +106,30 @@ def parse_config_text(text: str, source="<config>") -> RunConfig:
     if unknown:
         raise DataError(f"{source}: unknown config keys: {', '.join(unknown)}")
 
-    def given(key, name, parse, *args, **kwargs):
-        """{name: parse(key, raw, ...)} if the file sets key, else {} (the default holds)."""
-        return {name: parse(key, values[key], *args, **kwargs)} if key in values else {}
+    def given(key, name, parse):
+        """{name: parse(key, raw)} if the file sets key, else {} (the default holds)."""
+        return {name: parse(key, values[key])} if key in values else {}
 
     loss = LossConfig(
-        **given("eta", "eta", _parse_float, 0.0),
-        **given("lambda", "lam", _parse_float, 0.0),
+        **given("eta", "eta", _parse_float),
+        **given("lambda", "lam", _parse_float),
         **given("potts", "potts", lambda _, raw: PottsKind.parse(raw)),
         **given("xent", "xent", lambda _, raw: XentKind.parse(raw)),
     )
     affinity = AffinityConfig(
         **(_parse_neighborhood(values["neighborhood"]) if "neighborhood" in values else {}),
-        **given("color_bandwidth", "color_bandwidth", _parse_float, 0.0, strict=True),
+        **given("color_bandwidth", "color_bandwidth", _parse_float),
     )
     solver = SolverConfig(
-        **given("steps", "steps", _parse_int, 1),
-        **given("lr", "learning_rate", _parse_float, 0.0, strict=True),
+        **given("steps", "steps", _parse_int),
+        **given("lr", "learning_rate", _parse_float),
     )
     given("seed", "seed", _parse_int)  # validated, then ignored
     return RunConfig(
         loss=loss,
         affinity=affinity,
         solver=solver,
-        **given("rounds", "rounds", _parse_int, 1),
+        **given("rounds", "rounds", _parse_int),
     )
 
 

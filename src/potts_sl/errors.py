@@ -1,4 +1,13 @@
-"""Shared error types, the divergence sentinel, and numerical constants."""
+"""Shared error types, the divergence sentinel, numerical constants, and the
+two checks every setting goes through: check_count for counts (steps,
+rounds, epochs, a radius, graph sizes) and check_real for weights and
+steps (eta, lambda, the learning rate). A bad value raises DataError
+naming the setting.
+"""
+
+import math
+
+import numpy as np
 
 # Per-pixel simplex tolerance on construction/validation.
 SIMPLEX_TOL = 1e-6
@@ -10,6 +19,28 @@ LOG_CLAMP = 1e-12
 
 class DataError(ValueError):
     """Malformed input: bad file, bad config, dimension mismatch, bad value."""
+
+
+def check_count(name, value) -> int:
+    """value as an int if it is an int or numpy integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def check_real(name, value, positive=False):
+    """DataError unless value is a finite int, float or numpy real (not a
+    bool, nor an int beyond the float range) that is >= 0, or > 0 if
+    positive."""
+    try:
+        ok = (isinstance(value, (int, float, np.integer, np.floating))
+              and not isinstance(value, bool) and math.isfinite(value)
+              and (value > 0 if positive else value >= 0))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise DataError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                        f"got {value!r}")
 
 
 class NumericalError(RuntimeError):

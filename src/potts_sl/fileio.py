@@ -66,17 +66,21 @@ def _read_netpbm_header(data: bytes, magic: bytes, path):
     return width, height, pos
 
 
-def read_image(path) -> Image:
-    """Read a binary PPM (P6) file."""
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """(H, W, channels) uint8 pixels of a binary netpbm file with this magic."""
     with open(path, "rb") as fh:
         data = fh.read()
-    width, height, pos = _read_netpbm_header(data, b"P6", path)
-    need = width * height * 3
+    width, height, pos = _read_netpbm_header(data, magic, path)
+    need = width * height * channels
     payload = data[pos : pos + need]
     if len(payload) != need:
         raise DataError(f"{path}: truncated pixel data ({len(payload)} of {need} bytes)")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image(arr.copy())
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels).copy()
+
+
+def read_image(path) -> Image:
+    """Read a binary PPM (P6) file."""
+    return Image(_read_netpbm(path, b"P6", 3))
 
 
 def write_image(image: Image, path):
@@ -87,14 +91,17 @@ def write_image(image: Image, path):
 
 def read_label_map(path) -> np.ndarray:
     """Read a binary PGM (P5) as a raw (H, W) uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, pos = _read_netpbm_header(data, b"P5", path)
-    need = width * height
-    payload = data[pos : pos + need]
-    if len(payload) != need:
-        raise DataError(f"{path}: truncated pixel data ({len(payload)} of {need} bytes)")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    return _read_netpbm(path, b"P5", 1)[:, :, 0]
+
+
+def _read_classes(path, limit: int, what: str) -> np.ndarray:
+    """The int64 values of a PGM label map; DataError naming what unless
+    each is a class 1..limit or the unlabeled byte."""
+    raw = read_label_map(path).astype(np.int64)
+    bad = (raw != UNLABELED_BYTE) & ((raw < 1) | (raw > limit))
+    if np.any(bad):
+        raise DataError(f"{path}: illegal {what} value {int(raw[bad][0])} (K={limit})")
+    return raw
 
 
 def read_scribbles(path, classes: int | None = None) -> ScribbleField:
@@ -103,12 +110,7 @@ def read_scribbles(path, classes: int | None = None) -> ScribbleField:
     When `classes` is given, values outside 1..classes (other than 255) are
     rejected; otherwise any value in 1..254 is accepted.
     """
-    raw = read_label_map(path).astype(np.int64)
-    limit = 254 if classes is None else classes
-    bad = (raw != UNLABELED_BYTE) & ((raw < 1) | (raw > limit))
-    if np.any(bad):
-        value = int(raw[bad][0])
-        raise DataError(f"{path}: illegal scribble value {value} (K={limit})")
+    raw = _read_classes(path, 254 if classes is None else classes, "scribble")
     return ScribbleField(np.where(raw == UNLABELED_BYTE, 0, raw))
 
 
@@ -127,11 +129,7 @@ def write_labels(labels: np.ndarray, path):
 
 def read_ground_truth(path, classes: int) -> np.ndarray:
     """Read a PGM ground-truth map: values 1..K, 255 = ignore (kept as 255)."""
-    raw = read_label_map(path).astype(np.int64)
-    bad = (raw != UNLABELED_BYTE) & ((raw < 1) | (raw > classes))
-    if np.any(bad):
-        raise DataError(f"{path}: illegal label value {int(raw[bad][0])} (K={classes})")
-    return raw
+    return _read_classes(path, classes, "label")
 
 
 def write_probfield(field: ProbField, path):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .affinity import AffinityGraph
 from .data_terms import XentKind, row_values
-from .errors import DataError, LOG_CLAMP
+from .errors import DataError, LOG_CLAMP, check_real
 from .potts import PottsKind, plane_sum
 from .simplex import ProbField, ScribbleField, entropy_rows, one_hot_rows
 
@@ -36,10 +36,8 @@ class LossConfig:
     xent: XentKind = XentKind.CCE
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta >= 0):
-            raise DataError("eta must be finite and >= 0")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise DataError("lambda must be finite and >= 0")
+        check_real("eta", self.eta)
+        check_real("lam", self.lam)
         if not isinstance(self.potts, PottsKind):
             raise DataError(f"bad potts kind {self.potts!r}")
         if not isinstance(self.xent, XentKind):

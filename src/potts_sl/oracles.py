@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .affinity import AffinityGraph
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, check_real
 from .losses import _check_instance
 from .simplex import ProbField, ScribbleField, one_hot_rows
 
@@ -117,8 +117,8 @@ def random_walker_solve(
     from scipy import sparse
 
     _check_instance(sigma, scribbles, graph)
-    if not (np.isfinite(eta) and eta >= 0 and np.isfinite(lam) and lam >= 0):
-        raise DataError("eta and lambda must be finite and >= 0")
+    check_real("eta", eta)
+    check_real("lam", lam)
 
     n, k = graph.npixels, sigma.classes
     lab = scribbles.data.ravel()

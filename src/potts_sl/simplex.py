@@ -47,12 +47,14 @@ def _as_prob_vector(probs) -> np.ndarray:
 
 
 def _pair_arrays(p, q):
-    """Two same-shape (N, K >= 2) float arrays from a pair of points or rows."""
-    a = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    if a.shape != b.shape or a.shape[1] < 2:
-        raise DataError(f"distribution pair shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
+    """(1, K) float rows of a pair of points; DataError unless p and q are
+    1-D vectors of one length K >= 2."""
+    a = np.asarray(p, dtype=np.float64)
+    b = np.asarray(q, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape or a.size < 2:
+        raise DataError(f"a pair must be two K-vectors (K >= 2), got shapes {a.shape} and "
+                        f"{b.shape}")
+    return a[None], b[None]
 
 
 @dataclass
@@ -76,30 +78,8 @@ class Distribution:
         return self.probs.size
 
 
-@dataclass
-class ProbField:
-    """H x W grid of simplex points, stored as an (H, W, K) float array.
-
-    Validation checks every pixel against the simplex tolerance but keeps the
-    stored values bit-for-bit as given (no renormalization), so fields written
-    to and read back from disk round-trip exactly.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 2:
-            raise DataError(f"probability field must be (H, W, K>=2), got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DataError("probability field has non-finite entries")
-        if a.min() < -_FIELD_NEG_TOL:
-            raise DataError(f"probability field entry {a.min():g} below tolerance")
-        sums = a.sum(axis=2)
-        worst = np.max(np.abs(sums - 1.0))
-        if worst > SIMPLEX_TOL:
-            raise DataError(f"pixel probabilities sum off by {worst:.3g} (> {SIMPLEX_TOL:g})")
-        self.data = a
+class _Grid:
+    """Shape of a per-pixel grid whose data is an (H, W, ...) array."""
 
     @property
     def height(self) -> int:
@@ -110,12 +90,16 @@ class ProbField:
         return self.data.shape[1]
 
     @property
-    def classes(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def npixels(self) -> int:
         return self.data.shape[0] * self.data.shape[1]
+
+
+class _ClassGrid(_Grid):
+    """A grid of K-vectors: data is an (H, W, K) float array."""
+
+    @property
+    def classes(self) -> int:
+        return self.data.shape[2]
 
     def flat(self) -> np.ndarray:
         """(N, K) view in row-major pixel order."""
@@ -126,6 +110,39 @@ class ProbField:
         layout of the compute path."""
         return np.ascontiguousarray(self.flat()[index].T)
 
+
+def _class_grid(data, what) -> np.ndarray:
+    """data as a C-contiguous finite (H, W, K >= 2) float64 array with
+    H, W >= 1; DataError naming what otherwise."""
+    a = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    if a.ndim != 3 or a.shape[0] < 1 or a.shape[1] < 1 or a.shape[2] < 2:
+        raise DataError(f"{what} must be (H, W, K>=2), got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"{what} has non-finite entries")
+    return a
+
+
+@dataclass
+class ProbField(_ClassGrid):
+    """H x W grid of simplex points, stored as an (H, W, K) float array.
+
+    Validation checks every pixel against the simplex tolerance but keeps the
+    stored values bit-for-bit as given (no renormalization), so fields written
+    to and read back from disk round-trip exactly.
+    """
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        a = _class_grid(self.data, "probability field")
+        if a.min() < -_FIELD_NEG_TOL:
+            raise DataError(f"probability field entry {a.min():g} below tolerance")
+        sums = a.sum(axis=2)
+        worst = np.max(np.abs(sums - 1.0))
+        if worst > SIMPLEX_TOL:
+            raise DataError(f"pixel probabilities sum off by {worst:.3g} (> {SIMPLEX_TOL:g})")
+        self.data = a
+
     def at(self, row: int, col: int) -> Distribution:
         return Distribution(self.data[row, col])
 
@@ -135,39 +152,17 @@ class ProbField:
 
 
 @dataclass
-class LogitField:
+class LogitField(_ClassGrid):
     """H x W grid of unconstrained K-vectors; softmax image is a ProbField."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if a.ndim != 3 or a.shape[2] < 2:
-            raise DataError(f"logit field must be (H, W, K>=2), got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DataError("logit field has non-finite entries")
-        self.data = a
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def classes(self) -> int:
-        return self.data.shape[2]
-
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1, self.data.shape[2])
-
-    planes = ProbField.planes
+        self.data = _class_grid(self.data, "logit field")
 
 
 @dataclass
-class ScribbleField:
+class ScribbleField(_Grid):
     """Per-pixel optional ground-truth class: 1..K labeled, 0 unlabeled."""
 
     data: np.ndarray
@@ -181,14 +176,6 @@ class ScribbleField:
         if a.min() < 0:
             raise DataError("scribble classes must be >= 1 (0 means unlabeled)")
         self.data = a.astype(np.int64)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
     def labeled_mask(self) -> np.ndarray:
         return self.data > 0

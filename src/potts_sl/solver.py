@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import AffinityGraph
-from .errors import DataError, LOG_CLAMP, NumericalError
+from .errors import DataError, LOG_CLAMP, NumericalError, check_count, check_real
 from .losses import JointTerms, LossConfig, _check_instance, _joint_terms
 from .potts import plane_sum
 from .simplex import (
@@ -56,11 +56,8 @@ class SolverConfig:
     learning_rate: float = 0.075
 
     def __post_init__(self):
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise DataError("steps must be an integer >= 1")
-        self.steps = int(self.steps)
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DataError("learning_rate must be positive")
+        self.steps = check_count("steps", self.steps)
+        check_real("learning_rate", self.learning_rate, positive=True)
 
 
 @dataclass

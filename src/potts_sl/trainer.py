@@ -5,7 +5,7 @@ coordinates) through a K x 5 linear layer and softmax. Training alternates
 between solving for pseudo-labels at fixed predictions and full-batch
 backtracking gradient descent on the joint self-labeling loss at fixed
 pseudo-labels. Every descent is the solver's Armijo routine, whose first
-trial step is step_size and only shrinks, and every pseudo-label solve after
+trial step is STEP_SIZE and only shrinks, and every pseudo-label solve after
 the first starts from the previous round's labels, so neither block step can
 raise the joint loss and its trace is non-increasing by construction.
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .affinity import AffinityGraph, Image
 from .data_terms import XentKind, row_values
-from .errors import DataError
+from .errors import DataError, check_count
 from .losses import LossConfig, _joint_terms
 from .simplex import (
     LogitField,
@@ -41,6 +41,10 @@ from .solver import SolverConfig, _armijo_descent, solve_pseudo_labels
 from .synthetic import gaussian_blobs_dataset
 
 FEATURE_DIM = 5
+
+# First trial step of every model descent (pretraining and each round's
+# inner epochs); the Armijo search only halves it.
+STEP_SIZE = 1.0
 
 
 @dataclass
@@ -81,19 +85,13 @@ class PixelModel:
 class TrainConfig:
     rounds: int = 10
     inner_epochs: int = 25
-    step_size: float = 1.0
     pretrain_epochs: int = 200
     loss_cfg: LossConfig = field(default_factory=LossConfig)
     solver_cfg: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         for name in ("rounds", "inner_epochs", "pretrain_epochs"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise DataError(f"{name} must be an integer >= 1")
-            setattr(self, name, int(v))
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise DataError("step_size must be positive")
+            setattr(self, name, check_count(name, getattr(self, name)))
 
 
 def pixel_features(image: Image) -> np.ndarray:
@@ -141,7 +139,7 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
     y_free = np.zeros((model.classes, 0))
     value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, every[:0], y_free, 0.0,
                                               cfg.loss_cfg)
-    flat, _ = _armijo_descent(model.pack(), value_grad, cfg.pretrain_epochs, cfg.step_size)
+    flat, _ = _armijo_descent(model.pack(), value_grad, cfg.pretrain_epochs, STEP_SIZE)
     return PixelModel.unpack(flat, model.classes)
 
 
@@ -203,7 +201,7 @@ def alternate(
         y_free = y.planes(free)
         value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, y_free,
                                                   report.terms.pairwise, loss_cfg)
-        flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, cfg.step_size)
+        flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, STEP_SIZE)
         trace.append(value)
     return PixelModel.unpack(flat, classes), y, trace
 

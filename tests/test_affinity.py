@@ -217,16 +217,24 @@ class TestValidation:
         with pytest.raises(DataError):  # grid does not cover the pixels
             AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=(2, 2))
 
-    @pytest.mark.parametrize("npixels", [2.0, 2.5, True, 0, -2, "2", None])
+    @pytest.mark.parametrize("npixels", [2.0, 2.5, True, 0, -2, "2", None, float("nan"),
+                                         float("inf")])
     def test_pixel_count_must_be_a_positive_integer(self, npixels):
         with pytest.raises(DataError, match="npixels"):
             AffinityGraph(npixels=npixels, ei=[0], ej=[1], w=[1.0])
 
     @pytest.mark.parametrize("grid", [(1.0, 2.0), (1, 2.0), (1, 2, 1), (2,), (True, 2), (0, 2),
-                                      (-1, -2), "12", 2])
+                                      (-1, -2), "12", 2, (float("nan"), 2),
+                                      (1, float("inf")), (None, 2), ("1", 2)])
     def test_grid_must_be_two_positive_integers(self, grid):
         with pytest.raises(DataError, match="grid"):
             AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0], grid=grid)
+
+    def test_equality_is_identity(self):
+        graph = AffinityGraph(3, [0, 1], [1, 2], [1.0, 1.0])
+        copy = AffinityGraph(3, [0, 1], [1, 2], [1.0, 1.0])
+        assert graph == graph and not graph != graph
+        assert graph != copy and not graph == copy
 
     def test_numpy_integer_sizes_are_accepted(self):
         graph = AffinityGraph(npixels=np.int64(2), ei=[0], ej=[1], w=[1.0],

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
-from potts_sl import DataError, NeighborhoodKind, parse_config_text
+from potts_sl import (AffinityConfig, AffinityGraph, DataError, LossConfig, NeighborhoodKind,
+                      ProbField, ScribbleField, SolverConfig, parse_config_text,
+                      random_walker_solve)
 from potts_sl.config import RunConfig
+from potts_sl.trainer import STEP_SIZE, TrainConfig
 from potts_sl.data_terms import XentKind
 from potts_sl.potts import PottsKind
 
@@ -75,3 +79,61 @@ class TestParsing:
     def test_bad_values_rejected(self, line):
         with pytest.raises(DataError):
             parse_config_text(line)
+
+    def test_bad_value_message_names_the_field(self):
+        with pytest.raises(DataError, match=r"^steps must be an integer >= 1, got 0$"):
+            parse_config_text("steps = 0")
+        with pytest.raises(DataError, match=r"^learning_rate must be a finite number > 0"):
+            parse_config_text("lr = 0")
+        with pytest.raises(DataError, match=r"^lam must be a finite number >= 0, got nan$"):
+            parse_config_text("lambda = nan")
+
+
+def _random_walker(**weights):
+    """random_walker_solve on a valid 1x2 instance with the given eta/lam."""
+    graph = AffinityGraph(2, [0], [1], [1.0], grid=(1, 2))
+    return random_walker_solve(ProbField.uniform(1, 2, 2), ScribbleField.empty(1, 2), graph,
+                               **{"eta": 1.0, "lam": 1.0, **weights})
+
+
+NAN, INF = float("nan"), float("inf")
+# AffinityGraph's npixels and grid have their own table in test_affinity.py.
+COUNT_BAD = [NAN, INF, None, "1", True, 2.5, 0, -1]
+REAL_BAD = [NAN, INF, None, "1", True, -1, 10**400]  # 10**400 overflows a float
+SETTINGS = [
+    (LossConfig, "eta", REAL_BAD),
+    (LossConfig, "lam", REAL_BAD),
+    (SolverConfig, "steps", COUNT_BAD),
+    (SolverConfig, "learning_rate", REAL_BAD + [0]),
+    (TrainConfig, "rounds", COUNT_BAD),
+    (TrainConfig, "inner_epochs", COUNT_BAD),
+    (TrainConfig, "pretrain_epochs", COUNT_BAD),
+    (AffinityConfig, "radius", COUNT_BAD),
+    (RunConfig, "rounds", COUNT_BAD),
+    (_random_walker, "eta", REAL_BAD),
+    (_random_walker, "lam", REAL_BAD),
+]
+
+
+@pytest.mark.parametrize("make, name, value", [
+    pytest.param(make, name, value, id=f"{make.__name__}-{name}-{value!r:.10}")
+    for make, name, values in SETTINGS for value in values
+])
+def test_every_setting_refuses_a_bad_value(make, name, value):
+    with pytest.raises(DataError, match=rf"^{name} must be "):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (SolverConfig, "steps", np.int64(7)), (AffinityConfig, "radius", np.uint8(2)),
+    (TrainConfig, "rounds", np.int32(3)), (RunConfig, "rounds", np.int16(4)),
+])
+def test_numpy_integer_counts_are_stored_as_int(make, name, value):
+    stored = getattr(make(**{name: value}), name)
+    assert type(stored) is int and stored == value
+
+
+def test_step_size_is_a_constant_not_a_setting():
+    assert STEP_SIZE == 1.0
+    with pytest.raises(TypeError):
+        TrainConfig(step_size=1.0)

@@ -19,7 +19,10 @@ from potts_sl import (
     potts_sum,
     potts_sum_grad,
     potts_value,
+    xent_grad,
+    xent_value,
 )
+from potts_sl.data_terms import XentKind
 from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PottsKind, _evaluate, _row_terms, plane_sum
@@ -307,6 +310,20 @@ class TestSinglePair:
             for grad in (None, np.zeros_like(planes)):
                 with pytest.raises(DataError):
                     plane_sum("nope", planes, g, grad)
+
+    @pytest.mark.parametrize("fn, kind", [
+        (potts_value, PottsKind.BL), (potts_grad, PottsKind.BL),
+        (xent_value, XentKind.CE), (xent_grad, XentKind.CE),
+    ], ids=["potts_value", "potts_grad", "xent_value", "xent_grad"])
+    @pytest.mark.parametrize("p, q", [
+        ([[1.0, 0.0], [0.5, 0.5]], [[0.9, 0.1], [0.5, 0.5]]),  # two rows: not one pair
+        ([[0.9, 0.1]], [[0.5, 0.5]]),
+        ([0.9, 0.1], [0.2, 0.3, 0.5]),
+        ([1.0], [1.0]),
+    ], ids=["two-rows", "one-row", "lengths-differ", "k1"])
+    def test_single_pair_api_takes_two_k_vectors(self, fn, kind, p, q):
+        with pytest.raises(DataError, match="pair must be two K-vectors"):
+            fn(kind, p, q)
 
 
 class TestFusedKernel:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from potts_sl import (
     DataError,
     Distribution,
+    Image,
     InfiniteDivergenceError,
     LogitField,
     ProbField,
@@ -311,3 +312,20 @@ class TestTypes:
     def test_logitfield_rejects_nonfinite(self):
         with pytest.raises(DataError):
             LogitField(np.full((1, 1, 2), np.nan))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (2, 2, 1), (2, 2)])
+    @pytest.mark.parametrize("field", [ProbField, LogitField])
+    def test_class_fields_refuse_empty_or_short_shapes(self, field, shape):
+        with pytest.raises(DataError, match=r"must be \(H, W, K>=2\)"):
+            field(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("field, data", [
+        (Image, np.zeros((2, 3, 3))), (ScribbleField, np.zeros((2, 3), dtype=np.int64)),
+        (ProbField, np.full((2, 3, 4), 0.25)), (LogitField, np.zeros((2, 3, 4))),
+    ])
+    def test_grids_share_their_shape(self, field, data):
+        grid = field(data)
+        assert (grid.height, grid.width, grid.npixels) == (2, 3, 6)
+        if field in (ProbField, LogitField):
+            assert grid.classes == 4 and grid.flat().shape == (6, 4)
+            assert grid.planes().shape == (4, 6) and grid.planes().flags.c_contiguous

@@ -14,7 +14,8 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   pair on nn4 and sparse:2;
 - `corrupt-bench --seed 0` and `gradcheck`;
 - pair_api.txt: the repr of `potts_value` and of both `potts_grad` vectors
-  for every kind on seeded pairs at K = 2, 4, 8 and 21, one-hot and
+  for every Potts kind, and of `xent_value` and both `xent_grad` vectors
+  for every coupling, on seeded pairs at K = 2, 4, 8 and 21, one-hot and
   divergent pairs included, since gradcheck prints too few digits to show
   a last-bit change.
 
@@ -49,8 +50,9 @@ def write_set(tree: Path, root: Path) -> None:
     import numpy as np
 
     import potts_sl
-    from potts_sl import (DivergentPointError, PottsKind, is_divergent, potts_grad, potts_value,
-                          synthetic, write_image, write_labels, write_probfield)
+    from potts_sl import (DivergentPointError, PottsKind, XentKind, is_divergent, potts_grad,
+                          potts_value, synthetic, write_image, write_labels, write_probfield,
+                          xent_grad, xent_value)
     from potts_sl.cli import main
 
     if Path(potts_sl.__file__).resolve().parent != (tree / "src" / "potts_sl").resolve():
@@ -129,14 +131,16 @@ def write_set(tree: Path, root: Path) -> None:
             p = onehot[rng.integers(k)] if rng.uniform() < 0.3 else p
             q = onehot[rng.integers(k)] if rng.uniform() < 0.3 else q
             pairs.append((p, q))
-        for (p, q), kind in itertools.product(pairs, PottsKind):
-            value = potts_value(kind, p, q)
+        pair_apis = [(kind, potts_value, potts_grad) for kind in PottsKind]
+        pair_apis += [(kind, xent_value, xent_grad) for kind in XentKind]
+        for (p, q), (kind, value_fn, grad_fn) in itertools.product(pairs, pair_apis):
+            value = value_fn(kind, p, q)
             try:
-                grads = " ".join(repr(g.tolist()) for g in potts_grad(kind, p, q))
+                grads = " ".join(repr(g.tolist()) for g in grad_fn(kind, p, q))
             except DivergentPointError:
                 grads = "divergent"
             value = "divergent" if is_divergent(value) else repr(value)
-            lines.append(f"{kind.value}\t{k}\t{value}\t{grads}\n")
+            lines.append(f"{value_fn.__name__}\t{kind.value}\t{k}\t{value}\t{grads}\n")
     Path("pair_api.txt").write_text("".join(lines))
 
 
