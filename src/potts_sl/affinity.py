@@ -23,7 +23,7 @@ from .errors import DataError, check_count
 from .simplex import _Grid
 
 
-@dataclass
+@dataclass(eq=False)
 class Image(_Grid):
     """H x W RGB image, channels in 0..255."""
 

@@ -57,7 +57,7 @@ def _pair_arrays(p, q):
     return a[None], b[None]
 
 
-@dataclass
+@dataclass(eq=False)
 class Distribution:
     """A point on the K-class probability simplex."""
 
@@ -122,7 +122,7 @@ def _class_grid(data, what) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(eq=False)
 class ProbField(_ClassGrid):
     """H x W grid of simplex points, stored as an (H, W, K) float array.
 
@@ -151,7 +151,7 @@ class ProbField(_ClassGrid):
         return cls(np.full((height, width, classes), 1.0 / classes))
 
 
-@dataclass
+@dataclass(eq=False)
 class LogitField(_ClassGrid):
     """H x W grid of unconstrained K-vectors; softmax image is a ProbField."""
 
@@ -161,7 +161,7 @@ class LogitField(_ClassGrid):
         self.data = _class_grid(self.data, "logit field")
 
 
-@dataclass
+@dataclass(eq=False)
 class ScribbleField(_Grid):
     """Per-pixel optional ground-truth class: 1..K labeled, 0 unlabeled."""
 

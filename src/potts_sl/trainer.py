@@ -10,12 +10,13 @@ the first starts from the previous round's labels, so neither block step can
 raise the joint loss and its trace is non-increasing by construction.
 
 Probabilities, logits, pseudo-labels and their gradients are (K, N) class
-planes, as in the solver: the logits are W phi^T + b for the (N, 5)
+planes, as in the solver: the logits are W phi^T + b for the (N, D)
 features phi, and the weight gradient is G phi for the logit gradient G.
 
 Also hosts the label-corruption robustness experiment on a synthetic blob
-dataset: the same linear-softmax classifier trained against mixed targets
-eta * uniform + (1 - eta) * one_hot(observed) with each cross-entropy kind.
+dataset: a PixelModel of the blobs' 32 features, fitted to mixed targets
+eta * uniform + (1 - eta) * one_hot(observed) by the same joint-loss descent
+with no scribbles, every sample free, eta = 1/n and no pairwise term.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import AffinityGraph, Image
-from .data_terms import XentKind, row_values
+from .data_terms import XentKind
 from .errors import DataError, check_count
 from .losses import LossConfig, _joint_terms
 from .simplex import (
@@ -47,9 +48,9 @@ FEATURE_DIM = 5
 STEP_SIZE = 1.0
 
 
-@dataclass
+@dataclass(eq=False)
 class PixelModel:
-    """Linear-softmax pixel classifier: K x 5 weights plus bias."""
+    """Linear-softmax classifier: K x D weights plus bias, D features wide."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -57,8 +58,8 @@ class PixelModel:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[1] != FEATURE_DIM:
-            raise DataError(f"weights must be (K, {FEATURE_DIM})")
+        if self.weights.ndim != 2 or self.weights.shape[1] < 1:
+            raise DataError(f"weights must be (K, D) with D >= 1, got {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
             raise DataError("bias length must match the class count")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
@@ -69,16 +70,22 @@ class PixelModel:
         return self.weights.shape[0]
 
     @classmethod
-    def zeros(cls, classes: int) -> "PixelModel":
-        return cls(np.zeros((classes, FEATURE_DIM)), np.zeros(classes))
+    def zeros(cls, classes: int, dim: int = FEATURE_DIM) -> "PixelModel":
+        return cls(np.zeros((classes, dim)), np.zeros(classes))
 
     def pack(self) -> np.ndarray:
         return np.concatenate([self.weights.ravel(), self.bias])
 
     @classmethod
     def unpack(cls, flat: np.ndarray, classes: int) -> "PixelModel":
-        w = flat[: classes * FEATURE_DIM].reshape(classes, FEATURE_DIM)
-        return cls(w.copy(), flat[classes * FEATURE_DIM :].copy())
+        w, b = _split(flat, classes)
+        return cls(w.copy(), b.copy())
+
+
+def _split(flat, classes):
+    """(K, D) weights and (K,) bias views of a packed model."""
+    n = flat.size - classes
+    return flat[:n].reshape(classes, n // classes), flat[n:]
 
 
 @dataclass
@@ -104,15 +111,15 @@ def pixel_features(image: Image) -> np.ndarray:
 
 def predict(model: PixelModel, image: Image):
     """Per-pixel softmax predictions; returns (ProbField, LogitField)."""
-    logits = _logits(model, pixel_features(image))
+    logits = _logits(model.weights, model.bias, pixel_features(image))
     shape = (image.height, image.width, model.classes)
     return (ProbField(softmax_rows(logits).T.reshape(shape)),
             LogitField(logits.T.reshape(shape)))
 
 
-def _logits(model, phi):
-    """(K, N) class planes of the model's logits at the (N, 5) features phi."""
-    return model.weights @ phi.T + model.bias[:, None]
+def _logits(weights, bias, phi):
+    """(K, N) class planes of the logits at the (N, D) features phi."""
+    return weights @ phi.T + bias[:, None]
 
 
 def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: TrainConfig) -> PixelModel:
@@ -144,23 +151,23 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
 
 
 def _sl_value_and_grad(flat, phi, scribbled, cls, free, y_free, pairwise, cfg):
-    """Joint loss at fixed pseudo-labels and its gradient w.r.t. the model
-    parameters.
+    """Joint loss at fixed pseudo-labels and its gradient w.r.t. the packed
+    model parameters flat.
 
     scribbled indexes the scribble pixels (rows of phi) and cls holds their
     0-based classes; free indexes the other pixels and y_free holds their
-    pseudo-labels as (K, len(free)) class planes. pairwise is the
-    model-independent lambda * sum w P(y_i, y_j).
+    pseudo-labels as (K, len(free)) class planes. The two indexes partition
+    the rows of phi; free may be slice(None) when nothing is scribbled.
+    pairwise is the model-independent lambda * sum w P(y_i, y_j).
     """
-    model = PixelModel.unpack(flat, y_free.shape[0])
-    probs = softmax_rows(_logits(model, phi))
-    probs_free = np.take(probs, free, axis=1)
+    probs = softmax_rows(_logits(*_split(flat, y_free.shape[0]), phi))
+    probs_free = probs[:, free]
     terms, _, grads = _joint_terms(cfg, probs[cls, scribbled], y_free, probs_free, pairwise,
                                    grad=True)
-    glogit = np.zeros_like(probs)
+    glogit = np.empty_like(probs)
     glogit[:, scribbled] = probs[:, scribbled]
     glogit[cls, scribbled] -= 1.0
-    glogit[:, free] += softmax_backward(probs_free, cfg.eta * grads[1])
+    glogit[:, free] = softmax_backward(probs_free, cfg.eta * grads[1])
     gw = glogit @ phi
     # adds each class's pixels in order; glogit.sum(axis=1) would add pairwise
     gb = np.cumsum(glogit, axis=1)[:, -1]
@@ -211,29 +218,19 @@ def alternate(
 
 
 def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400, step0: float = 0.25):
-    """Linear-softmax weights fitted to soft targets with the given coupling.
-
-    x holds one sample per row and targets one distribution per row."""
-    n, dim = x.shape
-    k = targets.shape[1]
-    xa = np.column_stack([x, np.ones(n)])
-    target_planes = np.ascontiguousarray(targets.T)
-
-    def value_grad(f):
-        w = f.reshape(k, dim + 1)
-        probs = softmax_rows(w @ xa.T)
-        vals, _, grads = row_values(kind, target_planes, probs, grad=True)
-        value = float(np.mean(vals))
-        glogit = softmax_backward(probs, grads[1]) / n
-        return value, (glogit @ xa).ravel()
-
-    flat, _ = _armijo_descent(np.zeros((k * (dim + 1),)), value_grad, epochs, step0)
-    return flat.reshape(k, dim + 1)
+    """PixelModel fitted to soft targets by the mean coupling of the given
+    kind. x holds one sample per row and targets one distribution per row."""
+    (n, dim), k = x.shape, targets.shape[1]
+    y_free = np.ascontiguousarray(targets.T)
+    cfg = LossConfig(eta=1.0 / n, lam=0.0, xent=kind)
+    none = np.zeros(0, dtype=np.intp)
+    value_grad = lambda f: _sl_value_and_grad(f, x, none, none, slice(None), y_free, 0.0, cfg)
+    flat, _ = _armijo_descent(PixelModel.zeros(k, dim).pack(), value_grad, epochs, step0)
+    return PixelModel.unpack(flat, k)
 
 
-def _accuracy(w, x, labels):
-    xa = np.column_stack([x, np.ones(x.shape[0])])
-    pred = np.argmax(w @ xa.T, axis=0) + 1
+def _accuracy(model, x, labels):
+    pred = np.argmax(_logits(model.weights, model.bias, x), axis=0) + 1
     return float(np.mean(pred == labels))
 
 
@@ -274,6 +271,6 @@ def corruption_experiment(
             observed[pick] = rng.integers(1, k + 1, size=n_corrupt)
         targets = eta / k + (1.0 - eta) * one_hot_rows(observed, k)
         for kind in kinds:
-            w = _fit_linear_softmax(x_train, targets, kind)
-            rows.append((float(eta), kind.value, _accuracy(w, x_test, y_test)))
+            model = _fit_linear_softmax(x_train, targets, kind)
+            rows.append((float(eta), kind.value, _accuracy(model, x_test, y_test)))
     return rows

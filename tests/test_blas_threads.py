@@ -70,8 +70,10 @@ sys.exit(code)
 """
 
 
-# The train-nn4 benchmark instance of seed 0 (48x48, 3 rounds): the model's
-# logits and gradients are matrix products that BLAS computes.
+# A 128x128 two-region instance of seed 0 (3 rounds): the model's logits and
+# gradients are matrix products that BLAS computes. At N = 16,384 pixels a
+# per-class BLAS dot over the pixels splits between two threads, which a
+# 48x48 instance's 2,304 pixels are too few to show.
 TRAIN_CHILD = r"""
 import sys
 from pathlib import Path
@@ -80,7 +82,7 @@ from potts_sl import synthetic, write_image, write_labels
 from potts_sl.cli import main
 
 work = Path(sys.argv[1])
-image, scribbles, gt = synthetic.two_region_instance(0, 48, 48)
+image, scribbles, gt = synthetic.two_region_instance(0, 128, 128)
 write_image(image, work / "i.ppm")
 write_labels(scribbles.data, work / "s.pgm")
 write_labels(gt, work / "g.pgm")

@@ -27,6 +27,7 @@ from potts_sl.simplex import (
     softmax_rows,
 )
 from potts_sl.data_terms import XentKind, xent_value
+from potts_sl.trainer import PixelModel
 from helpers import interior_pair
 
 
@@ -329,3 +330,17 @@ class TestTypes:
         if field in (ProbField, LogitField):
             assert grid.classes == 4 and grid.flat().shape == (6, 4)
             assert grid.planes().shape == (4, 6) and grid.planes().flags.c_contiguous
+
+    @pytest.mark.parametrize("make", [
+        lambda: Image(np.zeros((2, 3, 3))),
+        lambda: Distribution(np.array([0.25, 0.75])),
+        lambda: ProbField.uniform(2, 2, 2),
+        lambda: LogitField(np.zeros((2, 2, 2))),
+        lambda: ScribbleField(np.array([[0, 1], [2, 0]])),
+        lambda: PixelModel.zeros(2),
+    ], ids=["Image", "Distribution", "ProbField", "LogitField", "ScribbleField", "PixelModel"])
+    def test_equality_is_identity(self, make):
+        # the arrays are not compared, so == never raises
+        value, copy = make(), make()
+        assert value == value and not value != value
+        assert value != copy and not value == copy
