@@ -39,11 +39,20 @@ and divergence masks. Values and masks are bit-identical to evaluating each
 edge on its own; gradients are the same sums in another order, equal to the
 per-edge formulas within a few units in the last place. potts_grad sums its
 one pair with plane_sum too, so the gradient checks test this assembly.
+
+A PlaneWorkspace holds the grid path's edge- and plane-sized buffers: the
+values, own, the products b * y, and each run's scaled zero-padded weights
+and coefficients. The pseudo-label solve passes one to all its evaluations,
+so these buffers live for one solve; a call without one builds its own.
+The arithmetic is the same either way. The solve saves the kernel's time
+faulting in memory that the allocator returned between calls, not numpy
+time.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -142,13 +151,14 @@ _KERNELS = {
 }
 
 
-def _evaluate(kind, p, q, tp, tq, weights=None):
+def _evaluate(kind, p, q, tp, tq, weights=None, out=(None, None, None)):
     """(values, divergent, coefficients) on pairs whose row terms
     (_row_terms) are already known.
 
     Without weights the coefficients are None. With weights (an array the
-    shape of the values) they are (a_p, a_q, b) times weights: fresh arrays
-    the shape of the values, zero on divergent edges.
+    shape of the values) they are (a_p, a_q, b) times weights, zero on
+    divergent edges: written into the three arrays of out, or fresh arrays
+    the shape of the values where out holds None.
     """
     kernel = _KERNELS.get(kind)
     if kernel is None:
@@ -159,19 +169,53 @@ def _evaluate(kind, p, q, tp, tq, weights=None):
     elif weights is not None and div.any():
         weights = np.where(div, 0.0, weights)
     if weights is not None:
-        coefs = tuple(c * weights for c in coefs)
+        coefs = tuple(np.multiply(c, weights, out=o) for c, o in zip(coefs, out))
     return values, div, coefs
 
 
+class PlaneWorkspace:
+    """The buffers that plane_sum calls on one grid graph, scale and class
+    count share: the (E,) values in edge order and, built by the first
+    gradient call, `gradient`. That is the (N,) array own, (K, N) product
+    planes (own * y, and a (K, n) view per run for b * y), and per run of
+    graph.runs its scale * w zero-padded at the wrap pairs and its
+    (a_p, a_q, b) buffers: a_p shared by all runs, a_q and b kept per run for
+    the target pass. It serves one call at a time; the masks plane_sum
+    returns and the gradient planes it adds into never alias it.
+    """
+
+    def __init__(self, graph: AffinityGraph, scale, classes: int):
+        self.graph, self.scale, self.classes = graph, scale, classes
+        self.values = np.empty(graph.nedges)
+
+    @functools.cached_property
+    def gradient(self):
+        """(own, product planes, per run (weights, coefficient buffers, products))."""
+        graph, k = self.graph, self.classes
+        width = graph.grid[1]
+        weights = self.scale * graph.w
+        sizes = [(h - 1) * width + w for _, _, h, w in graph.runs]
+        ap = np.empty(max(sizes, default=0))
+        prod = np.empty((k, graph.npixels))
+        runs, start = [], 0
+        for (a, t, h, w), n in zip(graph.runs, sizes):
+            wb = np.zeros(n)
+            _at_edges(wb, h, w, width)[...] = weights[start : start + h * w].reshape(h, w)
+            runs.append((wb, (ap[:n], np.empty(n), np.empty(n)),
+                         prod.reshape(-1)[: k * n].reshape(k, n)))
+            start += h * w
+        return np.empty(graph.npixels), prod, runs
+
+
 def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_planes=None,
-              scale=1.0):
+              scale=1.0, workspace: PlaneWorkspace | None = None):
     """scale * sum_e w_e P(y_i, y_j) over the edges of graph, with y held as
     C-contiguous (K, N) class planes.
 
     Returns (value, divergent) with the per-edge divergence mask in edge
-    order. When grad_planes is given, (K, N) planes of the same layout
-    (DataError if not C-contiguous), scale * w_e * dP is added into it, with
-    the gradient of divergent edges skipped.
+    order, a fresh array. When grad_planes is given, (K, N) planes of the
+    same layout (DataError if not C-contiguous), scale * w_e * dP is added
+    into it, with the gradient of divergent edges skipped.
 
     The per-row terms a kernel reads on both sides of an edge (|y|^2 and |y|
     for NQ; |y| and 1 / |y|^2 for CD) are computed once per call on all N
@@ -198,30 +242,40 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
     weight 0, so their coefficients are +-0. With scale >= 0, a_p, a_q >= 0
     add +0.0 to own, which only holds sums of such terms, and b <= 0 makes
     b * y -0.0 on y >= 0, the exact additive identity. Values and masks are
-    read back at the edge positions only (an (h, w) view of the run), so a
+    written at the edge positions only (an (h, w) view of the run), so a
     wrap pair that diverges reaches neither. A run evaluates (h - 1) W + w
     pairs for h w edges: a few percent more on a small window, and over all
     the runs of a window as wide as the image about twice as many.
 
+    The grid path writes the values, own, the coefficients and the products
+    into workspace, a PlaneWorkspace built for this graph, scale and K
+    (DataError for any other), or into one it builds for the call. The
+    pseudo-label solve passes one workspace to all its evaluations, so their
+    buffers are faulted in once per solve instead of once per call: the
+    saving is kernel page-fault time, not numpy time.
+
     Any other graph gathers planes[:, ei], planes[:, ej] and the row terms
-    and scatters into each class plane with np.add.at. Both paths give
-    bit-identical results: the per-edge arithmetic is the same, values and
-    masks are concatenated in edge order before the one dot with w (an
-    einsum: BLAS would add in an order set by its thread count), and own and
-    the gradient receive every run's source-side terms first, then (from
-    the a_q and b kept per run) every run's target-side terms.
+    and scatters into each class plane with np.add.at; it ignores the
+    workspace. Both paths give bit-identical results: the per-edge
+    arithmetic is the same, values and masks are laid out in edge order
+    before the one dot with w (an einsum: BLAS would add in an order set by
+    its thread count), and own and the gradient receive every run's
+    source-side terms first, then (from the a_q and b kept per run) every
+    run's target-side terms.
     A pixel occurs at most once per run, so each entry receives its terms in
     the same order as np.add.at's pass over ei, then over ej.
     """
-    weights = None
-    if grad_planes is not None:
-        if not grad_planes.flags.c_contiguous:
-            raise DataError("grad_planes must be C-contiguous")
-        weights = scale * graph.w
+    if grad_planes is not None and not grad_planes.flags.c_contiguous:
+        raise DataError("grad_planes must be C-contiguous")
+    classes = planes.shape[0]
+    if workspace is not None and (workspace.graph is not graph or workspace.scale != scale
+                                  or workspace.classes != classes):
+        raise DataError("plane_sum workspace was built for another graph, scale or class count")
     if graph.grid is None:
         ei, ej = graph.ei, graph.ej
         terms = _row_terms(kind, planes.T)
         p, q = planes[:, ei], planes[:, ej]
+        weights = None if grad_planes is None else scale * graph.w
         v, div, coefs = _evaluate(kind, p.T, q.T, [t[ei] for t in terms],
                                   [t[ej] for t in terms], weights)
         if coefs is not None:
@@ -236,36 +290,37 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
             grad_planes += own * planes
         return scale * float(np.einsum("e,e->", graph.w, v)), div
 
+    ws = PlaneWorkspace(graph, scale, classes) if workspace is None else workspace
     width = graph.grid[1]
     terms = _row_terms(kind, planes.T)
-    if weights is not None:
-        own = np.zeros(planes.shape[1])
-    vs, divs, targets = [np.zeros(0)], [np.zeros(0, dtype=bool)], []
+    values, divs = ws.values, np.empty(graph.nedges, dtype=bool)
+    if grad_planes is None:
+        buffers = [(None, (None, None, None), None)] * len(graph.runs)
+    else:
+        own, prod, buffers = ws.gradient
+        own.fill(0.0)
+    targets = []
     start = 0
-    for a, t, h, w in graph.runs:
+    for (a, t, h, w), (wb, out, prod_n) in zip(graph.runs, buffers):
         n = (h - 1) * width + w
         p, q = planes[:, a : a + n], planes[:, t : t + n]
-        wb = None
-        if weights is not None:
-            wb = np.zeros(n)
-            _at_edges(wb, h, w, width)[...] = weights[start : start + h * w].reshape(h, w)
         v, div, coefs = _evaluate(kind, p.T, q.T, [x[a : a + n] for x in terms],
-                                  [x[t : t + n] for x in terms], wb)
+                                  [x[t : t + n] for x in terms], wb, out)
         if coefs is not None:
             ap, aq, b = coefs
             own[a : a + n] += ap
-            grad_planes[:, a : a + n] += b * q
-            targets.append((t, aq, b, p))
-        vs.append(_at_edges(v, h, w, width))
-        divs.append(_at_edges(div, h, w, width))
+            grad_planes[:, a : a + n] += np.multiply(b, q, out=prod_n)
+            targets.append((t, aq, b, p, prod_n))
+        edges = slice(start, start + h * w)
+        values[edges].reshape(h, w)[...] = _at_edges(v, h, w, width)
+        divs[edges].reshape(h, w)[...] = _at_edges(div, h, w, width)
         start += h * w
-    for t, aq, b, p in targets:
+    for t, aq, b, p, prod_n in targets:
         own[t : t + aq.size] += aq
-        grad_planes[:, t : t + aq.size] += b * p
-    if weights is not None:
-        grad_planes += own * planes
-    return (scale * float(np.einsum("e,e->", graph.w, np.concatenate(vs, axis=None))),
-            np.concatenate(divs, axis=None))
+        grad_planes[:, t : t + aq.size] += np.multiply(b, p, out=prod_n)
+    if grad_planes is not None:
+        grad_planes += np.multiply(own, planes, out=prod)
+    return scale * float(np.einsum("e,e->", graph.w, values)), divs
 
 
 def _at_edges(run, h, w, width):

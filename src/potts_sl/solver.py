@@ -15,7 +15,12 @@ still pull on unlabeled neighbors.
 The solver holds its state class-major: logits, labels and gradients are
 (K, N) class planes, C-contiguous, from one transpose on entry to one on
 exit. The softmax, coupling and Potts routines all take those planes, so
-every class-axis step runs over whole contiguous planes.
+every class-axis step runs over whole contiguous planes. An evaluation's
+plane- and edge-sized buffers (y's free columns, the gradient planes and
+plane_sum's PlaneWorkspace) are allocated once per solve and live exactly
+that solve; what their reuse saves is kernel page-fault time, not numpy
+time. The gradient handed to the descent is still a fresh array, since the
+descent keeps the accepted one across refused trials.
 
 The logits descend by _armijo_descent, which the trainer shares: each step
 first tries the last accepted step size (at first the learning rate) and
@@ -33,7 +38,7 @@ import numpy as np
 from .affinity import AffinityGraph
 from .errors import DataError, LOG_CLAMP, NumericalError, check_count, check_real
 from .losses import JointTerms, LossConfig, _check_instance, _joint_terms
-from .potts import plane_sum
+from .potts import PlaneWorkspace, plane_sum
 from .simplex import (
     LogitField,
     ProbField,
@@ -76,22 +81,39 @@ class SolveReport:
     terms: JointTerms | None = None
 
 
-def _objective(y, s_free, free, graph, cfg, grad=False):
+def _workspace(graph, cfg, classes, nfree):
+    """The buffers that one solve's evaluations share, as _objective reads
+    them: plane_sum's PlaneWorkspace, the (K, N) gradient planes and the
+    (K, nfree) free columns of y."""
+    return (PlaneWorkspace(graph, cfg.lam, classes), np.empty((classes, graph.npixels)),
+            np.empty((classes, nfree)))
+
+
+def _objective(y, s_free, free, graph, cfg, grad=False, ws=None):
     """(JointTerms, divergence count, dist-space gradient or None) at y.
 
     y and the gradient are (K, N) class planes. free indexes the pixels that
     carry a data term (the unscribbled ones) and s_free holds sigma's planes
     there, (K, len(free)). Divergent edges contribute their clamped value and
     no gradient; data rows use the gradient of the clamped coupling.
+
+    A gradient call writes y's free columns, the gradient planes and
+    plane_sum's buffers into ws, a _workspace of this graph, lambda, K and
+    free (a new one if None). The returned gradient is ws's planes, which
+    the next call with ws overwrites.
     """
-    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), np.take(y, free, axis=1), s_free,
-                                      grad=grad)
-    out = None
     if grad:
-        out = np.zeros(y.shape)
-        out[:, free] = cfg.eta * gdata[0]
-    del gdata  # not held through plane_sum's per-edge temporaries, the peak of a call
-    pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam)
+        pairs, out, y_free = _workspace(graph, cfg, y.shape[0], free.size) if ws is None else ws
+        # free holds valid columns; mode="raise" would copy out through a temporary
+        np.take(y, free, axis=1, out=y_free, mode="clip")
+    else:
+        pairs, out, y_free = None, None, np.take(y, free, axis=1)
+    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), y_free, s_free, grad=grad)
+    if grad:
+        out.fill(0.0)
+        out[:, free] = np.multiply(cfg.eta, gdata[0], out=gdata[0])
+    del gdata  # freed before plane_sum, whose per-run temporaries then reuse its memory
+    pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam, pairs)
     return (terms._replace(pairwise=pairwise),
             int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out)
 
@@ -177,6 +199,7 @@ def solve_pseudo_labels(
     pinned = one_hot_rows(lab[scribbled], sigma.classes).T
     report = SolveReport()
     events, terms = 0, None
+    ws = _workspace(graph, loss_cfg, sigma.classes, free.size)
 
     def labels(logits):
         y = softmax_rows(logits)
@@ -186,7 +209,7 @@ def solve_pseudo_labels(
     def value_grad(logits):
         nonlocal events, terms
         y = labels(logits)
-        terms, events, grad = _objective(y, s_free, free, graph, loss_cfg, grad=True)
+        terms, events, grad = _objective(y, s_free, free, graph, loss_cfg, True, ws)
         return terms.value, softmax_backward(y, grad)
 
     def record(value):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from potts_sl import (
 from potts_sl.data_terms import XentKind
 from potts_sl.errors import LOG_CLAMP
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, _evaluate, _row_terms, plane_sum
+from potts_sl.potts import PlaneWorkspace, PottsKind, _evaluate, _row_terms, plane_sum
 from helpers import interior_pair, random_interior_field
 
 ALL_KINDS = list(PottsKind)
@@ -578,3 +579,78 @@ class TestEdgeOrderInvariance:
         assert np.array_equal(d1, d0[perm])
         assert abs(v1 - v0) <= 1e-12 * abs(v0)
         np.testing.assert_allclose(g1, g0, rtol=1e-12, atol=1e-12 * np.abs(g0).max(initial=0.0))
+
+
+class TestPlaneWorkspace:
+    """plane_sum calls that share one PlaneWorkspace give what fresh calls
+    give, bit for bit, and the arrays they hand back never alias it."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("k", [2, 5, 21])
+    @pytest.mark.parametrize("cfg", NEIGHBORHOODS[:2], ids=lambda c: c.kind.value)
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 7), (6, 5)])
+    def test_shared_workspace_equals_fresh_calls(self, kind, k, cfg, h, w):
+        rng = np.random.default_rng(h * 1000 + w * 100 + k)
+        built = build_graph(Image(rng.integers(0, 256, size=(h, w, 3))), cfg)
+        weights = built.w.copy()
+        weights[rng.uniform(size=weights.size) < 0.3] = 0.0
+        graph = AffinityGraph(built.npixels, built.ei, built.ej, weights, grid=built.grid)
+        workspace = PlaneWorkspace(graph, 1.7, k)
+        kept = []
+        # interior rows, then one-hot rows whose differing neighbours diverge
+        # under the log kinds, then interior rows again
+        for hot in (0.0, 1.0, 0.0, 0.5):
+            y = rng.dirichlet(np.ones(k), size=h * w)
+            onehot = rng.uniform(size=h * w) < hot
+            y[onehot] = np.eye(k)[rng.integers(0, k, size=onehot.sum())]
+            planes = np.ascontiguousarray(y.T)
+            start = rng.normal(size=planes.shape)
+            fresh_grad, shared_grad = start.copy(), start.copy()
+            fresh = plane_sum(kind, planes, graph, fresh_grad, 1.7)
+            shared = plane_sum(kind, planes, graph, shared_grad, 1.7, workspace)
+            assert shared[0] == fresh[0]
+            assert np.array_equal(shared[1], fresh[1])
+            assert shared_grad.tobytes() == fresh_grad.tobytes()
+            value_only = plane_sum(kind, planes, graph, scale=1.7, workspace=workspace)
+            assert value_only[0] == fresh[0] and np.array_equal(value_only[1], fresh[1])
+            for mask, expected in kept:
+                assert np.array_equal(mask, expected)
+            kept += [(shared[1], fresh[1].copy()), (value_only[1], fresh[1].copy())]
+        if kind in LOG_KINDS and graph.nedges:
+            assert any(expected.any() for _, expected in kept)
+
+    def test_workspace_of_another_graph_scale_or_class_count_is_refused(self):
+        rng = np.random.default_rng(5)
+        image = Image(rng.integers(0, 256, size=(4, 5, 3)))
+        graph = build_graph(image, AffinityConfig())
+        twin = build_graph(image, AffinityConfig())
+        planes = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=20).T)
+        for workspace in (PlaneWorkspace(twin, 2.0, 3), PlaneWorkspace(graph, 2.5, 3),
+                          PlaneWorkspace(graph, 2.0, 4)):
+            for grad in (None, np.zeros_like(planes)):
+                with pytest.raises(DataError, match="workspace"):
+                    plane_sum(PottsKind.CD, planes, graph, grad, 2.0, workspace)
+
+    def test_warm_gradient_call_allocates_less_than_one_edge_array(self):
+        # a 64x64 sparse:2 field at K = 5: the run-sized temporaries of the
+        # kernels stay, every edge- and plane-sized buffer is the workspace's
+        rng = np.random.default_rng(64)
+        graph = build_graph(Image(rng.integers(0, 256, size=(64, 64, 3))), NEIGHBORHOODS[1])
+        planes = np.ascontiguousarray(rng.dirichlet(np.ones(5), size=64 * 64).T)
+        grad = np.zeros_like(planes)
+        bound = graph.nedges * np.dtype(np.float64).itemsize
+
+        def peak_above_start(workspace):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                plane_sum(PottsKind.CD, planes, graph, grad, 6.0, workspace)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        workspace = PlaneWorkspace(graph, 6.0, 5)
+        plane_sum(PottsKind.CD, planes, graph, grad, 6.0, workspace)
+        assert peak_above_start(workspace) < bound
+        # the bound is one that a call building its own buffers exceeds
+        assert peak_above_start(None) > bound

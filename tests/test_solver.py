@@ -378,6 +378,38 @@ def test_solver_is_class_permutation_equivariant(case):
     assert report_perm.divergence_events == report.divergence_events
 
 
+@pytest.mark.parametrize("case,rejects", [
+    # a learning rate of 10 makes the descent refuse and halve trials
+    ((8, 9, 5, "some", PottsKind.CD, XentKind.CCE, "sparse:2", 10.0, 7), True),
+    ((7, 6, 3, "some", PottsKind.LQ, XentKind.CE, "nn4", 0.075, 8), False),
+])
+def test_solve_with_fresh_buffers_per_evaluation_is_identical(monkeypatch, case, rejects):
+    """A solve reuses one _workspace for all its evaluations; buffers that
+    leaked from a refused trial into the accepted gradient would move it."""
+    sigma, scribbles, graph, cfg, solver_cfg, _ = solver_instance(case)
+    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, solver_cfg)
+    build, evaluations = solver._workspace, []
+
+    class FreshPerEvaluation:
+        # _objective unpacks its workspace once per evaluation
+        def __init__(self, *args):
+            self.args = args
+
+        def __iter__(self):
+            evaluations.append(True)
+            return iter(build(*self.args))
+
+    monkeypatch.setattr(solver, "_workspace", FreshPerEvaluation)
+    y_fresh, report_fresh = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, solver_cfg)
+    assert y_fresh.data.tobytes() == y.data.tobytes()
+    assert report_fresh.logits.data.tobytes() == report.logits.data.tobytes()
+    assert report_fresh.trace == report.trace
+    assert report_fresh.divergence_events == report.divergence_events
+    assert len(set(report.trace)) > 1
+    if rejects:
+        assert len(evaluations) > solver_cfg.steps + 1
+
+
 @pytest.mark.parametrize("potts", list(PottsKind))
 @pytest.mark.parametrize("xent", list(XentKind))
 def test_objective_gradient_matches_finite_differences(potts, xent):
