@@ -10,8 +10,9 @@ Argument order is fixed as (y, sigma) = (target, estimate) throughout:
 With a uniform target, RCE and CCE are constant (= ln K) in sigma, so they
 never push predictions to mimic an uninformative label; CE does.
 
-row_values takes y and sigma as (K, N) class planes, so its class sums are
-numpy reductions over axis 0 that add whole planes in class order.
+row_values returns each coupling's values and its gradient pair in one call.
+It takes y and sigma as (K, N) class planes, so its class sums are numpy
+reductions over axis 0 that add whole planes in class order.
 """
 
 from __future__ import annotations
@@ -38,46 +39,37 @@ class XentKind(enum.Enum):
             raise DataError(f"unknown cross-entropy kind {name!r}") from None
 
 
-def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray, grad: bool = False):
-    """Vectorized values over the pixels of (K, N) class planes y and sigma;
-    returns (values, divergent, grads), the first two of shape (N,).
+def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray):
+    """Values and gradients in one call over the pixels of (K, N) class
+    planes y and sigma: (values, divergent, (d/dy, d/dsigma)), the first two
+    of shape (N,).
 
     Log arguments are clamped at LOG_CLAMP so the returned values stay finite;
-    the mask records pixels where the clamp was active. grads is None or the
-    pair (d/dy, d/dsigma) of the log-clamped loss as (K, N) planes: finite
-    everywhere, and zero along any coordinate sitting in the flat clamped
-    region.
+    the mask records pixels where the clamp was active. The gradient pair is
+    that of the log-clamped loss as (K, N) planes: finite everywhere, and zero
+    along any coordinate sitting in the flat clamped region.
     """
     if kind is XentKind.CE:
         div = ((y > 0.0) & (sigma <= LOG_CLAMP)).any(axis=0)
         logs = np.log(np.maximum(sigma, LOG_CLAMP))
-        grads = None
-        if grad:
-            gs = np.where(sigma > LOG_CLAMP, -y / np.maximum(sigma, LOG_CLAMP), 0.0)
-            grads = (-logs, gs)
-        return -(y * logs).sum(axis=0), div, grads
+        gs = np.where(sigma > LOG_CLAMP, -y / np.maximum(sigma, LOG_CLAMP), 0.0)
+        return -(y * logs).sum(axis=0), div, (-logs, gs)
     if kind is XentKind.RCE:
         div = ((sigma > 0.0) & (y <= LOG_CLAMP)).any(axis=0)
         logs = np.log(np.maximum(y, LOG_CLAMP))
-        grads = None
-        if grad:
-            gy = np.where(y > LOG_CLAMP, -sigma / np.maximum(y, LOG_CLAMP), 0.0)
-            grads = (gy, -logs)
-        return -(sigma * logs).sum(axis=0), div, grads
+        gy = np.where(y > LOG_CLAMP, -sigma / np.maximum(y, LOG_CLAMP), 0.0)
+        return -(sigma * logs).sum(axis=0), div, (gy, -logs)
     if kind is XentKind.CCE:
         s = _row_dot(sigma.T, y.T)
         div = s <= LOG_CLAMP
         ss = np.maximum(s, LOG_CLAMP)
-        grads = None
-        if grad:
-            grads = (-sigma / ss, -y / ss)
-            for g in grads:
-                g[:, div] = 0.0
+        grads = (-sigma / ss, -y / ss)
+        for g in grads:
+            g[:, div] = 0.0
         return -np.log(ss), div, grads
     if kind is XentKind.QUAD:
         d = y - sigma
-        grads = (2.0 * d, -2.0 * d) if grad else None
-        return _row_dot(d.T, d.T), np.zeros(d.shape[1], dtype=bool), grads
+        return _row_dot(d.T, d.T), np.zeros(d.shape[1], dtype=bool), (2.0 * d, -2.0 * d)
     raise DataError(f"unknown cross-entropy kind {kind!r}")
 
 
@@ -96,7 +88,7 @@ def xent_value(kind: XentKind, y, sigma):
 
 def xent_grad(kind: XentKind, y, sigma):
     """(d/dy, d/dsigma) for one pair; refuses divergent points."""
-    _, div, (gy, gs) = row_values(kind, *_pair_planes(y, sigma), grad=True)
+    _, div, (gy, gs) = row_values(kind, *_pair_planes(y, sigma))
     if div[0]:
         raise DivergentPointError(f"{kind.name} gradient requested at a divergent pair")
     return gy[:, 0], gs[:, 0]

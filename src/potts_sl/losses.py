@@ -74,14 +74,15 @@ def _nll(picked) -> float:
     return float(-np.sum(np.log(np.maximum(picked, LOG_CLAMP)))) if picked.size else 0.0
 
 
-def _joint_terms(cfg, picked, y_free, s_free, pairwise=0.0, grad=False):
-    """(JointTerms, divergent coupling rows, coupling gradient pair or None).
+def _joint_terms(cfg, picked, y_free, s_free, pairwise=0.0):
+    """(JointTerms, divergent coupling rows, coupling gradient pair).
 
     picked holds sigma's probability of the scribbled class at each scribble
     pixel, y_free and s_free the (K, n) class planes of y and sigma at the
-    others. The pair (d/dy, d/dsigma), also (K, n) planes, is not scaled by
-    eta; each caller scales its side."""
-    vals, div, grads = row_values(cfg.xent, y_free, s_free, grad=grad)
+    others. The terms and the pair (d/dy, d/dsigma), also (K, n) planes, come
+    from one row_values call; the pair is not scaled by eta, and each caller
+    scales its side."""
+    vals, div, grads = row_values(cfg.xent, y_free, s_free)
     return JointTerms(_nll(picked), cfg.eta * float(np.sum(vals)), pairwise), div, grads
 
 

@@ -9,18 +9,18 @@ from .errors import DataError
 IGNORE = 255
 
 
-def miou(pred: np.ndarray, gt: np.ndarray, classes: int, ignore: int = IGNORE) -> float:
+def miou(pred: np.ndarray, gt: np.ndarray, classes: int) -> float:
     """Mean intersection-over-union between 1-based label maps.
 
-    Pixels where gt equals `ignore` are dropped. A class enters the mean only
-    if it occurs in pred or gt (after dropping ignored pixels); classes absent
-    from both are excluded.
+    Pixels where gt equals IGNORE (255, unlabeled) are dropped. A class
+    enters the mean only if it occurs in pred or gt (after dropping ignored
+    pixels); classes absent from both are excluded.
     """
     p = np.asarray(pred, dtype=np.int64).ravel()
     g = np.asarray(gt, dtype=np.int64).ravel()
     if p.shape != g.shape:
         raise DataError("prediction and ground truth differ in size")
-    keep = g != ignore
+    keep = g != IGNORE
     p, g = p[keep], g[keep]
     if p.size and (p.min() < 1 or p.max() > classes or g.min() < 1 or g.max() > classes):
         raise DataError(f"labels must lie in 1..{classes}")

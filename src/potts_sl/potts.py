@@ -17,8 +17,9 @@ Values extend smoothly to positive vectors slightly off the simplex, which
 the finite-difference gradient checks rely on.
 
 The gradient on an edge is a combination of its two endpoints,
-dP/dp = a_p p + b q and dP/dq = a_q q + b p, so each kernel returns three
-per-edge coefficients rather than two (E, K) gradient arrays:
+dP/dp = a_p p + b q and dP/dq = a_q q + b p. Each kernel returns its values
+and these gradient terms in one call, as three per-edge coefficients rather
+than two (E, K) gradient arrays:
 
   kind  a_p                a_q                b
   BL    0                  0                  -1
@@ -38,7 +39,8 @@ row ends are not edges: they carry weight 0 and are left out of the values
 and divergence masks. Values and masks are bit-identical to evaluating each
 edge on its own; gradients are the same sums in another order, equal to the
 per-edge formulas within a few units in the last place. potts_grad sums its
-one pair with plane_sum too, so the gradient checks test this assembly.
+one pair with plane_sum too, so the gradient checks test this assembly. A
+value-only sum skips the assembly, about three times the cost of the values.
 
 A PlaneWorkspace holds the grid path's edge- and plane-sized buffers: the
 values, own, the products b * y, and each run's scaled zero-padded weights
@@ -91,54 +93,48 @@ def _row_terms(kind, y):
     return np.sqrt(n2), 1.0 / n2
 
 
-# Each kernel takes the pair (p, q), their row terms (tp, tq) and the grad
-# flag, and returns (values, divergent-or-None, coefficients-or-None). The
-# coefficients (a_p, a_q, b) of the module table are per-edge arrays or
-# constants, possibly views of the row terms; _evaluate makes them fresh.
+# Each kernel takes the pair (p, q) and their row terms (tp, tq) and returns
+# (values, divergent-or-None, coefficients). The coefficients (a_p, a_q, b) of
+# the module table are per-edge arrays or constants, possibly views of the row
+# terms; _evaluate makes them fresh.
 
 
-def _bl(p, q, tp, tq, grad):
-    return 1.0 - _row_dot(p, q), None, (0.0, 0.0, -1.0) if grad else None
+def _bl(p, q, tp, tq):
+    return 1.0 - _row_dot(p, q), None, (0.0, 0.0, -1.0)
 
 
-def _q(p, q, tp, tq, grad):
+def _q(p, q, tp, tq):
     d = p - q
-    return 0.5 * _row_dot(d, d), None, (1.0, 1.0, -1.0) if grad else None
+    return 0.5 * _row_dot(d, d), None, (1.0, 1.0, -1.0)
 
 
-def _nq(p, q, tp, tq, grad):
+def _nq(p, q, tp, tq):
     (a2, ra), (b2, rb) = tp, tq
     s = _row_dot(p, q)
-    coefs = None
-    if grad:
-        ab = np.sqrt(a2 * b2)
-        coefs = (s / (a2 * ab), s / (b2 * ab), -1.0 / ab)
-    return 1.0 - s / (ra * rb), None, coefs
+    ab = np.sqrt(a2 * b2)
+    return 1.0 - s / (ra * rb), None, (s / (a2 * ab), s / (b2 * ab), -1.0 / ab)
 
 
-def _cce(p, q, tp, tq, grad):
+def _cce(p, q, tp, tq):
     s = _row_dot(p, q)
     ss = np.maximum(s, LOG_CLAMP)
-    return -np.log(ss), s <= LOG_CLAMP, (0.0, 0.0, -1.0 / ss) if grad else None
+    return -np.log(ss), s <= LOG_CLAMP, (0.0, 0.0, -1.0 / ss)
 
 
-def _cd(p, q, tp, tq, grad):
+def _cd(p, q, tp, tq):
     (ra, ia), (rb, ib) = tp, tq
     s = _row_dot(p, q)
     c = s / (ra * rb)
-    coefs = (ia, ib, -1.0 / np.maximum(s, LOG_CLAMP)) if grad else None
+    coefs = (ia, ib, -1.0 / np.maximum(s, LOG_CLAMP))
     return -np.log(np.maximum(c, LOG_CLAMP)), c <= LOG_CLAMP, coefs
 
 
-def _lq(p, q, tp, tq, grad):
+def _lq(p, q, tp, tq):
     d = p - q
     u = 1.0 - 0.5 * _row_dot(d, d)
     uu = np.maximum(u, LOG_CLAMP)
-    coefs = None
-    if grad:
-        r = 1.0 / uu
-        coefs = (r, r, -r)
-    return -np.log(uu), u <= LOG_CLAMP, coefs
+    r = 1.0 / uu
+    return -np.log(uu), u <= LOG_CLAMP, (r, r, -r)
 
 
 _KERNELS = {
@@ -153,17 +149,18 @@ _KERNELS = {
 
 def _evaluate(kind, p, q, tp, tq, weights=None, out=(None, None, None)):
     """(values, divergent, coefficients) on pairs whose row terms
-    (_row_terms) are already known.
+    (_row_terms) are already known, from one kernel call.
 
-    Without weights the coefficients are None. With weights (an array the
-    shape of the values) they are (a_p, a_q, b) times weights, zero on
-    divergent edges: written into the three arrays of out, or fresh arrays
-    the shape of the values where out holds None.
+    Without weights the coefficients are the kernel's (a_p, a_q, b) as they
+    are: arrays or constants, possibly views of the row terms. With weights
+    (an array the shape of the values) they are (a_p, a_q, b) times weights,
+    zero on divergent edges: written into the three arrays of out, or fresh
+    arrays the shape of the values where out holds None.
     """
     kernel = _KERNELS.get(kind)
     if kernel is None:
         raise DataError(f"unknown Potts kind {kind!r}")
-    values, div, coefs = kernel(p, q, tp, tq, weights is not None)
+    values, div, coefs = kernel(p, q, tp, tq)
     if div is None:
         div = np.zeros(values.shape, dtype=bool)
     elif weights is not None and div.any():
@@ -278,7 +275,7 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
         weights = None if grad_planes is None else scale * graph.w
         v, div, coefs = _evaluate(kind, p.T, q.T, [t[ei] for t in terms],
                                   [t[ej] for t in terms], weights)
-        if coefs is not None:
+        if grad_planes is not None:
             ap, aq, b = coefs
             own = np.zeros(planes.shape[1])
             np.add.at(own, ei, ap)
@@ -306,7 +303,7 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
         p, q = planes[:, a : a + n], planes[:, t : t + n]
         v, div, coefs = _evaluate(kind, p.T, q.T, [x[a : a + n] for x in terms],
                                   [x[t : t + n] for x in terms], wb, out)
-        if coefs is not None:
+        if grad_planes is not None:
             ap, aq, b = coefs
             own[a : a + n] += ap
             grad_planes[:, a : a + n] += np.multiply(b, q, out=prod_n)

@@ -108,7 +108,7 @@ def _objective(y, s_free, free, graph, cfg, grad=False, ws=None):
         np.take(y, free, axis=1, out=y_free, mode="clip")
     else:
         pairs, out, y_free = None, None, np.take(y, free, axis=1)
-    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), y_free, s_free, grad=grad)
+    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), y_free, s_free)
     if grad:
         out.fill(0.0)
         out[:, free] = np.multiply(cfg.eta, gdata[0], out=gdata[0])

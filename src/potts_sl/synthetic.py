@@ -27,45 +27,49 @@ _REGION_COLORS = np.array(
 )
 
 
-def gaussian_blobs_dataset(
-    seed: int,
-    n_train: int = 600,
-    n_test: int = 600,
-    dim: int = 32,
-    separation: float = 3.0,
-):
-    """Three Gaussian blobs with unit noise in `dim` dimensions.
+# Samples per blob split, blob dimensions and the centers' circumradius; the
+# half-width of the Voronoi images' uniform color noise; the standard
+# deviation of smooth_prob_field's logits.
+BLOB_SAMPLES = 600
+BLOB_DIM = 32
+BLOB_SEPARATION = 3.0
+VORONOI_NOISE = 2.0
+FIELD_SHARPNESS = 2.0
 
-    Blob centers form an equilateral triangle of circumradius `separation`
-    in the first two coordinates; the remaining coordinates carry pure noise.
-    Returns (X_train, labels_train, X_test, labels_test) with 1-based labels,
-    balanced across classes.
+
+def gaussian_blobs_dataset(seed: int):
+    """Three Gaussian blobs with unit noise in BLOB_DIM dimensions.
+
+    Blob centers form an equilateral triangle of circumradius
+    BLOB_SEPARATION in the first two coordinates; the remaining coordinates
+    carry pure noise. Returns (X_train, labels_train, X_test, labels_test),
+    BLOB_SAMPLES samples each, with 1-based labels balanced across classes.
     """
     rng = np.random.default_rng(seed)
     angles = np.array([0.5, 0.5 + 2.0 / 3.0, 0.5 + 4.0 / 3.0]) * np.pi
-    centers = np.zeros((3, dim))
-    centers[:, 0] = separation * np.cos(angles)
-    centers[:, 1] = separation * np.sin(angles)
-
-    def draw(total):
-        per = total // 3
-        labels = np.repeat(np.arange(1, 4), per)
-        x = rng.standard_normal((labels.size, dim)) + centers[labels - 1]
-        return x, labels
-
-    x_train, y_train = draw(n_train)
-    x_test, y_test = draw(n_test)
-    return x_train, y_train, x_test, y_test
+    centers = np.zeros((3, BLOB_DIM))
+    centers[:, 0] = BLOB_SEPARATION * np.cos(angles)
+    centers[:, 1] = BLOB_SEPARATION * np.sin(angles)
+    labels = np.repeat(np.arange(1, 4), BLOB_SAMPLES // 3)
+    x_train, x_test = (rng.standard_normal((labels.size, BLOB_DIM)) + centers[labels - 1]
+                       for _ in range(2))
+    return x_train, labels, x_test, labels.copy()
 
 
-def voronoi_image(rng: np.random.Generator, height: int, width: int, regions: int, noise: float = 2.0) -> Image:
-    """Piecewise near-constant color image from random Voronoi cells."""
-    sites = rng.uniform(0, 1, size=(regions, 2)) * [height, width]
+def _voronoi_owner(sites, height: int, width: int) -> np.ndarray:
+    """(height, width) index of the nearest of the (row, col) sites at each pixel."""
     rows, cols = np.mgrid[0:height, 0:width]
     d2 = (rows[..., None] - sites[:, 0]) ** 2 + (cols[..., None] - sites[:, 1]) ** 2
-    owner = np.argmin(d2, axis=2)
+    return np.argmin(d2, axis=2)
+
+
+def voronoi_image(rng: np.random.Generator, height: int, width: int, regions: int) -> Image:
+    """Piecewise near-constant color image from random Voronoi cells, with
+    uniform noise of half-width VORONOI_NOISE."""
+    sites = rng.uniform(0, 1, size=(regions, 2)) * [height, width]
+    owner = _voronoi_owner(sites, height, width)
     colors = _REGION_COLORS[np.arange(regions) % len(_REGION_COLORS)]
-    img = colors[owner] + rng.uniform(-noise, noise, size=(height, width, 3))
+    img = colors[owner] + rng.uniform(-VORONOI_NOISE, VORONOI_NOISE, size=(height, width, 3))
     return Image(np.clip(img, 0, 255))
 
 
@@ -74,14 +78,15 @@ def _softmax_field(logits: np.ndarray) -> ProbField:
     return ProbField(softmax_rows(LogitField(logits).planes()).T.reshape(logits.shape))
 
 
-def smooth_prob_field(rng: np.random.Generator, height: int, width: int, classes: int, sharpness: float = 2.0) -> ProbField:
-    """Spatially smooth random field: softmax of blurred white-noise logits."""
+def smooth_prob_field(rng: np.random.Generator, height: int, width: int, classes: int) -> ProbField:
+    """Spatially smooth random field: softmax of blurred white-noise logits,
+    scaled to standard deviation FIELD_SHARPNESS."""
     from scipy.ndimage import gaussian_filter
 
     logits = rng.standard_normal((height, width, classes))
     for c in range(classes):
         logits[:, :, c] = gaussian_filter(logits[:, :, c], sigma=2.0, mode="nearest")
-    return _softmax_field(sharpness * logits / logits.std())
+    return _softmax_field(FIELD_SHARPNESS * logits / logits.std())
 
 
 def sparse_scribbles(
@@ -109,9 +114,7 @@ def solver_oracle_instance(seed: int, height: int = 16, width: int = 16, classes
     """
     rng = np.random.default_rng(seed)
     sites = rng.uniform(0, 1, size=(2 * classes, 2)) * [height, width]
-    rows, cols = np.mgrid[0:height, 0:width]
-    d2 = (rows[..., None] - sites[:, 0]) ** 2 + (cols[..., None] - sites[:, 1]) ** 2
-    owner = np.argmin(d2, axis=2)
+    owner = _voronoi_owner(sites, height, width)
     cls = owner % classes + 1
     img = _REGION_COLORS[owner % len(_REGION_COLORS)]
     img = img + rng.uniform(-2, 2, size=(height, width, 3))

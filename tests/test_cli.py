@@ -293,6 +293,40 @@ class TestExitCodes:
                    *sigma, "--config", tmp_path / "c.cfg", "--out", out)
         return code, sorted(f.name for f in out.iterdir())
 
+    @staticmethod
+    def labelled_job(tmp_path, command, labels, classes=2):
+        """small_job on a random image and a uniform sigma of labels' shape."""
+        rng = np.random.default_rng(labels.size)
+        image = Image(rng.integers(0, 256, size=(*labels.shape, 3)))
+        sigma = ProbField.uniform(*labels.shape, classes)
+        return TestExitCodes.small_job(tmp_path, command, "steps = 2\nrounds = 1\n", image,
+                                       labels, sigma)
+
+    @pytest.mark.parametrize("labels, reason", [
+        (np.zeros((4, 4), dtype=np.int64), "training needs at least one scribble"),
+        (np.ones((1, 1), dtype=np.int64), "training needs scribbles from at least two classes"),
+        (np.diag([1, 0, 1, 1]), "training needs scribbles from at least two classes"),
+        (np.ones((4, 4), dtype=np.int64), "training needs scribbles from at least two classes"),
+    ], ids=["no-scribbles", "one-class-1x1", "one-class-4x4", "one-class-all-scribbled"])
+    def test_train_refusal_names_its_reason(self, labels, reason, tmp_path, capsys):
+        assert self.labelled_job(tmp_path, "train", labels) == (2, [])
+        assert capsys.readouterr().err == f"data error: {reason}\n"
+
+    def test_solve_with_22_classes_names_the_palette(self, tmp_path, capsys):
+        labels = np.zeros((5, 5), dtype=np.int64)
+        assert self.labelled_job(tmp_path, "solve", labels, classes=22) == (2, [])
+        assert capsys.readouterr().err == "data error: K=22 exceeds the 21 palette colors\n"
+
+    @pytest.mark.parametrize("label", [0, 1], ids=["unscribbled", "scribbled"])
+    def test_solve_on_one_pixel(self, label, tmp_path, capsys):
+        code, _ = self.labelled_job(tmp_path, "solve", np.full((1, 1), label))
+        assert code == 0 and capsys.readouterr().err == ""
+        y = read_probfield(tmp_path / "out" / "y.pfld").data
+        assert y.shape == (1, 1, 2)
+        assert np.all(y >= 0.0) and abs(y.sum() - 1.0) <= 1e-6
+        if label:
+            assert y[0, 0].tolist() == [1.0, 0.0]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("line", [
         "color_bandwidth = 1e200",  # 2 * bw**2 overflows

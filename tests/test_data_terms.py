@@ -134,17 +134,15 @@ class TestGrads:
 
 class TestFusedKernel:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_grad_flag_keeps_values_and_mask(self, kind):
+    def test_values_mask_and_gradients(self, kind):
         rng = np.random.default_rng(9)
         k = 4
         # (k, 40) class planes whose first 3 pixels are orthogonal one-hots
         y = np.ascontiguousarray((0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k).T)
         sigma = np.ascontiguousarray((0.85 * rng.dirichlet(np.ones(k), size=40) + 0.15 / k).T)
         y[:, :3], sigma[:, :3] = np.eye(k)[:, :1], np.eye(k)[:, 1:2]
-        v0, div0, none = row_values(kind, y, sigma)
-        v1, div1, (gy, gs) = row_values(kind, y, sigma, grad=True)
-        assert none is None
-        assert np.array_equal(v0, v1) and np.array_equal(div0, div1)
+        v1, div1, (gy, gs) = row_values(kind, y, sigma)
+        assert v1.shape == div1.shape == (40,)
         assert np.array_equal(div1[:3], np.full(3, kind is not XentKind.QUAD))
         assert not div1[3:].any()
         assert gy.shape == gs.shape == y.shape
@@ -159,9 +157,8 @@ class TestFusedKernel:
 
     def test_unknown_kind_rejected(self):
         y = np.full((3, 2), 1.0 / 3.0)
-        for grad in (False, True):
-            with pytest.raises(DataError):
-                row_values("nope", y, y, grad=grad)
+        with pytest.raises(DataError):
+            row_values("nope", y, y)
 
 
 class TestCorruptedTarget:

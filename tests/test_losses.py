@@ -217,16 +217,14 @@ def test_joint_terms_are_the_loss_parts(potts, xent):
     pairwise = plane_sum(potts, yp, graph, scale=cfg.lam)[0]
     picked = s[lab[~free] - 1, ~free]
     terms, div, grads = _joint_terms(cfg, picked, yp[:, free], s[:, free], pairwise)
-    vals, ref_div, ref_grads = row_values(xent, yp[:, free], s[:, free], grad=True)
+    vals, ref_div, ref_grads = row_values(xent, yp[:, free], s[:, free])
     assert terms.nll == scribble_nll(sigma, scribbles)
     assert terms.coupling == cfg.eta * float(np.sum(vals))
     assert terms.pairwise == pairwise
     assert terms.value == terms.nll + terms.coupling + terms.pairwise
     assert sl_loss(sigma, y, scribbles, graph, cfg) == terms.value
-    assert np.array_equal(div, ref_div) and grads is None
+    assert np.array_equal(div, ref_div)
     # the gradient pair is row_values', unscaled by eta
-    with_grad, _, grads = _joint_terms(cfg, picked, yp[:, free], s[:, free], pairwise, grad=True)
-    assert with_grad == terms
     for g, ref in zip(grads, ref_grads):
         assert np.array_equal(g, ref)
 

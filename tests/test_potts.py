@@ -486,11 +486,9 @@ class TestRowTerms:
         p, q = rows_with_divergent_head(rng)
         p, q = p.reshape(5, 8, -1), q.reshape(5, 8, -1)
         tp, tq = _row_terms(kind, p), _row_terms(kind, q)
-        values, div, none = _evaluate(kind, p, q, tp, tq)
-        assert none is None
-        weights = rng.uniform(0.5, 2.0, size=values.shape)
-        values1, div1, coefs = _evaluate(kind, p, q, tp, tq, weights)
-        assert np.array_equal(values1, values) and np.array_equal(div1, div)
+        weights = rng.uniform(0.5, 2.0, size=p.shape[:-1])
+        values, div, coefs = _evaluate(kind, p, q, tp, tq, weights)
+        assert values.shape == div.shape == weights.shape
         assert div.any() == (kind in LOG_KINDS)
         assert len(coefs) == 3
         for c in coefs:

@@ -17,7 +17,15 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   for every Potts kind, and of `xent_value` and both `xent_grad` vectors
   for every coupling, on seeded pairs at K = 2, 4, 8 and 21, one-hot and
   divergent pairs included, since gradcheck prints too few digits to show
-  a last-bit change.
+  a last-bit change;
+- library_values.txt: the repr of `potts_sum` for every Potts kind on two
+  seeded 12x12 fields (K = 4, one of them one-hot on its scribbles) over the
+  nn4 grid, the sparse:2 grid and the same edges without a layout, of
+  `scribble_nll`, and of `sl_loss`, `ws_loss` and `pseudo_label_objective`
+  for every (potts, xent) pair on those graphs. The CLI reaches the value-only
+  Potts sum and the joint terms without a gradient only through oracle-rw's
+  Q/QUAD objective, so these are the files that show a last-bit change
+  there.
 
 Every job runs with relative paths from the set's folder, so stdout does not
 name the folder, and its exit code goes to exit_codes.txt. The change's set
@@ -50,9 +58,11 @@ def write_set(tree: Path, root: Path) -> None:
     import numpy as np
 
     import potts_sl
-    from potts_sl import (DivergentPointError, PottsKind, XentKind, is_divergent, potts_grad,
-                          potts_value, synthetic, write_image, write_labels, write_probfield,
-                          xent_grad, xent_value)
+    from potts_sl import (AffinityConfig, AffinityGraph, DivergentPointError, LossConfig,
+                          NeighborhoodKind, PottsKind, ProbField, XentKind, build_graph,
+                          is_divergent, potts_grad, potts_sum, potts_value,
+                          pseudo_label_objective, scribble_nll, sl_loss, synthetic, write_image,
+                          write_labels, write_probfield, ws_loss, xent_grad, xent_value)
     from potts_sl.cli import main
 
     if Path(potts_sl.__file__).resolve().parent != (tree / "src" / "potts_sl").resolve():
@@ -142,6 +152,34 @@ def write_set(tree: Path, root: Path) -> None:
             value = "divergent" if is_divergent(value) else repr(value)
             lines.append(f"{value_fn.__name__}\t{kind.value}\t{k}\t{value}\t{grads}\n")
     Path("pair_api.txt").write_text("".join(lines))
+
+    rng = np.random.default_rng(12)
+    image = synthetic.voronoi_image(rng, 12, 12, 4)
+    sigma = synthetic.smooth_prob_field(rng, 12, 12, 4)
+    y = synthetic.smooth_prob_field(rng, 12, 12, 4).data
+    scribbles = synthetic.sparse_scribbles(rng, 12, 12, 4, 3)
+    lab = scribbles.data
+    y[lab > 0] = np.eye(4)[lab[lab > 0] - 1]
+    y = ProbField(y)
+    nn4 = build_graph(image, AffinityConfig())
+    sparse = build_graph(image, AffinityConfig(kind=NeighborhoodKind.SPARSE_WINDOW, radius=2))
+    graphs = {"nn4": nn4, "sparse-2": sparse,
+              "no-layout": AffinityGraph(sparse.npixels, sparse.ei, sparse.ej, sparse.w)}
+    lines = []
+    for (name, graph), kind in itertools.product(graphs.items(), PottsKind):
+        for field_name, field in (("sigma", sigma), ("y", y)):
+            value = potts_sum(kind, field, graph)
+            value = "divergent" if is_divergent(value) else repr(value)
+            lines.append(f"potts_sum\t{name}\t{kind.value}\t{field_name}\t{value}\n")
+    lines.append(f"scribble_nll\t{scribble_nll(sigma, scribbles)!r}\n")
+    for (name, graph), potts, xent in itertools.product(graphs.items(), PottsKind, XentKind):
+        cfg = LossConfig(potts=potts, xent=xent)
+        for fn, value in (("sl_loss", sl_loss(sigma, y, scribbles, graph, cfg)),
+                          ("ws_loss", ws_loss(sigma, scribbles, graph, cfg)),
+                          ("pseudo_label_objective",
+                           pseudo_label_objective(sigma, y, scribbles, graph, cfg))):
+            lines.append(f"{fn}\t{name}\t{potts.value}\t{xent.value}\t{value!r}\n")
+    Path("library_values.txt").write_text("".join(lines))
 
 
 def file_set(root: Path) -> dict:
