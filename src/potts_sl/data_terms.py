@@ -64,8 +64,9 @@ def row_values(kind: XentKind, y: np.ndarray, sigma: np.ndarray):
         div = s <= LOG_CLAMP
         ss = np.maximum(s, LOG_CLAMP)
         grads = (-sigma / ss, -y / ss)
-        for g in grads:
-            g[:, div] = 0.0
+        if div.any():
+            for g in grads:
+                g[:, div] = 0.0
         return -np.log(ss), div, grads
     if kind is XentKind.QUAD:
         d = y - sigma

@@ -6,10 +6,11 @@ with entropy, the second couples predictions to auxiliary pseudo-labels
 through a chosen cross-entropy. With the reverse cross-entropy and y == sigma
 the two coincide exactly, which is the splitting identity the alternating
 trainer relies on. sl_loss, the pseudo-label solver and the trainer's model
-step all sum the second through _joint_terms.
+step all sum the second through _joint_terms, on whole (K, N) class planes.
 
-Scribble pixels never enter the entropy/coupling sums, but their edges do
-participate in the pairwise sum. Logs are clamped at LOG_CLAMP for evaluation.
+Scribble pixels never enter the entropy/coupling sums (_joint_terms evaluates
+the coupling there and drops it), but their edges do participate in the
+pairwise sum. Logs are clamped at LOG_CLAMP for evaluation.
 """
 
 from __future__ import annotations
@@ -74,16 +75,19 @@ def _nll(picked) -> float:
     return float(-np.sum(np.log(np.maximum(picked, LOG_CLAMP)))) if picked.size else 0.0
 
 
-def _joint_terms(cfg, picked, y_free, s_free, pairwise=0.0):
-    """(JointTerms, divergent coupling rows, coupling gradient pair).
+def _joint_terms(cfg, picked, y, s, free, pairwise=0.0):
+    """(JointTerms, divergent free rows, coupling gradient pair).
 
     picked holds sigma's probability of the scribbled class at each scribble
-    pixel, y_free and s_free the (K, n) class planes of y and sigma at the
-    others. The terms and the pair (d/dy, d/dsigma), also (K, n) planes, come
-    from one row_values call; the pair is not scaled by eta, and each caller
-    scales its side."""
-    vals, div, grads = row_values(cfg.xent, y_free, s_free)
-    return JointTerms(_nll(picked), cfg.eta * float(np.sum(vals)), pairwise), div, grads
+    pixel, y and s the (K, N) class planes of y and sigma, and free indexes
+    the unscribbled pixels. One row_values call on the whole planes gives
+    the pair (d/dy, d/dsigma) as (K, N) planes, unscaled by eta; only the
+    values (gathered in free's order, then summed) and the divergent count
+    are restricted to free. Each coupling is elementwise per pixel, so free
+    pixels get the bits of a call on their gathered columns."""
+    vals, div, grads = row_values(cfg.xent, y, s)
+    terms = JointTerms(_nll(picked), cfg.eta * float(np.sum(vals[free])), pairwise)
+    return terms, int(np.count_nonzero(div[free])), grads
 
 
 def scribble_nll(sigma: ProbField, scribbles: ScribbleField) -> float:
@@ -135,5 +139,5 @@ def sl_loss(
             raise DataError(f"pseudo-labels violate the scribble constraint by {gap:.3g}")
     s = sigma.planes()
     pairwise = plane_sum(cfg.potts, yp, graph, scale=cfg.lam)[0]
-    return _joint_terms(cfg, s[lab[labeled] - 1, labeled], yp[:, ~labeled], s[:, ~labeled],
+    return _joint_terms(cfg, s[lab[labeled] - 1, labeled], yp, s, np.flatnonzero(~labeled),
                         pairwise)[0].value

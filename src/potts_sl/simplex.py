@@ -105,10 +105,9 @@ class _ClassGrid(_Grid):
         """(N, K) view in row-major pixel order."""
         return self.data.reshape(-1, self.data.shape[2])
 
-    def planes(self, index=slice(None)) -> np.ndarray:
-        """(K, n) class planes of the pixels at index, C-contiguous: the
-        layout of the compute path."""
-        return np.ascontiguousarray(self.flat()[index].T)
+    def planes(self) -> np.ndarray:
+        """(K, N) class planes, C-contiguous: the layout of the compute path."""
+        return np.ascontiguousarray(self.flat().T)
 
 
 def _class_grid(data, what) -> np.ndarray:

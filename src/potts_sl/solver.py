@@ -15,12 +15,12 @@ still pull on unlabeled neighbors.
 The solver holds its state class-major: logits, labels and gradients are
 (K, N) class planes, C-contiguous, from one transpose on entry to one on
 exit. The softmax, coupling and Potts routines all take those planes, so
-every class-axis step runs over whole contiguous planes. An evaluation's
-plane- and edge-sized buffers (y's free columns, the gradient planes and
-plane_sum's PlaneWorkspace) are allocated once per solve and live exactly
+every class-axis step, the coupling's included, runs over whole contiguous
+planes and no evaluation gathers or scatters pixel columns. plane_sum's
+buffers (a PlaneWorkspace) are allocated once per solve and live exactly
 that solve; what their reuse saves is kernel page-fault time, not numpy
-time. The gradient handed to the descent is still a fresh array, since the
-descent keeps the accepted one across refused trials.
+time. The gradient is a fresh array at each evaluation, since the descent
+keeps the accepted one across refused trials.
 
 The logits descend by _armijo_descent, which the trainer shares: each step
 first tries the last accepted step size (at first the learning rate) and
@@ -81,41 +81,26 @@ class SolveReport:
     terms: JointTerms | None = None
 
 
-def _workspace(graph, cfg, classes, nfree):
-    """The buffers that one solve's evaluations share, as _objective reads
-    them: plane_sum's PlaneWorkspace, the (K, N) gradient planes and the
-    (K, nfree) free columns of y."""
-    return (PlaneWorkspace(graph, cfg.lam, classes), np.empty((classes, graph.npixels)),
-            np.empty((classes, nfree)))
-
-
-def _objective(y, s_free, free, graph, cfg, grad=False, ws=None):
+def _objective(y, s, free, scribbled, graph, cfg, grad=False, ws=None):
     """(JointTerms, divergence count, dist-space gradient or None) at y.
 
-    y and the gradient are (K, N) class planes. free indexes the pixels that
-    carry a data term (the unscribbled ones) and s_free holds sigma's planes
-    there, (K, len(free)). Divergent edges contribute their clamped value and
-    no gradient; data rows use the gradient of the clamped coupling.
-
-    A gradient call writes y's free columns, the gradient planes and
-    plane_sum's buffers into ws, a _workspace of this graph, lambda, K and
-    free (a new one if None). The returned gradient is ws's planes, which
-    the next call with ws overwrites.
+    y, sigma's planes s and the gradient are (K, N) class planes. free
+    indexes the pixels that carry a data term and scribbled the others.
+    Divergent edges contribute their clamped value and no gradient; data
+    rows use the gradient of the clamped coupling, zeroed at scribbled
+    pixels before the eta scaling, so that it scales without overflow there.
+    The gradient is the coupling's fresh d/dy planes, into which plane_sum
+    adds the pairwise part using ws, a PlaneWorkspace of this graph, lambda
+    and K (a new one if None).
     """
+    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), y, s, free)
+    out = gdata[0] if grad else None
+    del gdata  # d/dsigma is freed before plane_sum, whose temporaries then reuse its memory
     if grad:
-        pairs, out, y_free = _workspace(graph, cfg, y.shape[0], free.size) if ws is None else ws
-        # free holds valid columns; mode="raise" would copy out through a temporary
-        np.take(y, free, axis=1, out=y_free, mode="clip")
-    else:
-        pairs, out, y_free = None, None, np.take(y, free, axis=1)
-    terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), y_free, s_free)
-    if grad:
-        out.fill(0.0)
-        out[:, free] = np.multiply(cfg.eta, gdata[0], out=gdata[0])
-    del gdata  # freed before plane_sum, whose per-run temporaries then reuse its memory
-    pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam, pairs)
-    return (terms._replace(pairwise=pairwise),
-            int(np.count_nonzero(vdiv)) + int(np.count_nonzero(ediv)), out)
+        out[:, scribbled] = 0.0
+        np.multiply(cfg.eta, out, out=out)
+    pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam, ws)
+    return terms._replace(pairwise=pairwise), vdiv + int(np.count_nonzero(ediv)), out
 
 
 def pseudo_label_objective(
@@ -127,8 +112,9 @@ def pseudo_label_objective(
 ) -> float:
     """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
     _check_instance(sigma, scribbles, graph, y)
-    free = np.flatnonzero(scribbles.data.ravel() == 0)
-    return _objective(y.planes(), sigma.planes(free), free, graph, cfg)[0].value
+    lab = scribbles.data.ravel()
+    return _objective(y.planes(), sigma.planes(), np.flatnonzero(lab == 0), np.flatnonzero(lab),
+                      graph, cfg)[0].value
 
 
 def _initial_logits(sigma, init_logits):
@@ -195,11 +181,11 @@ def solve_pseudo_labels(
     lab = scribbles.data.ravel()
     scribbled = np.flatnonzero(lab)
     free = np.flatnonzero(lab == 0)
-    s_free = sigma.planes(free)
+    s = sigma.planes()
     pinned = one_hot_rows(lab[scribbled], sigma.classes).T
     report = SolveReport()
     events, terms = 0, None
-    ws = _workspace(graph, loss_cfg, sigma.classes, free.size)
+    ws = PlaneWorkspace(graph, loss_cfg.lam, sigma.classes)
 
     def labels(logits):
         y = softmax_rows(logits)
@@ -209,7 +195,7 @@ def solve_pseudo_labels(
     def value_grad(logits):
         nonlocal events, terms
         y = labels(logits)
-        terms, events, grad = _objective(y, s_free, free, graph, loss_cfg, True, ws)
+        terms, events, grad = _objective(y, s, free, scribbled, graph, loss_cfg, True, ws)
         return terms.value, softmax_backward(y, grad)
 
     def record(value):

@@ -143,30 +143,31 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
     # the joint loss with every row scribbled (no free rows) is the NLL alone
     phi_s = pixel_features(image)[labeled]
     every, cls = np.arange(len(phi_s)), lab[labeled] - 1
-    y_free = np.zeros((model.classes, 0))
-    value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, every[:0], y_free, 0.0,
+    y = np.zeros((model.classes, len(phi_s)))
+    value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, every[:0], y, 0.0,
                                               cfg.loss_cfg)
     flat, _ = _armijo_descent(model.pack(), value_grad, cfg.pretrain_epochs, STEP_SIZE)
     return PixelModel.unpack(flat, model.classes)
 
 
-def _sl_value_and_grad(flat, phi, scribbled, cls, free, y_free, pairwise, cfg):
+def _sl_value_and_grad(flat, phi, scribbled, cls, free, y, pairwise, cfg):
     """Joint loss at fixed pseudo-labels and its gradient w.r.t. the packed
     model parameters flat.
 
     scribbled indexes the scribble pixels (rows of phi) and cls holds their
-    0-based classes; free indexes the other pixels and y_free holds their
-    pseudo-labels as (K, len(free)) class planes. The two indexes partition
-    the rows of phi; free may be slice(None) when nothing is scribbled.
-    pairwise is the model-independent lambda * sum w P(y_i, y_j).
+    0-based classes; free indexes the other pixels, and y holds the
+    pseudo-labels of all of them as (K, N) class planes. The two indexes
+    partition the rows of phi; free may be slice(None) when nothing is
+    scribbled. pairwise is the model-independent lambda * sum w P(y_i, y_j).
+    The coupling gradient is zeroed at scribbled pixels before the eta
+    scaling, so that it scales without overflow, and G there is the NLL's.
     """
-    probs = softmax_rows(_logits(*_split(flat, y_free.shape[0]), phi))
-    probs_free = probs[:, free]
-    terms, _, grads = _joint_terms(cfg, probs[cls, scribbled], y_free, probs_free, pairwise)
-    glogit = np.empty_like(probs)
+    probs = softmax_rows(_logits(*_split(flat, y.shape[0]), phi))
+    terms, _, (_, gs) = _joint_terms(cfg, probs[cls, scribbled], y, probs, free, pairwise)
+    gs[:, scribbled] = 0.0
+    glogit = softmax_backward(probs, np.multiply(cfg.eta, gs, out=gs))
     glogit[:, scribbled] = probs[:, scribbled]
     glogit[cls, scribbled] -= 1.0
-    glogit[:, free] = softmax_backward(probs_free, cfg.eta * grads[1])
     gw = glogit @ phi
     # adds each class's pixels in order; glogit.sum(axis=1) would add pairwise
     gb = np.cumsum(glogit, axis=1)[:, -1]
@@ -204,8 +205,8 @@ def alternate(
         y, report = solve_pseudo_labels(sigma, model_logits if init is None else init,
                                         scribbles, graph, loss_cfg, cfg.solver_cfg)
         init = report.logits
-        y_free = y.planes(free)
-        value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, y_free,
+        yp = y.planes()
+        value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, yp,
                                                   report.terms.pairwise, loss_cfg)
         flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, STEP_SIZE)
         trace.append(value)
@@ -226,10 +227,10 @@ def _fit_linear_softmax(x, targets, kind: XentKind, epochs: int = 400):
     kind, from first trial step FIT_STEP_SIZE. x holds one sample per row and
     targets one distribution per row."""
     (n, dim), k = x.shape, targets.shape[1]
-    y_free = np.ascontiguousarray(targets.T)
+    y = np.ascontiguousarray(targets.T)
     cfg = LossConfig(eta=1.0 / n, lam=0.0, xent=kind)
     none = np.zeros(0, dtype=np.intp)
-    value_grad = lambda f: _sl_value_and_grad(f, x, none, none, slice(None), y_free, 0.0, cfg)
+    value_grad = lambda f: _sl_value_and_grad(f, x, none, none, slice(None), y, 0.0, cfg)
     flat, _ = _armijo_descent(PixelModel.zeros(k, dim).pack(), value_grad, epochs, FIT_STEP_SIZE)
     return PixelModel.unpack(flat, k)
 

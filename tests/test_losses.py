@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from potts_sl import (
     AffinityConfig,
@@ -213,20 +214,74 @@ def test_joint_terms_are_the_loss_parts(potts, xent):
     cfg = LossConfig(eta=0.4, lam=2.0, potts=potts, xent=xent)
     s, yp = sigma.planes(), y.planes()
     lab = scribbles.data.ravel()
-    free = lab == 0
+    free = np.flatnonzero(lab == 0)
     pairwise = plane_sum(potts, yp, graph, scale=cfg.lam)[0]
-    picked = s[lab[~free] - 1, ~free]
-    terms, div, grads = _joint_terms(cfg, picked, yp[:, free], s[:, free], pairwise)
+    picked = s[lab[lab > 0] - 1, lab > 0]
+    terms, ndiv, grads = _joint_terms(cfg, picked, yp, s, free, pairwise)
     vals, ref_div, ref_grads = row_values(xent, yp[:, free], s[:, free])
     assert terms.nll == scribble_nll(sigma, scribbles)
     assert terms.coupling == cfg.eta * float(np.sum(vals))
     assert terms.pairwise == pairwise
     assert terms.value == terms.nll + terms.coupling + terms.pairwise
     assert sl_loss(sigma, y, scribbles, graph, cfg) == terms.value
-    assert np.array_equal(div, ref_div)
-    # the gradient pair is row_values', unscaled by eta
+    assert ndiv == np.count_nonzero(ref_div)
+    # the gradient pair is row_values' on the whole planes, unscaled by eta
+    for g, ref, whole in zip(grads, ref_grads, row_values(xent, yp, s)[2]):
+        assert np.array_equal(g[:, free], ref)
+        assert np.array_equal(g, whole)
+
+
+def gathered_terms(cfg, y, s, free):
+    """Coupling, divergent count and gradient pair of row_values on the
+    free columns gathered first: the reference for whole-plane _joint_terms."""
+    vals, div, grads = row_values(cfg.xent, np.ascontiguousarray(y[:, free]),
+                                  np.ascontiguousarray(s[:, free]))
+    return cfg.eta * float(np.sum(vals)), int(np.count_nonzero(div)), grads
+
+
+@st.composite
+def coupling_cases(draw):
+    """(cfg, picked, y, s, free): random (K, N) planes with no, some or all
+    pixels scribbled. y is pinned to its one-hot on scribbled pixels, some
+    one-hot rows make free pixels diverge, and sigma is 0 in the scribbled
+    class at some scribbled pixels."""
+    k = draw(st.integers(2, 21))
+    n = draw(st.integers(1, 40))
+    scribbled_share = draw(st.sampled_from(["none", "some", "all"]))
+    xent = draw(st.sampled_from(list(XentKind)))
+    eta = draw(st.sampled_from([0.0, 1.0 / 7.0, 0.3, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.dirichlet(np.ones(k), size=n)
+    s = rng.dirichlet(np.ones(k), size=n)
+    eye = np.eye(k)
+    for a in (y, s):
+        hard = rng.uniform(size=n) < 0.2
+        a[hard] = eye[rng.integers(k, size=np.count_nonzero(hard))]
+    lab = {"none": np.zeros(n, dtype=np.int64),
+           "some": rng.integers(0, k + 1, size=n) * (rng.uniform(size=n) < 0.5),
+           "all": rng.integers(1, k + 1, size=n)}[scribbled_share]
+    scribbled = np.flatnonzero(lab)
+    y[scribbled] = eye[lab[scribbled] - 1]
+    # sigma = 0 in the scribbled class: the other classes share its mass
+    zero = scribbled[rng.uniform(size=scribbled.size) < 0.5]
+    s[zero] = eye[lab[zero] % k]
+    picked = s[scribbled, lab[scribbled] - 1]
+    free = np.flatnonzero(lab == 0)
+    cfg = LossConfig(eta=eta, xent=xent)
+    return cfg, picked, np.ascontiguousarray(y.T), np.ascontiguousarray(s.T), free
+
+
+@settings(max_examples=300)
+@given(coupling_cases())
+def test_whole_plane_joint_terms_match_gathered_columns_bit_for_bit(case):
+    cfg, picked, y, s, free = case
+    terms, ndiv, grads = _joint_terms(cfg, picked, y, s, free)
+    coupling, ref_ndiv, ref_grads = gathered_terms(cfg, y, s, free)
+    assert terms.coupling.hex() == coupling.hex()
+    assert ndiv == ref_ndiv
     for g, ref in zip(grads, ref_grads):
-        assert np.array_equal(g, ref)
+        assert g.shape == y.shape
+        assert np.ascontiguousarray(g[:, free]).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("data, message", [

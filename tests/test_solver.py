@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from potts_sl import (
 )
 from potts_sl.data_terms import XentKind
 from potts_sl.oracles import finite_diff_check
-from potts_sl.potts import PottsKind, plane_sum
+from potts_sl.potts import PlaneWorkspace, PottsKind, plane_sum
 from potts_sl import solver
 from potts_sl.solver import SolverConfig, _armijo_descent, _objective
 from helpers import permute_classes, random_interior_field
@@ -102,6 +104,21 @@ class TestMechanics:
         cfg = LossConfig(eta=1e308, lam=1e308)
         with pytest.raises(NumericalError, match="start point is inf"):
             solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=5))
+
+    def test_scribbled_pixels_add_no_overflow_to_the_gradient(self):
+        # CE's d/dy is -ln sigma: 0.69 at the free pixel, whose scaled
+        # gradient stays finite at eta = 1e308, and 6.9 at the scribbled one,
+        # which must be zeroed before the scaling (a RuntimeWarning fails
+        # this suite)
+        sigma = ProbField(np.array([[[0.5, 0.5], [0.999, 0.001]]]))
+        graph = build_graph(Image(np.zeros((1, 2, 3))), AffinityConfig())
+        y = np.array([[0.5, 1.0], [0.5, 0.0]])
+        cfg = LossConfig(eta=1e308, lam=0.0, xent=XentKind.CE)
+        terms, _, grad = _objective(y, sigma.planes(), np.array([0]), np.array([1]), graph,
+                                    cfg, grad=True)
+        assert terms.coupling == 1e308 * math.log(2.0)
+        assert grad[:, 0].tolist() == [1e308 * math.log(2.0)] * 2
+        assert grad[:, 1].tolist() == [0.0, 0.0]
 
     def test_non_finite_start_gradient_is_a_numerical_failure(self):
         # RCE's d/dy is -sigma / y: at y = 2e-12 and eta = 1e300 it overflows
@@ -384,22 +401,19 @@ def test_solver_is_class_permutation_equivariant(case):
     ((7, 6, 3, "some", PottsKind.LQ, XentKind.CE, "nn4", 0.075, 8), False),
 ])
 def test_solve_with_fresh_buffers_per_evaluation_is_identical(monkeypatch, case, rejects):
-    """A solve reuses one _workspace for all its evaluations; buffers that
-    leaked from a refused trial into the accepted gradient would move it."""
+    """A solve reuses one PlaneWorkspace for all its evaluations; buffers
+    that leaked from a refused trial into the accepted gradient would move it."""
     sigma, scribbles, graph, cfg, solver_cfg, _ = solver_instance(case)
     y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, solver_cfg)
-    build, evaluations = solver._workspace, []
+    objective, evaluations = solver._objective, []
 
-    class FreshPerEvaluation:
-        # _objective unpacks its workspace once per evaluation
-        def __init__(self, *args):
-            self.args = args
+    def fresh_per_evaluation(*args):
+        # the solve passes its workspace last; None builds one for the call
+        assert isinstance(args[-1], PlaneWorkspace)
+        evaluations.append(True)
+        return objective(*args[:-1], None)
 
-        def __iter__(self):
-            evaluations.append(True)
-            return iter(build(*self.args))
-
-    monkeypatch.setattr(solver, "_workspace", FreshPerEvaluation)
+    monkeypatch.setattr(solver, "_objective", fresh_per_evaluation)
     y_fresh, report_fresh = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, solver_cfg)
     assert y_fresh.data.tobytes() == y.data.tobytes()
     assert report_fresh.logits.data.tobytes() == report.logits.data.tobytes()
@@ -417,13 +431,14 @@ def test_objective_gradient_matches_finite_differences(potts, xent):
     # so a wrong scale or mask in the assembled gradient shows up here
     sigma, scribbles, graph = grid_instance(12, h=3, w=4, k=3, labeled=3)
     y = random_interior_field(np.random.default_rng(13), 3, 4, 3).planes()
-    free = np.flatnonzero(scribbles.data.ravel() == 0)
-    s_free = sigma.planes(free)
+    lab = scribbles.data.ravel()
+    cols = np.flatnonzero(lab == 0), np.flatnonzero(lab)
+    s = sigma.planes()
     cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
-    terms, events, grad = _objective(y, s_free, free, graph, cfg, grad=True)
+    terms, events, grad = _objective(y, s, *cols, graph, cfg, grad=True)
     assert events == 0
-    assert terms.value == _objective(y, s_free, free, graph, cfg)[0].value
-    f = lambda z: _objective(z.reshape(y.shape), s_free, free, graph, cfg)[0].value
+    assert terms.value == _objective(y, s, *cols, graph, cfg)[0].value
+    f = lambda z: _objective(z.reshape(y.shape), s, *cols, graph, cfg)[0].value
     assert finite_diff_check(f, grad, y) < 1e-6
 
 

@@ -146,6 +146,18 @@ class TestPretrain:
         diffs = np.diff(values)
         assert np.max(diffs) <= 1e-9
 
+    def test_coupling_weight_does_not_reach_the_scribble_fit(self):
+        # pretraining evaluates the coupling on its scribbled rows and drops
+        # it; RCE's d/dsigma there is 27.6, so eta = 1e308 would overflow
+        # (a RuntimeWarning fails this suite) if it were scaled before zeroing
+        image, labels = separable_image()
+        scribbles = ScribbleField(np.where(np.eye(8, dtype=bool), labels, 0))
+        models = [pretrain(PixelModel.zeros(2), image, scribbles,
+                           TrainConfig(loss_cfg=LossConfig(eta=eta, xent=XentKind.RCE),
+                                       pretrain_epochs=5)).pack()
+                  for eta in (1e308, 0.3)]
+        assert models[0].tobytes() == models[1].tobytes()
+
 
 class TestModelGradient:
     def test_matches_finite_differences_on_joint_loss(self):
@@ -166,11 +178,11 @@ class TestModelGradient:
         phi = pixel_features(image)
         scribbled = np.flatnonzero(data.ravel())
         free = np.flatnonzero(data.ravel() == 0)
-        y_free = y.planes(free)
-        pairwise = plane_sum(cfg.potts, y.planes(), graph, scale=cfg.lam)[0]
+        yp = y.planes()
+        pairwise = plane_sum(cfg.potts, yp, graph, scale=cfg.lam)[0]
         flat0 = rng.standard_normal(2 * 5 + 2) * 0.5
         f = lambda p: _sl_value_and_grad(p, phi, scribbled, data.ravel()[scribbled] - 1, free,
-                                         y_free, pairwise, cfg)
+                                         yp, pairwise, cfg)
         value, grad = f(flat0)
         assert finite_diff_check(lambda p: f(p)[0], grad, flat0) < 1e-4
         sigma, _ = predict(PixelModel.unpack(flat0, 2), image)

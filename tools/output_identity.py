@@ -22,10 +22,12 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   seeded 12x12 fields (K = 4, one of them one-hot on its scribbles) over the
   nn4 grid, the sparse:2 grid and the same edges without a layout, of
   `scribble_nll`, and of `sl_loss`, `ws_loss` and `pseudo_label_objective`
-  for every (potts, xent) pair on those graphs. The CLI reaches the value-only
-  Potts sum and the joint terms without a gradient only through oracle-rw's
-  Q/QUAD objective, so these are the files that show a last-bit change
-  there.
+  for every (potts, xent) pair on those graphs; `sl_loss` and
+  `pseudo_label_objective` also with no pixel and with every pixel
+  scribbled, so an empty and a full set of coupled pixels are compared too.
+  The CLI reaches the value-only Potts sum and the joint terms without a
+  gradient only through oracle-rw's Q/QUAD objective, so these are the
+  files that show a last-bit change there.
 
 Every job runs with relative paths from the set's folder, so stdout does not
 name the folder, and its exit code goes to exit_codes.txt. The change's set
@@ -59,7 +61,8 @@ def write_set(tree: Path, root: Path) -> None:
 
     import potts_sl
     from potts_sl import (AffinityConfig, AffinityGraph, DivergentPointError, LossConfig,
-                          NeighborhoodKind, PottsKind, ProbField, XentKind, build_graph,
+                          NeighborhoodKind, PottsKind, ProbField, ScribbleField, XentKind,
+                          build_graph,
                           is_divergent, potts_grad, potts_sum, potts_value,
                           pseudo_label_objective, scribble_nll, sl_loss, synthetic, write_image,
                           write_labels, write_probfield, ws_loss, xent_grad, xent_value)
@@ -159,8 +162,13 @@ def write_set(tree: Path, root: Path) -> None:
     y = synthetic.smooth_prob_field(rng, 12, 12, 4).data
     scribbles = synthetic.sparse_scribbles(rng, 12, 12, 4, 3)
     lab = scribbles.data
+    unpinned = ProbField(y.copy())
     y[lab > 0] = np.eye(4)[lab[lab > 0] - 1]
     y = ProbField(y)
+    every = rng.integers(1, 5, size=lab.shape)
+    # no pixel and every pixel scribbled: an empty and a full free index
+    extremes = {"none": (ScribbleField(np.zeros_like(lab)), unpinned),
+                "all": (ScribbleField(every), ProbField(np.eye(4)[every - 1]))}
     nn4 = build_graph(image, AffinityConfig())
     sparse = build_graph(image, AffinityConfig(kind=NeighborhoodKind.SPARSE_WINDOW, radius=2))
     graphs = {"nn4": nn4, "sparse-2": sparse,
@@ -179,6 +187,11 @@ def write_set(tree: Path, root: Path) -> None:
                           ("pseudo_label_objective",
                            pseudo_label_objective(sigma, y, scribbles, graph, cfg))):
             lines.append(f"{fn}\t{name}\t{potts.value}\t{xent.value}\t{value!r}\n")
+        for scribbled, (marks, labels) in extremes.items():
+            for fn in (sl_loss, pseudo_label_objective):
+                value = fn(sigma, labels, marks, graph, cfg)
+                lines.append(f"{fn.__name__}\t{name}\t{potts.value}\t{xent.value}\t"
+                             f"{scribbled}-scribbled\t{value!r}\n")
     Path("library_values.txt").write_text("".join(lines))
 
 
