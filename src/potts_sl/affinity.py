@@ -10,6 +10,9 @@ offset (dy, dx): the pixel pairs (Y[src], Y[dst]) of two equal-shaped
 rectangles, read row-major. The graph derives that layout from its edge
 list, so the pairwise terms can walk each rectangle as one contiguous run
 of row-major pixel ids instead of gathering rows by edge.
+
+The Image type lives here too, with pixel_features, the FEATURE_DIM
+features per pixel that a pixel model reads from an image.
 """
 
 from __future__ import annotations
@@ -49,6 +52,18 @@ class Image(_Grid):
 
     def as_float(self) -> np.ndarray:
         return self.data.astype(np.float64)
+
+
+# Width of pixel_features: the features a pixel model of an image takes.
+FEATURE_DIM = 5
+
+
+def pixel_features(image: Image) -> np.ndarray:
+    """(N, 5) features: RGB / 255 and (x / W, y / H) in row-major order."""
+    h, w = image.height, image.width
+    rgb = image.as_float().reshape(-1, 3) / 255.0
+    rows, cols = np.mgrid[0:h, 0:w]
+    return np.column_stack([rgb, cols.ravel() / w, rows.ravel() / h])
 
 
 class NeighborhoodKind(enum.Enum):

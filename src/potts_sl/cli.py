@@ -109,7 +109,7 @@ def _cmd_solve(args) -> int:
     cfg, _, scribbles, sigma, graph = _prepare(args, with_sigma=True)
     y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg.loss, cfg.solver)
     _write_solution(args.out, y, report.trace, report.divergence_events)
-    print(f"final objective {report.final_objective:.6f} "
+    print(f"final objective {report.trace[-1]:.6f} "
           f"({report.divergence_events} divergence events)")
     return 0
 
@@ -127,12 +127,17 @@ def _cmd_oracle_rw(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg, image, scribbles, _, graph = _prepare(args, with_sigma=False)
-    graph.check_covers(scribbles.height, scribbles.width)  # shapes before classes
-    if not scribbles.labeled_mask().any():
-        raise DataError("training needs at least one scribble")
     classes = scribbles.max_class()
+    # the graph is the image's, so shapes are refused before classes
+    scribbled, _, _ = scribbles.partition(scribbles.height, scribbles.width, classes, graph)
+    if not scribbled.size:
+        raise DataError("training needs at least one scribble")
     if classes < 2:
         raise DataError("training needs scribbles from at least two classes")
+    if args.gt is not None:
+        gt = read_ground_truth(args.gt, classes)
+        if gt.shape != (image.height, image.width):
+            raise DataError("prediction and ground truth differ in size")
 
     tcfg = cfg.train_config()
     model = pretrain(PixelModel.zeros(classes), image, scribbles, tcfg)
@@ -146,7 +151,6 @@ def _cmd_train(args) -> int:
         for rnd, value in enumerate(trace, start=1):
             fh.write(f"{rnd}\t{value!r}\n")
     if args.gt is not None:
-        gt = read_ground_truth(args.gt, classes)
         lines = [
             ("pretrain_sigma_miou", miou(argmax_decode(pre_sigma), gt, classes)),
             ("final_sigma_miou", miou(argmax_decode(sigma), gt, classes)),

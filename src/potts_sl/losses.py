@@ -20,11 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affinity import AffinityGraph
+from .affinity import FEATURE_DIM, AffinityGraph
 from .data_terms import XentKind, row_values
 from .errors import DataError, LOG_CLAMP, check_real
 from .potts import PottsKind, plane_sum
-from .simplex import ProbField, ScribbleField, entropy_rows, one_hot_rows
+from .simplex import ProbField, ScribbleField, entropy_rows
 
 
 @dataclass
@@ -45,17 +45,27 @@ class LossConfig:
             raise DataError(f"bad cross-entropy kind {self.xent!r}")
 
 
-def _check_instance(sigma: ProbField, scribbles: ScribbleField, graph: AffinityGraph = None,
-                    y=None):
-    if (sigma.height, sigma.width) != (scribbles.height, scribbles.width):
-        raise DataError(f"field is {sigma.height}x{sigma.width} but scribbles are "
-                        f"{scribbles.height}x{scribbles.width}")
-    if graph is not None:
-        graph.check_covers(sigma.height, sigma.width)
-    if scribbles.max_class() > sigma.classes:
-        raise DataError(f"scribble class {scribbles.max_class()} exceeds K={sigma.classes}")
-    if y is not None and y.data.shape != sigma.data.shape:
+def _check_instance(field, scribbles, graph=None, y=None, init_logits=None, model=None):
+    """The scribbles' (scribbled, classes, free) on an instance, as
+    ScribbleField.partition gives them; None if scribbles is None.
+
+    field is the instance's H x W grid: sigma, of K = sigma.classes, or the
+    image a model of K = model.classes reads. DataError, in this order,
+    unless the scribbles are H x W, graph covers an H x W field, no scribble
+    class exceeds K, y and init_logits are sigma's shape, and the model
+    takes FEATURE_DIM features.
+    """
+    classes = field.classes if model is None else model.classes
+    parts = None if scribbles is None else scribbles.partition(field.height, field.width,
+                                                               classes, graph)
+    if y is not None and y.data.shape != field.data.shape:
         raise DataError("pseudo-label field shape differs from prediction field")
+    if init_logits is not None and init_logits.data.shape != field.data.shape:
+        raise DataError("initial logits shape differs from the prediction field")
+    if model is not None and model.weights.shape[1] != FEATURE_DIM:
+        raise DataError(f"model takes {model.weights.shape[1]} features per pixel, "
+                        f"images give {FEATURE_DIM}")
+    return parts
 
 
 class JointTerms(NamedTuple):
@@ -95,9 +105,8 @@ def scribble_nll(sigma: ProbField, scribbles: ScribbleField) -> float:
 
     DataError if the scribbles are not sigma's shape or name a class above K.
     """
-    _check_instance(sigma, scribbles)
-    lab = scribbles.data.ravel()
-    return _nll(sigma.flat()[lab > 0, lab[lab > 0] - 1])
+    scribbled, cls, _ = _check_instance(sigma, scribbles)
+    return _nll(sigma.flat()[scribbled, cls])
 
 
 def ws_loss(
@@ -107,11 +116,10 @@ def ws_loss(
     cfg: LossConfig,
 ) -> float:
     """Scribble NLL + eta * entropy over unlabeled + lambda * pairwise sum."""
-    _check_instance(sigma, scribbles, graph)
+    scribbled, cls, free = _check_instance(sigma, scribbles, graph)
     s = sigma.planes()
-    unlabeled = ~scribbles.labeled_mask().ravel()
-    value = scribble_nll(sigma, scribbles)
-    value += cfg.eta * float(np.sum(entropy_rows(s[:, unlabeled])))
+    value = _nll(s[cls, scribbled])
+    value += cfg.eta * float(np.sum(entropy_rows(s[:, free])))
     value += plane_sum(cfg.potts, s, graph, scale=cfg.lam)[0]
     return value
 
@@ -129,15 +137,12 @@ def sl_loss(
     + lambda * pairwise sum over y. Requires y to equal the ground-truth
     one-hots on scribbled pixels (within the simplex tolerance).
     """
-    _check_instance(sigma, scribbles, graph, y)
-    lab = scribbles.data.ravel()
-    labeled = lab > 0
+    scribbled, cls, free = _check_instance(sigma, scribbles, graph, y)
     yp = y.planes()
-    if np.any(labeled):
-        gap = np.max(np.abs(yp[:, labeled] - one_hot_rows(lab[labeled], y.classes).T))
+    if scribbled.size:
+        gap = np.max(np.abs(yp[:, scribbled] - np.eye(y.classes)[:, cls]))
         if gap > 1e-6:
             raise DataError(f"pseudo-labels violate the scribble constraint by {gap:.3g}")
     s = sigma.planes()
     pairwise = plane_sum(cfg.potts, yp, graph, scale=cfg.lam)[0]
-    return _joint_terms(cfg, s[lab[labeled] - 1, labeled], yp, s, np.flatnonzero(~labeled),
-                        pairwise)[0].value
+    return _joint_terms(cfg, s[cls, scribbled], yp, s, free, pairwise)[0].value

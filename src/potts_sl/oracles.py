@@ -21,9 +21,10 @@ import numpy as np
 from .affinity import AffinityGraph
 from .errors import DataError, NumericalError, check_real
 from .losses import _check_instance
-from .simplex import ProbField, ScribbleField, one_hot_rows
+from .simplex import ProbField, ScribbleField
 
 _CG_TOL = 1e-10
+_FD_STEP = 1e-5
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -116,18 +117,14 @@ def random_walker_solve(
 
     from scipy import sparse
 
-    _check_instance(sigma, scribbles, graph)
+    scribbled, cls, free = _check_instance(sigma, scribbles, graph)
     check_real("eta", eta)
     check_real("lam", lam)
 
     n, k = graph.npixels, sigma.classes
-    lab = scribbles.data.ravel()
-    labeled = lab > 0
-    unlabeled_idx = np.flatnonzero(~labeled)
     out = np.empty((n, k))
-    if labeled.any():
-        out[labeled] = one_hot_rows(lab[labeled], k)
-    if unlabeled_idx.size == 0:
+    out[scribbled] = np.eye(k)[cls]
+    if free.size == 0:
         return ProbField(out.reshape(sigma.data.shape))
 
     eps_w = np.finfo(float).eps * graph.w.max(initial=0.0)
@@ -144,8 +141,8 @@ def random_walker_solve(
         )
         ncomp, comp = connected_components(adj, directed=False)
         grounded = np.zeros(ncomp, dtype=bool)
-        grounded[comp[labeled]] = True
-        if not grounded[comp[unlabeled_idx]].all():
+        grounded[comp[scribbled]] = True
+        if not grounded[comp[free]].all():
             raise NumericalError(
                 "singular system: eta is negligible next to lambda * max(w) "
                 "and a component has no scribble"
@@ -153,14 +150,14 @@ def random_walker_solve(
 
     lap = _laplacian(graph)
     system = (2.0 * eta) * sparse.identity(n, format="csr") + lam * lap
-    system_u = system[unlabeled_idx]
-    a_uu = system_u[:, unlabeled_idx].tocsr()
+    system_u = system[free]
+    a_uu = system_u[:, free].tocsr()
 
-    rhs = 2.0 * eta * sigma.flat()[unlabeled_idx]
-    if labeled.any():
+    rhs = 2.0 * eta * sigma.flat()[free]
+    if scribbled.size:
         # off-diagonal block of the system is -lambda * W_US
-        w_us = -system_u[:, np.flatnonzero(labeled)]
-        rhs += np.asarray(w_us @ out[labeled])
+        w_us = -system_u[:, scribbled]
+        rhs += np.asarray(w_us @ out[scribbled])
 
     diag = a_uu.diagonal()
     if np.any(diag <= 0):
@@ -177,36 +174,35 @@ def random_walker_solve(
     for c, (x, info) in enumerate(solves):
         if info != 0:
             raise NumericalError(f"conjugate gradient failed to converge (info={info})")
-        out[unlabeled_idx, c] = x
+        out[free, c] = x
     try:
         return ProbField(out.reshape(sigma.data.shape))
     except DataError as exc:
         raise NumericalError(f"random-walker solution is not on the simplex: {exc}") from exc
 
 
-def finite_diff_check(f, analytic_grad, point, step: float = 1e-5) -> float:
+def finite_diff_check(f, analytic_grad, point) -> float:
     """Max coordinate-wise relative error of a gradient vs central differences.
 
-    f maps a flat float array to a scalar; analytic_grad is either the
-    gradient array at `point` or a callable returning it. The per-coordinate
-    error is |analytic - numeric| / max(1, |numeric|), so small entries are
-    compared absolutely and large ones relatively.
+    f maps a flat float array to a scalar; analytic_grad is the gradient
+    array at `point`. The differences step _FD_STEP each way. The
+    per-coordinate error is |analytic - numeric| / max(1, |numeric|), so
+    small entries are compared absolutely and large ones relatively.
     """
     x0 = np.asarray(point, dtype=np.float64).ravel().copy()
-    grad = analytic_grad(x0) if callable(analytic_grad) else analytic_grad
-    grad = np.asarray(grad, dtype=np.float64).ravel()
+    grad = np.asarray(analytic_grad, dtype=np.float64).ravel()
     if grad.shape != x0.shape:
         raise DataError("analytic gradient shape differs from the point")
     worst = 0.0
     for i in range(x0.size):
         x = x0.copy()
-        x[i] = x0[i] + step
+        x[i] = x0[i] + _FD_STEP
         fp = f(x)
-        x[i] = x0[i] - step
+        x[i] = x0[i] - _FD_STEP
         fm = f(x)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise NumericalError("function diverged inside the difference stencil")
-        num = (fp - fm) / (2.0 * step)
+        num = (fp - fm) / (2.0 * _FD_STEP)
         err = abs(grad[i] - num) / max(1.0, abs(num))
         worst = max(worst, err)
     return worst

@@ -176,11 +176,24 @@ class ScribbleField(_Grid):
             raise DataError("scribble classes must be >= 1 (0 means unlabeled)")
         self.data = a.astype(np.int64)
 
-    def labeled_mask(self) -> np.ndarray:
-        return self.data > 0
+    def partition(self, height: int, width: int, classes: int, graph=None):
+        """(scribbled, classes, free) on an H x W instance of K classes: the
+        row-major int64 ids of the scribbled pixels, their 0-based classes,
+        and the ids of the other pixels.
 
-    def labeled_fraction(self) -> float:
-        return float(np.count_nonzero(self.data)) / self.data.size
+        DataError, in this order, unless the scribbles are H x W, graph (if
+        given) covers an H x W field, and no scribble class exceeds K.
+        """
+        if (self.height, self.width) != (height, width):
+            raise DataError(f"field is {height}x{width} but scribbles are "
+                            f"{self.height}x{self.width}")
+        if graph is not None:
+            graph.check_covers(height, width)
+        if self.max_class() > classes:
+            raise DataError(f"scribble class {self.max_class()} exceeds K={classes}")
+        lab = self.data.ravel()
+        scribbled = np.flatnonzero(lab)
+        return scribbled, lab[scribbled] - 1, np.flatnonzero(lab == 0)
 
     def max_class(self) -> int:
         return int(self.data.max())

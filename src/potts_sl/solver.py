@@ -43,7 +43,6 @@ from .simplex import (
     LogitField,
     ProbField,
     ScribbleField,
-    one_hot_rows,
     softmax_backward,
     softmax_rows,
 )
@@ -70,12 +69,11 @@ class SolveReport:
     """Objective at the start and after each accepted step, padded with the
     final value to steps + 1 entries if the descent stops early, the
     divergent rows and edges summed over those iterates, the final logits and
-    the JointTerms of the final labels (nll 0). A solve given those logits as
-    init_logits starts at the returned labels: its trace[0] is their
-    objective, so its result is no worse."""
+    the JointTerms of the final labels (nll 0), whose value is trace[-1]. A
+    solve given those logits as init_logits starts at the returned labels:
+    its trace[0] is their objective, so its result is no worse."""
 
     trace: list[float] = field(default_factory=list)
-    final_objective: float = float("nan")
     divergence_events: int = 0
     logits: LogitField | None = None
     terms: JointTerms | None = None
@@ -111,19 +109,8 @@ def pseudo_label_objective(
     cfg: LossConfig,
 ) -> float:
     """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
-    _check_instance(sigma, scribbles, graph, y)
-    lab = scribbles.data.ravel()
-    return _objective(y.planes(), sigma.planes(), np.flatnonzero(lab == 0), np.flatnonzero(lab),
-                      graph, cfg)[0].value
-
-
-def _initial_logits(sigma, init_logits):
-    """(K, N) planes of init_logits if given, else of the (clamped) log of sigma."""
-    if init_logits is None:
-        return np.log(np.maximum(sigma.planes(), LOG_CLAMP))
-    if init_logits.data.shape != sigma.data.shape:
-        raise DataError("initial logits shape differs from the prediction field")
-    return init_logits.planes()
+    scribbled, _, free = _check_instance(sigma, scribbles, graph, y)
+    return _objective(y.planes(), sigma.planes(), free, scribbled, graph, cfg)[0].value
 
 
 def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, start=None):
@@ -177,12 +164,9 @@ def solve_pseudo_labels(
     finite (eta or lambda near the float range) raises NumericalError; from a
     finite start the descent keeps every trace entry finite.
     """
-    _check_instance(sigma, scribbles, graph)
-    lab = scribbles.data.ravel()
-    scribbled = np.flatnonzero(lab)
-    free = np.flatnonzero(lab == 0)
+    scribbled, cls, free = _check_instance(sigma, scribbles, graph, init_logits=init_logits)
     s = sigma.planes()
-    pinned = one_hot_rows(lab[scribbled], sigma.classes).T
+    pinned = np.eye(sigma.classes)[:, cls]
     report = SolveReport()
     events, terms = 0, None
     ws = PlaneWorkspace(graph, loss_cfg.lam, sigma.classes)
@@ -213,10 +197,11 @@ def solve_pseudo_labels(
             raise NumericalError("pseudo-label gradient at the start point is not finite")
         return value, grad
 
-    logits, value = _armijo_descent(_initial_logits(sigma, init_logits), value_grad,
-                                    solver_cfg.steps, solver_cfg.learning_rate, record, start)
+    # the descent starts at init_logits if given, else at the (clamped) log of sigma
+    logits = np.log(np.maximum(s, LOG_CLAMP)) if init_logits is None else init_logits.planes()
+    logits, value = _armijo_descent(logits, value_grad, solver_cfg.steps,
+                                    solver_cfg.learning_rate, record, start)
     report.trace += [value] * (solver_cfg.steps + 1 - len(report.trace))
-    report.final_objective = value
     report.logits = LogitField(logits.T.reshape(sigma.data.shape))
     return ProbField(labels(logits).T.reshape(sigma.data.shape)), report
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import AffinityGraph, Image
+from .affinity import FEATURE_DIM, AffinityGraph, Image, pixel_features
 from .data_terms import XentKind
 from .errors import DataError, check_count
-from .losses import LossConfig, _joint_terms
+from .losses import LossConfig, _check_instance, _joint_terms
 from .simplex import (
     LogitField,
     ProbField,
@@ -40,8 +40,6 @@ from .simplex import (
 )
 from .solver import SolverConfig, _armijo_descent, solve_pseudo_labels
 from .synthetic import gaussian_blobs_dataset
-
-FEATURE_DIM = 5
 
 # First trial step of every model descent (pretraining and each round's
 # inner epochs); the Armijo search only halves it.
@@ -101,16 +99,9 @@ class TrainConfig:
             setattr(self, name, check_count(name, getattr(self, name)))
 
 
-def pixel_features(image: Image) -> np.ndarray:
-    """(N, 5) features: RGB / 255 and (x / W, y / H) in row-major order."""
-    h, w = image.height, image.width
-    rgb = image.as_float().reshape(-1, 3) / 255.0
-    rows, cols = np.mgrid[0:h, 0:w]
-    return np.column_stack([rgb, cols.ravel() / w, rows.ravel() / h])
-
-
 def predict(model: PixelModel, image: Image):
     """Per-pixel softmax predictions; returns (ProbField, LogitField)."""
+    _check_instance(image, None, model=model)
     logits = _logits(model.weights, model.bias, pixel_features(image))
     shape = (image.height, image.width, model.classes)
     return (ProbField(softmax_rows(logits).T.reshape(shape)),
@@ -124,25 +115,17 @@ def _logits(weights, bias, phi):
 
 def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: TrainConfig) -> PixelModel:
     """Full-batch backtracking GD on the scribble NLL (convex warm start)."""
-    if (scribbles.height, scribbles.width) != (image.height, image.width):
-        raise DataError(
-            f"scribbles are {scribbles.height}x{scribbles.width} but the image is "
-            f"{image.height}x{image.width}"
-        )
-    lab = scribbles.data.ravel()
-    labeled = lab > 0
-    if not labeled.any():
+    scribbled, cls, _ = _check_instance(image, scribbles, model=model)
+    if not scribbled.size:
         warnings.warn("no scribbles given; pretraining is a no-op")
         return PixelModel(model.weights.copy(), model.bias.copy())
-    if lab.max() > model.classes:
-        raise DataError(f"scribble class {lab.max()} exceeds K={model.classes}")
-    missing = sorted(set(range(1, model.classes + 1)) - set(np.unique(lab[labeled]).tolist()))
+    missing = (np.setdiff1d(np.arange(model.classes), cls) + 1).tolist()
     if missing:
         warnings.warn(f"classes with no scribbles: {missing}")
 
     # the joint loss with every row scribbled (no free rows) is the NLL alone
-    phi_s = pixel_features(image)[labeled]
-    every, cls = np.arange(len(phi_s)), lab[labeled] - 1
+    phi_s = pixel_features(image)[scribbled]
+    every = np.arange(len(phi_s))
     y = np.zeros((model.classes, len(phi_s)))
     value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, every[:0], y, 0.0,
                                               cfg.loss_cfg)
@@ -190,12 +173,9 @@ def alternate(
     at the previous labels, so its result is bounded by them. Returns (model,
     pseudo-labels, per-round joint loss trace).
     """
+    scribbled, cls, free = _check_instance(image, scribbles, graph, model=model)
     phi = pixel_features(image)
     classes = model.classes
-    lab = scribbles.data.ravel()
-    scribbled = np.flatnonzero(lab)
-    cls = lab[scribbled] - 1
-    free = np.flatnonzero(lab == 0)
     loss_cfg = cfg.loss_cfg
     init = None
     trace: list[float] = []

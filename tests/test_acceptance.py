@@ -175,7 +175,7 @@ def test_07_step_halving_robustness():
                                       SolverConfig(steps=200, learning_rate=0.075))
         _, half = solve_pseudo_labels(sigma, None, scribbles, graph, cfg,
                                       SolverConfig(steps=100, learning_rate=0.075))
-        rel = abs(half.final_objective - full.final_objective) / abs(full.final_objective)
+        rel = abs(half.trace[-1] - full.trace[-1]) / abs(full.trace[-1])
         worst = max(worst, rel)
     check(7, "halving the step count moves the objective by < 5%", worst < 0.05,
           f"worst {100 * worst:.2f}%")

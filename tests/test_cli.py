@@ -159,6 +159,25 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert "final_y_miou" in printed
 
+    @pytest.mark.parametrize("gt, line", [
+        (np.ones((5, 5), dtype=np.int64), "prediction and ground truth differ in size"),
+        (np.full((12, 12), 3), "illegal label value 3 (K=2)"),
+    ], ids=["another-size", "class-above-k"])
+    def test_bad_ground_truth_is_refused_before_training(self, gt, line, tmp_path, capsys):
+        image, scribbles, _ = two_region_instance(seed=7, height=12, width=12)
+        write_image(image, tmp_path / "i.ppm")
+        write_labels(scribbles.data, tmp_path / "s.pgm")
+        write_labels(gt, tmp_path / "g.pgm")
+        (tmp_path / "c.cfg").write_text("rounds = 1\nsteps = 2\n")
+        out = tmp_path / "out"
+        code = run("train", "--image", tmp_path / "i.ppm", "--scribbles", tmp_path / "s.pgm",
+                   "--config", tmp_path / "c.cfg", "--out", out, "--gt", tmp_path / "g.pgm")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.endswith(f"{line}\n")
+        assert not (out / "loss_trace.txt").exists()
+        assert list(out.iterdir()) == []
+
     def test_deterministic_across_runs(self, tmp_path):
         p = self.make_files(tmp_path)
         outs = []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,22 @@ from potts_sl import (
     AffinityConfig,
     DataError,
     Image,
+    LogitField,
     LossConfig,
+    PixelModel,
     ProbField,
     ScribbleField,
+    SolverConfig,
+    TrainConfig,
+    alternate,
     build_graph,
+    predict,
+    pretrain,
     pseudo_label_objective,
+    random_walker_solve,
     scribble_nll,
     sl_loss,
+    solve_pseudo_labels,
     ws_loss,
 )
 from potts_sl.data_terms import XentKind, row_values
@@ -308,3 +318,71 @@ def test_pseudo_label_shape_must_match_the_predictions(loss, shape):
     no_scribbles = ScribbleField(np.zeros((4, 5), dtype=np.int64))
     with pytest.raises(DataError, match="pseudo-label field shape differs"):
         loss(sigma, y, no_scribbles, graph, LossConfig())
+
+
+def well_formed_instance():
+    """A 4x4, K = 2 instance every entry point accepts."""
+    rng = np.random.default_rng(25)
+    image = Image(rng.integers(0, 256, size=(4, 4, 3)))
+    sigma = random_interior_field(rng, 4, 4, 2)
+    labels = np.diag([1, 2, 0, 1])
+    y = sigma.data.copy()
+    y[labels > 0] = np.eye(2)[labels[labels > 0] - 1]
+    return {"sigma": sigma, "y": ProbField(y), "init_logits": LogitField(np.zeros((4, 4, 2))),
+            "image": image, "scribbles": ScribbleField(labels),
+            "graph": build_graph(image, AffinityConfig()), "model": PixelModel.zeros(2)}
+
+
+# Each entry point that checks an instance, with the parts of it that it reads.
+ENTRY_POINTS = {
+    "solve_pseudo_labels": ({"scribbles", "graph", "init_logits"}, lambda i: solve_pseudo_labels(
+        i["sigma"], i["init_logits"], i["scribbles"], i["graph"], LossConfig(),
+        SolverConfig(steps=2))),
+    "pseudo_label_objective": ({"scribbles", "graph", "y"}, lambda i: pseudo_label_objective(
+        i["sigma"], i["y"], i["scribbles"], i["graph"], LossConfig())),
+    "sl_loss": ({"scribbles", "graph", "y"}, lambda i: sl_loss(
+        i["sigma"], i["y"], i["scribbles"], i["graph"], LossConfig())),
+    "ws_loss": ({"scribbles", "graph"}, lambda i: ws_loss(
+        i["sigma"], i["scribbles"], i["graph"], LossConfig())),
+    "scribble_nll": ({"scribbles"}, lambda i: scribble_nll(i["sigma"], i["scribbles"])),
+    "random_walker_solve": ({"scribbles", "graph"}, lambda i: random_walker_solve(
+        i["sigma"], i["scribbles"], i["graph"], 0.3, 6.0)),
+    "pretrain": ({"scribbles", "model"}, lambda i: pretrain(
+        i["model"], i["image"], i["scribbles"], TrainConfig(pretrain_epochs=2))),
+    "alternate": ({"scribbles", "graph", "model"}, lambda i: alternate(
+        i["model"], i["image"], i["scribbles"], i["graph"],
+        TrainConfig(rounds=1, inner_epochs=2, solver_cfg=SolverConfig(steps=2)))),
+    "predict": ({"model"}, lambda i: predict(i["model"], i["image"])),
+}
+
+# (name, part replaced, its malformed value, the DataError message)
+MALFORMED = [
+    ("scribble-shape", "scribbles", ScribbleField(np.ones((5, 5), dtype=np.int64)),
+     "field is 4x4 but scribbles are 5x5"),
+    ("class-above-k", "scribbles", ScribbleField(np.diag([1, 3, 0, 2])),
+     "scribble class 3 exceeds K=2"),
+    ("graph-grid", "graph", build_graph(Image(np.zeros((2, 8, 3))), AffinityConfig()),
+     "graph covers a 2x8 grid, field is 4x4"),
+    ("y-shape", "y", ProbField.uniform(4, 4, 3),
+     "pseudo-label field shape differs from prediction field"),
+    ("init-logits-shape", "init_logits", LogitField(np.zeros((4, 5, 2))),
+     "initial logits shape differs from the prediction field"),
+    ("feature-width", "model", PixelModel.zeros(2, dim=32),
+     "model takes 32 features per pixel, images give 5"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_accepts_the_well_formed_instance(name):
+    ENTRY_POINTS[name][1](well_formed_instance())
+
+
+@pytest.mark.parametrize("name, part, value, message", [
+    pytest.param(name, part, value, message, id=f"{name}-{case}")
+    for name, (parts, _) in sorted(ENTRY_POINTS.items())
+    for case, part, value, message in MALFORMED if part in parts])
+def test_entry_point_refuses_a_malformed_instance(name, part, value, message):
+    instance = well_formed_instance()
+    instance[part] = value
+    with pytest.raises(DataError, match=re.escape(message)):
+        ENTRY_POINTS[name][1](instance)

@@ -39,13 +39,13 @@ class TestRandomWalker:
     def test_lambda_zero_returns_sigma(self):
         sigma, scribbles, graph = grid_instance(0)
         y = random_walker_solve(sigma, scribbles, graph, eta=1.0, lam=0.0)
-        unlabeled = ~scribbles.labeled_mask()
+        unlabeled = scribbles.data == 0
         assert np.max(np.abs(y.data - sigma.data)[unlabeled]) < 1e-9
 
     def test_huge_eta_approaches_sigma(self):
         sigma, scribbles, graph = grid_instance(1)
         y = random_walker_solve(sigma, scribbles, graph, eta=1e6, lam=1.0)
-        unlabeled = ~scribbles.labeled_mask()
+        unlabeled = scribbles.data == 0
         assert np.max(np.abs(y.data - sigma.data)[unlabeled]) < 1e-3
 
     def test_three_pixel_chain_midpoint(self):
@@ -126,7 +126,7 @@ class TestRandomWalker:
         y = random_walker_solve(sigma, scribbles, graph, eta, lam)
         _, pgrad = potts_sum_grad(PottsKind.Q, y, graph)
         grad = lam * pgrad + eta * 2.0 * (y.data - sigma.data)
-        unlabeled = ~scribbles.labeled_mask()
+        unlabeled = scribbles.data == 0
         assert np.max(np.abs(grad[unlabeled])) < 1e-6
 
     def test_fully_scribbled(self):
@@ -225,7 +225,7 @@ class TestConjugateGradient:
         monkeypatch.setattr(oracles, "cg", recording_cg)
         y = random_walker_solve(sigma, scribbles, graph, 0.3, 6.0)
         assert len(calls) == 5
-        unlabeled = ~scribbles.labeled_mask().ravel()
+        unlabeled = scribbles.data.ravel() == 0
         flat = y.data.reshape(-1, 5)
         matched = set()
         for a, b, kw in calls:

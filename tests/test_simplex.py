@@ -303,12 +303,33 @@ class TestTypes:
 
     def test_scribbles(self):
         s = ScribbleField(np.array([[0, 2], [1, 0]]))
-        assert s.labeled_fraction() == 0.5
+        assert np.count_nonzero(s.data > 0) == 2
         assert s.max_class() == 2
         with pytest.raises(DataError):
             ScribbleField(np.array([[-1, 0]]))
         with pytest.raises(DataError):
             ScribbleField(np.array([[0.5, 1.0]]))
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 6), st.integers(1, 7), st.integers(2, 21),
+           st.sampled_from(["none", "some", "all"]), st.integers(0, 2**32 - 1))
+    def test_partition_splits_every_pixel_once_in_row_major_order(self, h, w, k, marks, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(1, k + 1, size=(h, w))
+        if marks != "all":
+            data[rng.uniform(size=(h, w)) < (1.0 if marks == "none" else 0.5)] = 0
+        scribbled, classes, free = ScribbleField(data).partition(h, w, k)
+        for ids in (scribbled, free):
+            assert ids.dtype == np.int64
+            assert np.all(np.diff(ids) > 0)
+        assert np.array_equal(np.sort(np.concatenate([scribbled, free])), np.arange(h * w))
+        assert np.array_equal(scribbled, np.flatnonzero(data))
+        assert np.array_equal(classes, data.ravel()[scribbled] - 1)
+        assert np.all(data.ravel()[free] == 0)
+        if marks == "none":
+            assert scribbled.size == 0
+        if marks == "all":
+            assert free.size == 0
 
     def test_logitfield_rejects_nonfinite(self):
         with pytest.raises(DataError):

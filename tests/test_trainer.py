@@ -306,7 +306,7 @@ class TestWarmStart:
         for (_, _, y_prev, _), (sigma, _, _, report) in zip(solves, solves[1:]):
             assert report.trace[0] == pseudo_label_objective(
                 sigma, y_prev, scribbles, graph, cfg.loss_cfg)
-            assert report.final_objective <= report.trace[0]
+            assert report.trace[-1] <= report.trace[0]
         assert y is solves[-1][2]
 
 

@@ -24,7 +24,12 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   `scribble_nll`, and of `sl_loss`, `ws_loss` and `pseudo_label_objective`
   for every (potts, xent) pair on those graphs; `sl_loss` and
   `pseudo_label_objective` also with no pixel and with every pixel
-  scribbled, so an empty and a full set of coupled pixels are compared too.
+  scribbled, so an empty and a full set of coupled pixels are compared too,
+  as are `scribble_nll` and `ws_loss` with no pixel and every pixel
+  scribbled, the trace of a 10-step `solve_pseudo_labels` for every pair
+  with no pixel and every pixel scribbled, and the repr of the values of
+  `random_walker_solve` (eta 0.3, lambda 6) on each graph with no, some and
+  every pixel scribbled.
   The CLI reaches the value-only Potts sum and the joint terms without a
   gradient only through oracle-rw's Q/QUAD objective, so these are the
   files that show a last-bit change there.
@@ -61,10 +66,10 @@ def write_set(tree: Path, root: Path) -> None:
 
     import potts_sl
     from potts_sl import (AffinityConfig, AffinityGraph, DivergentPointError, LossConfig,
-                          NeighborhoodKind, PottsKind, ProbField, ScribbleField, XentKind,
-                          build_graph,
-                          is_divergent, potts_grad, potts_sum, potts_value,
-                          pseudo_label_objective, scribble_nll, sl_loss, synthetic, write_image,
+                          NeighborhoodKind, PottsKind, ProbField, ScribbleField, SolverConfig,
+                          XentKind, build_graph, is_divergent, potts_grad, potts_sum,
+                          potts_value, pseudo_label_objective, random_walker_solve,
+                          scribble_nll, sl_loss, solve_pseudo_labels, synthetic, write_image,
                           write_labels, write_probfield, ws_loss, xent_grad, xent_value)
     from potts_sl.cli import main
 
@@ -180,6 +185,12 @@ def write_set(tree: Path, root: Path) -> None:
             value = "divergent" if is_divergent(value) else repr(value)
             lines.append(f"potts_sum\t{name}\t{kind.value}\t{field_name}\t{value}\n")
     lines.append(f"scribble_nll\t{scribble_nll(sigma, scribbles)!r}\n")
+    for scribbled, (marks, _) in extremes.items():
+        lines.append(f"scribble_nll\t{scribbled}-scribbled\t{scribble_nll(sigma, marks)!r}\n")
+    marked = {"none": extremes["none"][0], "some": scribbles, "all": extremes["all"][0]}
+    for (name, graph), (scribbled, marks) in itertools.product(graphs.items(), marked.items()):
+        values = random_walker_solve(sigma, marks, graph, 0.3, 6.0).data.ravel().tolist()
+        lines.append(f"random_walker_solve\t{name}\t{scribbled}-scribbled\t{values!r}\n")
     for (name, graph), potts, xent in itertools.product(graphs.items(), PottsKind, XentKind):
         cfg = LossConfig(potts=potts, xent=xent)
         for fn, value in (("sl_loss", sl_loss(sigma, y, scribbles, graph, cfg)),
@@ -188,9 +199,13 @@ def write_set(tree: Path, root: Path) -> None:
                            pseudo_label_objective(sigma, y, scribbles, graph, cfg))):
             lines.append(f"{fn}\t{name}\t{potts.value}\t{xent.value}\t{value!r}\n")
         for scribbled, (marks, labels) in extremes.items():
-            for fn in (sl_loss, pseudo_label_objective):
-                value = fn(sigma, labels, marks, graph, cfg)
-                lines.append(f"{fn.__name__}\t{name}\t{potts.value}\t{xent.value}\t"
+            _, report = solve_pseudo_labels(sigma, None, marks, graph, cfg, SolverConfig(steps=10))
+            for fn, value in (("sl_loss", sl_loss(sigma, labels, marks, graph, cfg)),
+                              ("ws_loss", ws_loss(sigma, marks, graph, cfg)),
+                              ("pseudo_label_objective",
+                               pseudo_label_objective(sigma, labels, marks, graph, cfg)),
+                              ("solve_pseudo_labels", report.trace)):
+                lines.append(f"{fn}\t{name}\t{potts.value}\t{xent.value}\t"
                              f"{scribbled}-scribbled\t{value!r}\n")
     Path("library_values.txt").write_text("".join(lines))
 
