@@ -14,24 +14,21 @@ def miou(pred: np.ndarray, gt: np.ndarray, classes: int) -> float:
 
     Pixels where gt equals IGNORE (255, unlabeled) are dropped. A class
     enters the mean only if it occurs in pred or gt (after dropping ignored
-    pixels); classes absent from both are excluded.
+    pixels); classes absent from both are excluded. DataError unless pred
+    and gt have one shape.
     """
-    p = np.asarray(pred, dtype=np.int64).ravel()
-    g = np.asarray(gt, dtype=np.int64).ravel()
+    p = np.asarray(pred, dtype=np.int64)
+    g = np.asarray(gt, dtype=np.int64)
     if p.shape != g.shape:
-        raise DataError("prediction and ground truth differ in size")
+        raise DataError(f"prediction and ground truth differ in shape: {p.shape} and {g.shape}")
     keep = g != IGNORE
     p, g = p[keep], g[keep]
-    if p.size and (p.min() < 1 or p.max() > classes or g.min() < 1 or g.max() > classes):
-        raise DataError(f"labels must lie in 1..{classes}")
-    ious = []
-    for c in range(1, classes + 1):
-        in_p = p == c
-        in_g = g == c
-        union = np.count_nonzero(in_p | in_g)
-        if union == 0:
-            continue
-        ious.append(np.count_nonzero(in_p & in_g) / union)
-    if not ious:
+    if not p.size:
         return 1.0
-    return float(np.mean(ious))
+    if p.min() < 1 or p.max() > classes or g.min() < 1 or g.max() > classes:
+        raise DataError(f"labels must lie in 1..{classes}")
+    n = classes + 1
+    inter = np.bincount(p[p == g], minlength=n)[1:]
+    union = np.bincount(p, minlength=n)[1:] + np.bincount(g, minlength=n)[1:] - inter
+    seen = union > 0
+    return float(np.mean(inter[seen] / union[seen]))

@@ -13,20 +13,21 @@ vertex is zero, so pinned pixels receive no logit update while their edges
 still pull on unlabeled neighbors.
 
 The solver holds its state class-major: logits, labels and gradients are
-(K, N) class planes, C-contiguous, from one transpose on entry to one on
-exit. The softmax, coupling and Potts routines all take those planes, so
-every class-axis step, the coupling's included, runs over whole contiguous
-planes and no evaluation gathers or scatters pixel columns. plane_sum's
-buffers (a PlaneWorkspace) are allocated once per solve and live exactly
-that solve; what their reuse saves is kernel page-fault time, not numpy
-time. The gradient is a fresh array at each evaluation, since the descent
-keeps the accepted one across refused trials.
+(K, N) class planes, C-contiguous. The softmax, coupling and Potts routines
+all take those planes, so every class-axis step, the coupling's included,
+runs over whole contiguous planes and no evaluation gathers or scatters
+pixel columns. One core, _solve_planes, runs every solve on the planes of
+a checked instance: solve_pseudo_labels checks once and transposes once
+on entry and on exit, and the trainer checks once per alternation and
+passes planes from round to round. plane_sum's buffers (a PlaneWorkspace)
+live one solve; their reuse saves kernel page-fault time, not numpy time.
+The gradient is a fresh array at each evaluation, since the descent keeps
+the accepted one across refused trials.
 
-The logits descend by _armijo_descent, which the trainer shares: each step
-first tries the last accepted step size (at first the learning rate) and
-halves it until the objective drops enough, so it never rises. Divergent
-log-based edges contribute the clamped value to the objective, are counted
-in the report, and have their gradient skipped at that iterate.
+The logits descend by _armijo_descent, which the trainer shares, so the
+objective never rises. Divergent log-based edges contribute the clamped
+value to the objective, are counted in the report, and have their gradient
+skipped at that iterate.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from .affinity import AffinityGraph
 from .errors import DataError, LOG_CLAMP, NumericalError, check_count, check_real
 from .losses import JointTerms, LossConfig, _check_instance, _joint_terms
 from .potts import PlaneWorkspace, plane_sum
-from .simplex import (
-    LogitField,
-    ProbField,
-    ScribbleField,
-    softmax_backward,
-    softmax_rows,
-)
+from .simplex import LogitField, ProbField, ScribbleField, softmax_backward, softmax_rows
 
 
 _ARMIJO = 1e-4
@@ -71,7 +66,8 @@ class SolveReport:
     divergent rows and edges summed over those iterates, the final logits and
     the JointTerms of the final labels (nll 0), whose value is trace[-1]. A
     solve given those logits as init_logits starts at the returned labels:
-    its trace[0] is their objective, so its result is no worse."""
+    its trace[0] is their objective, so its result is no worse. The
+    plane-level core returns the logit planes beside it, logits None."""
 
     trace: list[float] = field(default_factory=list)
     divergence_events: int = 0
@@ -148,28 +144,14 @@ def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, star
     return x, value
 
 
-def solve_pseudo_labels(
-    sigma: ProbField,
-    init_logits: LogitField | None,
-    scribbles: ScribbleField,
-    graph: AffinityGraph,
-    loss_cfg: LossConfig,
-    solver_cfg: SolverConfig,
-):
-    """Minimize the pseudo-label objective; returns (y, SolveReport).
-
-    The returned field satisfies the scribble constraint exactly (pinned
-    one-hots), and report.trace is non-increasing with steps + 1 entries
-    ending at the final objective. A start objective or gradient that is not
-    finite (eta or lambda near the float range) raises NumericalError; from a
-    finite start the descent keeps every trace entry finite.
-    """
-    scribbled, cls, free = _check_instance(sigma, scribbles, graph, init_logits=init_logits)
-    s = sigma.planes()
-    pinned = np.eye(sigma.classes)[:, cls]
+def _solve_planes(s, logits, scribbled, cls, free, graph, loss_cfg, solver_cfg):
+    """solve_pseudo_labels on the planes of a checked instance: sigma's s,
+    the start logits and the scribbles' partition. Returns the final logit
+    and label planes and the report, whose logits it leaves None."""
+    pinned = np.eye(s.shape[0])[:, cls]
     report = SolveReport()
     events, terms = 0, None
-    ws = PlaneWorkspace(graph, loss_cfg.lam, sigma.classes)
+    ws = PlaneWorkspace(graph, loss_cfg.lam, s.shape[0])
 
     def labels(logits):
         y = softmax_rows(logits)
@@ -197,13 +179,35 @@ def solve_pseudo_labels(
             raise NumericalError("pseudo-label gradient at the start point is not finite")
         return value, grad
 
-    # the descent starts at init_logits if given, else at the (clamped) log of sigma
-    logits = np.log(np.maximum(s, LOG_CLAMP)) if init_logits is None else init_logits.planes()
     logits, value = _armijo_descent(logits, value_grad, solver_cfg.steps,
                                     solver_cfg.learning_rate, record, start)
     report.trace += [value] * (solver_cfg.steps + 1 - len(report.trace))
+    return logits, labels(logits), report
+
+
+def solve_pseudo_labels(
+    sigma: ProbField,
+    init_logits: LogitField | None,
+    scribbles: ScribbleField,
+    graph: AffinityGraph,
+    loss_cfg: LossConfig,
+    solver_cfg: SolverConfig,
+):
+    """Minimize the pseudo-label objective; returns (y, SolveReport).
+
+    The returned field satisfies the scribble constraint exactly (pinned
+    one-hots), and report.trace is non-increasing with steps + 1 entries
+    ending at the final objective. A start objective or gradient that is not
+    finite (eta or lambda near the float range) raises NumericalError; from a
+    finite start the descent keeps every trace entry finite.
+    """
+    parts = _check_instance(sigma, scribbles, graph, init_logits=init_logits)
+    s = sigma.planes()
+    # the descent starts at init_logits if given, else at the (clamped) log of sigma
+    logits = np.log(np.maximum(s, LOG_CLAMP)) if init_logits is None else init_logits.planes()
+    logits, y, report = _solve_planes(s, logits, *parts, graph, loss_cfg, solver_cfg)
     report.logits = LogitField(logits.T.reshape(sigma.data.shape))
-    return ProbField(labels(logits).T.reshape(sigma.data.shape)), report
+    return ProbField(y.T.reshape(sigma.data.shape)), report
 
 
 def soft_jaccard(a: ProbField, b: ProbField) -> float:

@@ -12,6 +12,8 @@ raise the joint loss and its trace is non-increasing by construction.
 Probabilities, logits, pseudo-labels and their gradients are (K, N) class
 planes, as in the solver: the logits are W phi^T + b for the (N, D)
 features phi, and the weight gradient is G phi for the logit gradient G.
+The alternation checks once per call and passes planes from round to round
+through the solver's core; it builds a field only for the labels it returns.
 
 Also hosts the label-corruption robustness experiment on a synthetic blob
 dataset: a PixelModel of the blobs' 32 features, fitted to mixed targets
@@ -29,16 +31,10 @@ import numpy as np
 from .affinity import FEATURE_DIM, AffinityGraph, Image, pixel_features
 from .data_terms import XentKind
 from .errors import DataError, check_count
-from .losses import LossConfig, _check_instance, _joint_terms
-from .simplex import (
-    LogitField,
-    ProbField,
-    ScribbleField,
-    one_hot_rows,
-    softmax_backward,
-    softmax_rows,
-)
-from .solver import SolverConfig, _armijo_descent, solve_pseudo_labels
+from .losses import JointTerms, LossConfig, _check_instance, _joint_terms, _nll
+from .simplex import (LogitField, ProbField, ScribbleField, one_hot_rows, softmax_backward,
+                      softmax_rows)
+from .solver import SolverConfig, _armijo_descent, _solve_planes
 from .synthetic import gaussian_blobs_dataset
 
 # First trial step of every model descent (pretraining and each round's
@@ -123,12 +119,10 @@ def pretrain(model: PixelModel, image: Image, scribbles: ScribbleField, cfg: Tra
     if missing:
         warnings.warn(f"classes with no scribbles: {missing}")
 
-    # the joint loss with every row scribbled (no free rows) is the NLL alone
+    # with every row scribbled the joint loss is the NLL alone, whatever the loss config
     phi_s = pixel_features(image)[scribbled]
     every = np.arange(len(phi_s))
-    y = np.zeros((model.classes, len(phi_s)))
-    value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, every[:0], y, 0.0,
-                                              cfg.loss_cfg)
+    value_grad = lambda x: _sl_value_and_grad(x, phi_s, every, cls, None, None, 0.0, None)
     flat, _ = _armijo_descent(model.pack(), value_grad, cfg.pretrain_epochs, STEP_SIZE)
     return PixelModel.unpack(flat, model.classes)
 
@@ -138,18 +132,21 @@ def _sl_value_and_grad(flat, phi, scribbled, cls, free, y, pairwise, cfg):
     model parameters flat.
 
     scribbled indexes the scribble pixels (rows of phi) and cls holds their
-    0-based classes; free indexes the other pixels, and y holds the
-    pseudo-labels of all of them as (K, N) class planes. The two indexes
-    partition the rows of phi; free may be slice(None) when nothing is
-    scribbled. pairwise is the model-independent lambda * sum w P(y_i, y_j).
-    The coupling gradient is zeroed at scribbled pixels before the eta
-    scaling, so that it scales without overflow, and G there is the NLL's.
+    0-based classes; free indexes the other pixels (slice(None) if nothing
+    is scribbled), and y holds the pseudo-labels of all as (K, N) class
+    planes. free, y and cfg are None when every row is scribbled: the NLL
+    alone, no coupling. pairwise is the model-independent lambda * sum w
+    P(y_i, y_j). The coupling gradient is zeroed at scribbled pixels before
+    the eta scaling, so that it scales without overflow; G there is the NLL's.
     """
-    probs = softmax_rows(_logits(*_split(flat, y.shape[0]), phi))
-    terms, _, (_, gs) = _joint_terms(cfg, probs[cls, scribbled], y, probs, free, pairwise)
-    gs[:, scribbled] = 0.0
-    glogit = softmax_backward(probs, np.multiply(cfg.eta, gs, out=gs))
-    glogit[:, scribbled] = probs[:, scribbled]
+    probs = softmax_rows(_logits(*_split(flat, flat.size // (phi.shape[1] + 1)), phi))
+    if y is None:
+        terms, glogit = JointTerms(_nll(probs[cls, scribbled]), 0.0, pairwise), probs
+    else:
+        terms, _, (_, gs) = _joint_terms(cfg, probs[cls, scribbled], y, probs, free, pairwise)
+        gs[:, scribbled] = 0.0
+        glogit = softmax_backward(probs, np.multiply(cfg.eta, gs, out=gs))
+        glogit[:, scribbled] = probs[:, scribbled]
     glogit[cls, scribbled] -= 1.0
     gw = glogit @ phi
     # adds each class's pixels in order; glogit.sum(axis=1) would add pairwise
@@ -171,26 +168,27 @@ def alternate(
     epochs of backtracking GD on the model. The first solve starts from the
     model logits; each later one from the previous solve's final logits, i.e.
     at the previous labels, so its result is bounded by them. Returns (model,
-    pseudo-labels, per-round joint loss trace).
+    pseudo-labels, per-round joint loss trace). Predictions that are not
+    finite (logits that overflow) raise DataError, as in predict.
     """
     scribbled, cls, free = _check_instance(image, scribbles, graph, model=model)
     phi = pixel_features(image)
-    classes = model.classes
-    loss_cfg = cfg.loss_cfg
-    init = None
+    classes, loss_cfg, logits = model.classes, cfg.loss_cfg, None
     trace: list[float] = []
     flat = model.pack()
     for _ in range(cfg.rounds):
-        sigma, model_logits = predict(PixelModel.unpack(flat, classes), image)
-        y, report = solve_pseudo_labels(sigma, model_logits if init is None else init,
-                                        scribbles, graph, loss_cfg, cfg.solver_cfg)
-        init = report.logits
-        yp = y.planes()
-        value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, yp,
+        model_logits = _logits(*_split(flat, classes), phi)
+        s = softmax_rows(model_logits)
+        if not np.all(np.isfinite(s)):
+            raise DataError("probability field has non-finite entries")
+        logits, y, report = _solve_planes(s, model_logits if logits is None else logits,
+                                          scribbled, cls, free, graph, loss_cfg, cfg.solver_cfg)
+        value_grad = lambda x: _sl_value_and_grad(x, phi, scribbled, cls, free, y,
                                                   report.terms.pairwise, loss_cfg)
         flat, value = _armijo_descent(flat, value_grad, cfg.inner_epochs, STEP_SIZE)
         trace.append(value)
-    return PixelModel.unpack(flat, classes), y, trace
+    shape = (image.height, image.width, classes)
+    return PixelModel.unpack(flat, classes), ProbField(y.T.reshape(shape)), trace
 
 
 # ---------------------------------------------------------------------------

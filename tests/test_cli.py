@@ -202,6 +202,17 @@ class TestSmallCommands:
         assert run("metrics", "--pred", pred, "--gt", gt, "--classes", 2) == 0
         assert capsys.readouterr().out.strip() == "1.0000"
 
+    def test_metrics_refuses_a_transposed_ground_truth(self, tmp_path, capsys):
+        # 2x3 and 3x2 maps hold the same six labels in row-major order
+        pred, gt = tmp_path / "p.pgm", tmp_path / "g.pgm"
+        write_labels(np.array([[1, 2, 1], [2, 1, 2]]), pred)
+        write_labels(np.array([[1, 2], [1, 2], [1, 2]]), gt)
+        assert run("metrics", "--pred", pred, "--gt", gt, "--classes", 2) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "data error: prediction and ground truth differ in shape: (2, 3) and (3, 2)"]
+
     @pytest.mark.parametrize("missing", ["pred", "gt"])
     def test_metrics_missing_file_names_its_flag(self, tmp_path, capsys, missing):
         files = {"pred": tmp_path / "p.pgm", "gt": tmp_path / "g.pgm"}

@@ -9,6 +9,7 @@ from potts_sl import (
     DataError,
     NeighborhoodKind,
     Image,
+    ProbField,
     LossConfig,
     ScribbleField,
     argmax_decode,
@@ -16,7 +17,6 @@ from potts_sl import (
     miou,
     pseudo_label_objective,
     sl_loss,
-    solve_pseudo_labels,
 )
 from potts_sl.data_terms import XentKind, row_values
 from potts_sl.losses import scribble_nll
@@ -173,7 +173,6 @@ class TestModelGradient:
         y = np.full((4, 4, 2), 0.5)
         y[0, 0] = [1.0, 0.0]
         y[3, 3] = [0.0, 1.0]
-        from potts_sl import ProbField
         y = ProbField(y)
         phi = pixel_features(image)
         scribbled = np.flatnonzero(data.ravel())
@@ -247,11 +246,12 @@ class TestAlternate:
         cfg = TrainConfig(rounds=3, inner_epochs=5, solver_cfg=SolverConfig(steps=10))
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
         solving, in_solve = [], []
+        core = solver._solve_planes
 
         def solve(*args):
             solving.append(True)
             try:
-                return solve_pseudo_labels(*args)
+                return core(*args)
             finally:
                 solving.pop()
 
@@ -259,7 +259,7 @@ class TestAlternate:
             in_solve.append(bool(solving))
             return plane_sum(*args, **kwargs)
 
-        monkeypatch.setattr(trainer, "solve_pseudo_labels", solve)
+        monkeypatch.setattr(trainer, "_solve_planes", solve)
         # every module that binds plane_sum; the trainer binds none, and
         # would be caught if it did
         for module in (potts, losses, solver, trainer):
@@ -267,6 +267,21 @@ class TestAlternate:
         alternate(model, image, scribbles, graph, cfg)
         assert len(in_solve) >= cfg.rounds * (cfg.solver_cfg.steps + 1)
         assert all(in_solve)
+
+    @pytest.mark.parametrize("call", ["predict", "alternate"])
+    def test_overflowing_model_is_refused(self, call):
+        # finite parameters whose logits overflow to inf, so their softmax is
+        # NaN: both entry points refuse the predictions, the alternation
+        # before its first solve
+        image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
+        graph = build_graph(image, AffinityConfig())
+        model = PixelModel(np.full((2, 5), 1e308), np.full(2, 1e308))
+        cfg = TrainConfig(rounds=2, inner_epochs=5, solver_cfg=SolverConfig(steps=10))
+        run = {"predict": lambda: predict(model, image),
+               "alternate": lambda: alternate(model, image, scribbles, graph, cfg)}[call]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DataError, match="probability field has non-finite entries"):
+            run()
 
     def test_simplex_invariants_preserved(self):
         image, scribbles, _ = two_region_instance(seed=4, height=10, width=10)
@@ -285,29 +300,45 @@ class TestWarmStart:
         # block-coordinate descent: a solve that starts at the previous labels
         # has their objective at the new predictions as trace[0], bit for bit,
         # and cannot end above it
-        from potts_sl import trainer
+        from potts_sl import losses, solver, trainer
 
-        solves = []
+        solves, calls = [], []
+        core = solver._solve_planes
 
-        def recording(sigma, init_logits, *rest):
-            y, report = solve_pseudo_labels(sigma, init_logits, *rest)
-            solves.append((sigma, init_logits, y, report))
-            return y, report
+        def recording(s, logits, *rest):
+            result = core(s, logits, *rest)
+            solves.append((s, logits, *result))
+            return result
 
-        monkeypatch.setattr(trainer, "solve_pseudo_labels", recording)
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
         image, scribbles, _ = two_region_instance(seed=3, height=12, width=12)
         graph = build_graph(image, AffinityConfig())
         cfg = TrainConfig(rounds=4, inner_epochs=5, solver_cfg=SolverConfig(steps=40))
         model = pretrain(PixelModel.zeros(2), image, scribbles, cfg)
+        monkeypatch.setattr(trainer, "_solve_planes", recording)
+        check = counting(losses._check_instance)
+        for module in (losses, solver, trainer):
+            monkeypatch.setattr(module, "_check_instance", check)
+        monkeypatch.setattr(trainer, "pixel_features", counting(trainer.pixel_features))
         _, y, _ = alternate(model, image, scribbles, graph, cfg)
+        # one instance check and one feature map per call, none per round
+        assert sorted(calls) == ["_check_instance", "pixel_features"]
+
+        def field(planes):
+            return ProbField(planes.T.reshape(12, 12, 2))
 
         assert len(solves) == cfg.rounds
-        assert np.array_equal(solves[0][1].data, predict(model, image)[1].data)
-        for (_, _, y_prev, _), (sigma, _, _, report) in zip(solves, solves[1:]):
+        assert np.array_equal(solves[0][1], predict(model, image)[1].planes())
+        for (*_, y_prev, _), (s, *_, report) in zip(solves, solves[1:]):
             assert report.trace[0] == pseudo_label_objective(
-                sigma, y_prev, scribbles, graph, cfg.loss_cfg)
+                field(s), field(y_prev), scribbles, graph, cfg.loss_cfg)
             assert report.trace[-1] <= report.trace[0]
-        assert y is solves[-1][2]
+        assert y.data.tobytes() == field(solves[-1][3]).data.tobytes()
 
 
 @st.composite

@@ -11,7 +11,10 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   pair on nn4, sparse:2 and dense:3:1.5, and on a 24x24 nn4 instance at
   K = 8 and K = 21;
 - `train --gt` on a 20x20 two-region instance (2 rounds, 60 steps) for every
-  pair on nn4 and sparse:2;
+  pair on nn4 and sparse:2, and with CD/CCE on nn4 and sparse:2 on 20x20
+  Voronoi instances at K = 4 and K = 21 (three scribbles per class and the
+  argmax of a smooth field as ground truth), so the alternation is also
+  compared beyond two classes;
 - `corrupt-bench --seed 0` and `gradcheck`;
 - pair_api.txt: the repr of `potts_value` and of both `potts_grad` vectors
   for every Potts kind, and of `xent_value` and both `xent_grad` vectors
@@ -67,8 +70,8 @@ def write_set(tree: Path, root: Path) -> None:
     import potts_sl
     from potts_sl import (AffinityConfig, AffinityGraph, DivergentPointError, LossConfig,
                           NeighborhoodKind, PottsKind, ProbField, ScribbleField, SolverConfig,
-                          XentKind, build_graph, is_divergent, potts_grad, potts_sum,
-                          potts_value, pseudo_label_objective, random_walker_solve,
+                          XentKind, argmax_decode, build_graph, is_divergent, potts_grad,
+                          potts_sum, potts_value, pseudo_label_objective, random_walker_solve,
                           scribble_nll, sl_loss, solve_pseudo_labels, synthetic, write_image,
                           write_labels, write_probfield, ws_loss, xent_grad, xent_value)
     from potts_sl.cli import main
@@ -118,13 +121,14 @@ def write_set(tree: Path, root: Path) -> None:
                            "steps = 60\n")
             run(str(folder), ["solve", *files, "--config", str(cfg), "--out", str(folder)])
 
-    folder = Path("train")
-    folder.mkdir()
-    image, scribbles, gt = synthetic.two_region_instance(5, 20, 20)
-    write_image(image, folder / "image.ppm")
-    write_labels(scribbles.data, folder / "scribbles.pgm")
-    write_labels(gt, folder / "gt.pgm")
-    for neighborhood, potts, xent in itertools.product(("nn4", "sparse:2"), POTTS, XENT):
+    def train_instance(folder, image, scribbles, gt):
+        folder.mkdir()
+        write_image(image, folder / "image.ppm")
+        write_labels(scribbles.data, folder / "scribbles.pgm")
+        write_labels(gt, folder / "gt.pgm")
+        return folder
+
+    def train(folder, neighborhood, potts, xent):
         out = folder / f"{neighborhood.replace(':', '-')}-{potts}-{xent}"
         out.mkdir()
         cfg = out / "run.cfg"
@@ -133,6 +137,18 @@ def write_set(tree: Path, root: Path) -> None:
         run(str(out), ["train", "--image", str(folder / "image.ppm"),
                        "--scribbles", str(folder / "scribbles.pgm"), "--config", str(cfg),
                        "--out", str(out), "--gt", str(folder / "gt.pgm")])
+
+    folder = train_instance(Path("train"), *synthetic.two_region_instance(5, 20, 20))
+    for neighborhood, potts, xent in itertools.product(("nn4", "sparse:2"), POTTS, XENT):
+        train(folder, neighborhood, potts, xent)
+    for k in (4, 21):
+        rng = np.random.default_rng(20 + k)
+        image = synthetic.voronoi_image(rng, 20, 20, k)
+        scribbles = synthetic.sparse_scribbles(rng, 20, 20, k, 3)
+        gt = argmax_decode(synthetic.smooth_prob_field(rng, 20, 20, k))
+        folder = train_instance(Path(f"train-k{k}"), image, scribbles, gt)
+        for neighborhood in ("nn4", "sparse:2"):
+            train(folder, neighborhood, "cd", "cce")
 
     Path("corrupt").mkdir()
     run("corrupt", ["corrupt-bench", "--seed", "0", "--out", "corrupt"])
