@@ -23,7 +23,7 @@ import numpy as np
 from .affinity import FEATURE_DIM, AffinityGraph
 from .data_terms import XentKind, row_values
 from .errors import DataError, LOG_CLAMP, check_real
-from .potts import PottsKind, plane_sum
+from .potts import PottsKind, _plane_value
 from .simplex import ProbField, ScribbleField, entropy_rows
 
 
@@ -120,7 +120,7 @@ def ws_loss(
     s = sigma.planes()
     value = _nll(s[cls, scribbled])
     value += cfg.eta * float(np.sum(entropy_rows(s[:, free])))
-    value += plane_sum(cfg.potts, s, graph, scale=cfg.lam)[0]
+    value += _plane_value(cfg.potts, s, graph, cfg.lam)[0]
     return value
 
 
@@ -144,5 +144,5 @@ def sl_loss(
         if gap > 1e-6:
             raise DataError(f"pseudo-labels violate the scribble constraint by {gap:.3g}")
     s = sigma.planes()
-    pairwise = plane_sum(cfg.potts, yp, graph, scale=cfg.lam)[0]
+    pairwise = _plane_value(cfg.potts, yp, graph, cfg.lam)[0]
     return _joint_terms(cfg, s[cls, scribbled], yp, s, free, pairwise)[0].value

@@ -27,7 +27,8 @@ def miou(pred: np.ndarray, gt: np.ndarray, classes: int) -> float:
         return 1.0
     if p.min() < 1 or p.max() > classes or g.min() < 1 or g.max() > classes:
         raise DataError(f"labels must lie in 1..{classes}")
-    n = classes + 1
+    # classes above the largest label present are absent from both maps
+    n = int(max(p.max(), g.max())) + 1
     inter = np.bincount(p[p == g], minlength=n)[1:]
     union = np.bincount(p, minlength=n)[1:] + np.bincount(g, minlength=n)[1:] - inter
     seen = union > 0

@@ -30,17 +30,19 @@ than two (E, K) gradient arrays:
   LQ    1 / uu             1 / uu             -1 / uu
 
 with s = p.q, ab = sqrt(|p|^2 |q|^2), and ss, uu the clamped ln arguments.
-The edge sum (plane_sum) adds a pixel's gradient as own * y plus the
-b-weighted sum of its neighbours. It works on class-major fields, y held as
-(K, N) class planes, so each product and sum steps over a whole contiguous
-plane rather than K-long rows. On a grid graph each of graph.runs (one per
-grid offset) is one contiguous stretch of the planes, whose pairs across
-row ends are not edges: they carry weight 0 and are left out of the values
-and divergence masks. Values and masks are bit-identical to evaluating each
-edge on its own; gradients are the same sums in another order, equal to the
-per-edge formulas within a few units in the last place. potts_grad sums its
-one pair with plane_sum too, so the gradient checks test this assembly. A
-value-only sum skips the assembly, about three times the cost of the values.
+The edge sum (plane_sum) returns the value and adds the gradient, a pixel's
+as own * y plus the b-weighted sum of its neighbours. It works on
+class-major fields, y held as (K, N) class planes, so each product and sum
+steps over a whole contiguous plane rather than K-long rows. On a grid
+graph each of graph.runs (one per grid offset) is one contiguous stretch of
+the planes, whose pairs across row ends are not edges: they carry weight 0
+and are left out of the values and divergence masks. Values and masks are
+bit-identical to evaluating each edge on its own; gradients are the same
+sums in another order, equal to the per-edge formulas within a few units in
+the last place. potts_grad sums its one pair with plane_sum too, so the
+gradient checks test this assembly. The value functions (potts_sum, the
+losses, the solver's objective) drop the gradient, unreported if it
+overflows (_plane_value).
 
 A PlaneWorkspace holds the grid path's edge- and plane-sized buffers: the
 values, own, the products b * y, and each run's scaled zero-padded weights
@@ -54,7 +56,6 @@ time.
 from __future__ import annotations
 
 import enum
-import functools
 
 import numpy as np
 
@@ -147,15 +148,14 @@ _KERNELS = {
 }
 
 
-def _evaluate(kind, p, q, tp, tq, weights=None, out=(None, None, None)):
+def _evaluate(kind, p, q, tp, tq, weights, out=(None, None, None)):
     """(values, divergent, coefficients) on pairs whose row terms
     (_row_terms) are already known, from one kernel call.
 
-    Without weights the coefficients are the kernel's (a_p, a_q, b) as they
-    are: arrays or constants, possibly views of the row terms. With weights
-    (an array the shape of the values) they are (a_p, a_q, b) times weights,
-    zero on divergent edges: written into the three arrays of out, or fresh
-    arrays the shape of the values where out holds None.
+    The coefficients are the kernel's (a_p, a_q, b) times weights (an array
+    the shape of the values), zero on divergent edges: written into the three
+    arrays of out, or fresh arrays the shape of the values where out holds
+    None. Values and mask are the kernel's, computed before any weighting.
     """
     kernel = _KERNELS.get(kind)
     if kernel is None:
@@ -163,56 +163,48 @@ def _evaluate(kind, p, q, tp, tq, weights=None, out=(None, None, None)):
     values, div, coefs = kernel(p, q, tp, tq)
     if div is None:
         div = np.zeros(values.shape, dtype=bool)
-    elif weights is not None and div.any():
+    elif div.any():
         weights = np.where(div, 0.0, weights)
-    if weights is not None:
-        coefs = tuple(np.multiply(c, weights, out=o) for c, o in zip(coefs, out))
-    return values, div, coefs
+    return values, div, tuple(np.multiply(c, weights, out=o) for c, o in zip(coefs, out))
 
 
 class PlaneWorkspace:
     """The buffers that plane_sum calls on one grid graph, scale and class
-    count share: the (E,) values in edge order and, built by the first
-    gradient call, `gradient`. That is the (N,) array own, (K, N) product
-    planes (own * y, and a (K, n) view per run for b * y), and per run of
-    graph.runs its scale * w zero-padded at the wrap pairs and its
+    count share: the (E,) values in edge order, the (N,) array own, (K, N)
+    product planes (own * y, and a (K, n) view per run for b * y), and per
+    run of graph.runs its scale * w zero-padded at the wrap pairs and its
     (a_p, a_q, b) buffers: a_p shared by all runs, a_q and b kept per run for
-    the target pass. It serves one call at a time; the masks plane_sum
+    the target pass. A graph with no layout has no runs, and plane_sum uses
+    none of its buffers. It serves one call at a time; the masks plane_sum
     returns and the gradient planes it adds into never alias it.
     """
 
     def __init__(self, graph: AffinityGraph, scale, classes: int):
         self.graph, self.scale, self.classes = graph, scale, classes
-        self.values = np.empty(graph.nedges)
-
-    @functools.cached_property
-    def gradient(self):
-        """(own, product planes, per run (weights, coefficient buffers, products))."""
-        graph, k = self.graph, self.classes
-        width = graph.grid[1]
-        weights = self.scale * graph.w
+        self.values, self.own = np.empty(graph.nedges), np.empty(graph.npixels)
+        self.products = np.empty((classes, graph.npixels))
+        _, width = graph.grid or (0, 0)
+        weights = scale * graph.w
         sizes = [(h - 1) * width + w for _, _, h, w in graph.runs]
         ap = np.empty(max(sizes, default=0))
-        prod = np.empty((k, graph.npixels))
-        runs, start = [], 0
+        self.runs, start = [], 0
         for (a, t, h, w), n in zip(graph.runs, sizes):
             wb = np.zeros(n)
             _at_edges(wb, h, w, width)[...] = weights[start : start + h * w].reshape(h, w)
-            runs.append((wb, (ap[:n], np.empty(n), np.empty(n)),
-                         prod.reshape(-1)[: k * n].reshape(k, n)))
+            self.runs.append((wb, (ap[:n], np.empty(n), np.empty(n)),
+                              self.products.reshape(-1)[: classes * n].reshape(classes, n)))
             start += h * w
-        return np.empty(graph.npixels), prod, runs
 
 
-def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_planes=None,
+def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_planes: np.ndarray,
               scale=1.0, workspace: PlaneWorkspace | None = None):
     """scale * sum_e w_e P(y_i, y_j) over the edges of graph, with y held as
-    C-contiguous (K, N) class planes.
+    C-contiguous (K, N) class planes, and its gradient.
 
     Returns (value, divergent) with the per-edge divergence mask in edge
-    order, a fresh array. When grad_planes is given, (K, N) planes of the
-    same layout (DataError if not C-contiguous), scale * w_e * dP is added
-    into it, with the gradient of divergent edges skipped.
+    order, a fresh array, and adds scale * w_e * dP into grad_planes, (K, N)
+    planes of the same layout (DataError if not C-contiguous), with the
+    gradient of divergent edges skipped.
 
     The per-row terms a kernel reads on both sides of an edge (|y|^2 and |y|
     for NQ; |y| and 1 / |y|^2 for CD) are computed once per call on all N
@@ -262,52 +254,42 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
     A pixel occurs at most once per run, so each entry receives its terms in
     the same order as np.add.at's pass over ei, then over ej.
     """
-    if grad_planes is not None and not grad_planes.flags.c_contiguous:
+    if not grad_planes.flags.c_contiguous:
         raise DataError("grad_planes must be C-contiguous")
     classes = planes.shape[0]
     if workspace is not None and (workspace.graph is not graph or workspace.scale != scale
                                   or workspace.classes != classes):
         raise DataError("plane_sum workspace was built for another graph, scale or class count")
+    terms = _row_terms(kind, planes.T)
     if graph.grid is None:
         ei, ej = graph.ei, graph.ej
-        terms = _row_terms(kind, planes.T)
         p, q = planes[:, ei], planes[:, ej]
-        weights = None if grad_planes is None else scale * graph.w
-        v, div, coefs = _evaluate(kind, p.T, q.T, [t[ei] for t in terms],
-                                  [t[ej] for t in terms], weights)
-        if grad_planes is not None:
-            ap, aq, b = coefs
-            own = np.zeros(planes.shape[1])
-            np.add.at(own, ei, ap)
-            for g, qk in zip(grad_planes, q):
-                np.add.at(g, ei, b * qk)
-            np.add.at(own, ej, aq)
-            for g, pk in zip(grad_planes, p):
-                np.add.at(g, ej, b * pk)
-            grad_planes += own * planes
+        v, div, (ap, aq, b) = _evaluate(kind, p.T, q.T, [t[ei] for t in terms],
+                                        [t[ej] for t in terms], scale * graph.w)
+        own = np.zeros(planes.shape[1])
+        np.add.at(own, ei, ap)
+        for g, qk in zip(grad_planes, q):
+            np.add.at(g, ei, b * qk)
+        np.add.at(own, ej, aq)
+        for g, pk in zip(grad_planes, p):
+            np.add.at(g, ej, b * pk)
+        grad_planes += own * planes
         return scale * float(np.einsum("e,e->", graph.w, v)), div
 
     ws = PlaneWorkspace(graph, scale, classes) if workspace is None else workspace
     width = graph.grid[1]
-    terms = _row_terms(kind, planes.T)
-    values, divs = ws.values, np.empty(graph.nedges, dtype=bool)
-    if grad_planes is None:
-        buffers = [(None, (None, None, None), None)] * len(graph.runs)
-    else:
-        own, prod, buffers = ws.gradient
-        own.fill(0.0)
+    values, divs, own = ws.values, np.empty(graph.nedges, dtype=bool), ws.own
+    own.fill(0.0)
     targets = []
     start = 0
-    for (a, t, h, w), (wb, out, prod_n) in zip(graph.runs, buffers):
+    for (a, t, h, w), (wb, out, prod_n) in zip(graph.runs, ws.runs):
         n = (h - 1) * width + w
         p, q = planes[:, a : a + n], planes[:, t : t + n]
-        v, div, coefs = _evaluate(kind, p.T, q.T, [x[a : a + n] for x in terms],
-                                  [x[t : t + n] for x in terms], wb, out)
-        if grad_planes is not None:
-            ap, aq, b = coefs
-            own[a : a + n] += ap
-            grad_planes[:, a : a + n] += np.multiply(b, q, out=prod_n)
-            targets.append((t, aq, b, p, prod_n))
+        v, div, (ap, aq, b) = _evaluate(kind, p.T, q.T, [x[a : a + n] for x in terms],
+                                        [x[t : t + n] for x in terms], wb, out)
+        own[a : a + n] += ap
+        grad_planes[:, a : a + n] += np.multiply(b, q, out=prod_n)
+        targets.append((t, aq, b, p, prod_n))
         edges = slice(start, start + h * w)
         values[edges].reshape(h, w)[...] = _at_edges(v, h, w, width)
         divs[edges].reshape(h, w)[...] = _at_edges(div, h, w, width)
@@ -315,9 +297,16 @@ def plane_sum(kind: PottsKind, planes: np.ndarray, graph: AffinityGraph, grad_pl
     for t, aq, b, p, prod_n in targets:
         own[t : t + aq.size] += aq
         grad_planes[:, t : t + aq.size] += np.multiply(b, p, out=prod_n)
-    if grad_planes is not None:
-        grad_planes += np.multiply(own, planes, out=prod)
+    grad_planes += np.multiply(own, planes, out=ws.products)
     return scale * float(np.einsum("e,e->", graph.w, values)), divs
+
+
+def _plane_value(kind, planes, graph, scale=1.0):
+    """plane_sum's (value, divergent), its gradient assembled into scratch
+    planes and dropped with overflow and invalid values unreported: at a scale
+    near the float range it overflows where the value only reaches inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return plane_sum(kind, planes, graph, np.zeros(planes.shape), scale)
 
 
 def _at_edges(run, h, w, width):
@@ -333,7 +322,7 @@ def potts_value(kind: PottsKind, p, q):
     weighted sum would turn the -0.0 of -ln 1 into +0.0.
     """
     a, b = _pair_arrays(p, q)
-    v, div, _ = _evaluate(kind, a, b, _row_terms(kind, a), _row_terms(kind, b))
+    v, div, _ = _evaluate(kind, a, b, _row_terms(kind, a), _row_terms(kind, b), np.ones(1))
     if div[0]:
         return DIVERGENT
     return float(v[0])
@@ -361,7 +350,7 @@ def potts_sum(kind: PottsKind, field: ProbField, graph: AffinityGraph):
     Returns DIVERGENT if any positively weighted edge diverges.
     """
     graph.check_covers(field.height, field.width)
-    value, div = plane_sum(kind, field.planes(), graph)
+    value, div = _plane_value(kind, field.planes(), graph)
     if np.any(div & (graph.w > 0)):
         return DIVERGENT
     return value

@@ -75,8 +75,8 @@ class SolveReport:
     terms: JointTerms | None = None
 
 
-def _objective(y, s, free, scribbled, graph, cfg, grad=False, ws=None):
-    """(JointTerms, divergence count, dist-space gradient or None) at y.
+def _objective(y, s, free, scribbled, graph, cfg, ws=None):
+    """(JointTerms, divergence count, dist-space gradient) at y.
 
     y, sigma's planes s and the gradient are (K, N) class planes. free
     indexes the pixels that carry a data term and scribbled the others.
@@ -88,11 +88,10 @@ def _objective(y, s, free, scribbled, graph, cfg, grad=False, ws=None):
     and K (a new one if None).
     """
     terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), y, s, free)
-    out = gdata[0] if grad else None
+    out = gdata[0]
     del gdata  # d/dsigma is freed before plane_sum, whose temporaries then reuse its memory
-    if grad:
-        out[:, scribbled] = 0.0
-        np.multiply(cfg.eta, out, out=out)
+    out[:, scribbled] = 0.0
+    np.multiply(cfg.eta, out, out=out)
     pairwise, ediv = plane_sum(cfg.potts, y, graph, out, cfg.lam, ws)
     return terms._replace(pairwise=pairwise), vdiv + int(np.count_nonzero(ediv)), out
 
@@ -104,9 +103,11 @@ def pseudo_label_objective(
     graph: AffinityGraph,
     cfg: LossConfig,
 ) -> float:
-    """Sub-problem objective of a candidate y at fixed sigma (clamped logs)."""
+    """Sub-problem objective of a candidate y at fixed sigma (clamped logs);
+    its gradient is dropped, unreported if it overflows (as potts._plane_value)."""
     scribbled, _, free = _check_instance(sigma, scribbles, graph, y)
-    return _objective(y.planes(), sigma.planes(), free, scribbled, graph, cfg)[0].value
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _objective(y.planes(), sigma.planes(), free, scribbled, graph, cfg)[0].value
 
 
 def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, start=None):
@@ -161,7 +162,7 @@ def _solve_planes(s, logits, scribbled, cls, free, graph, loss_cfg, solver_cfg):
     def value_grad(logits):
         nonlocal events, terms
         y = labels(logits)
-        terms, events, grad = _objective(y, s, free, scribbled, graph, loss_cfg, True, ws)
+        terms, events, grad = _objective(y, s, free, scribbled, graph, loss_cfg, ws)
         return terms.value, softmax_backward(y, grad)
 
     def record(value):

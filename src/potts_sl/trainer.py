@@ -96,12 +96,14 @@ class TrainConfig:
 
 
 def predict(model: PixelModel, image: Image):
-    """Per-pixel softmax predictions; returns (ProbField, LogitField)."""
+    """Per-pixel softmax predictions; returns (ProbField, LogitField).
+    Logits that overflow raise DataError, with no RuntimeWarning."""
     _check_instance(image, None, model=model)
-    logits = _logits(model.weights, model.bias, pixel_features(image))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _logits(model.weights, model.bias, pixel_features(image))
+        probs = softmax_rows(logits)
     shape = (image.height, image.width, model.classes)
-    return (ProbField(softmax_rows(logits).T.reshape(shape)),
-            LogitField(logits.T.reshape(shape)))
+    return ProbField(probs.T.reshape(shape)), LogitField(logits.T.reshape(shape))
 
 
 def _logits(weights, bias, phi):
@@ -168,8 +170,8 @@ def alternate(
     epochs of backtracking GD on the model. The first solve starts from the
     model logits; each later one from the previous solve's final logits, i.e.
     at the previous labels, so its result is bounded by them. Returns (model,
-    pseudo-labels, per-round joint loss trace). Predictions that are not
-    finite (logits that overflow) raise DataError, as in predict.
+    pseudo-labels, per-round joint loss trace). Logits that overflow raise
+    DataError, as in predict, with no RuntimeWarning.
     """
     scribbled, cls, free = _check_instance(image, scribbles, graph, model=model)
     phi = pixel_features(image)
@@ -177,8 +179,9 @@ def alternate(
     trace: list[float] = []
     flat = model.pack()
     for _ in range(cfg.rounds):
-        model_logits = _logits(*_split(flat, classes), phi)
-        s = softmax_rows(model_logits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            model_logits = _logits(*_split(flat, classes), phi)
+            s = softmax_rows(model_logits)
         if not np.all(np.isfinite(s)):
             raise DataError("probability field has non-finite entries")
         logits, y, report = _solve_planes(s, model_logits if logits is None else logits,

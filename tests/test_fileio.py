@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,3 +237,16 @@ class TestMiou:
         pred = np.array([[1, 1]])
         gt = np.array([[1, 1]])
         assert miou(pred, gt, classes=21) == 1.0
+
+    def test_counts_are_sized_by_the_largest_label_present(self):
+        # counts of classes + 1 entries would take three 8 MB arrays here
+        pred = np.array([[1, 2], [2, 1]])
+        gt = np.array([[1, 2], [1, 1]])
+        tracemalloc.start()
+        try:
+            value = miou(pred, gt, classes=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == miou(pred, gt, classes=2) == (2.0 / 3.0 + 0.5) / 2.0
+        assert peak < 10**6

@@ -30,6 +30,7 @@ from potts_sl import (
 from potts_sl.data_terms import XentKind, row_values
 from potts_sl.losses import _joint_terms
 from potts_sl.potts import PottsKind, plane_sum
+from potts_sl.synthetic import solver_oracle_instance
 from helpers import random_interior_field
 
 
@@ -225,7 +226,7 @@ def test_joint_terms_are_the_loss_parts(potts, xent):
     s, yp = sigma.planes(), y.planes()
     lab = scribbles.data.ravel()
     free = np.flatnonzero(lab == 0)
-    pairwise = plane_sum(potts, yp, graph, scale=cfg.lam)[0]
+    pairwise = plane_sum(potts, yp, graph, np.zeros_like(yp), cfg.lam)[0]
     picked = s[lab[lab > 0] - 1, lab > 0]
     terms, ndiv, grads = _joint_terms(cfg, picked, yp, s, free, pairwise)
     vals, ref_div, ref_grads = row_values(xent, yp[:, free], s[:, free])
@@ -239,6 +240,32 @@ def test_joint_terms_are_the_loss_parts(potts, xent):
     for g, ref, whole in zip(grads, ref_grads, row_values(xent, yp, s)[2]):
         assert np.array_equal(g[:, free], ref)
         assert np.array_equal(g, whole)
+
+
+@pytest.mark.parametrize("potts", list(PottsKind))
+@pytest.mark.parametrize("lam", [1e300, 1e308])
+def test_value_functions_at_an_extreme_pairwise_weight(potts, lam):
+    # each value function assembles the pairwise gradient and drops it; at
+    # lam = 1e308 that gradient overflows, silently (a RuntimeWarning fails
+    # this suite), and the value is inf; at 1e300 it is the lam = 0 value
+    # plus lam times the unit-weight edge sum, the bits of a plain sum
+    sigma, scribbles, image = solver_oracle_instance(0, height=8, width=8)
+    graph = build_graph(image, AffinityConfig())
+    y = pin_to_scribbles(random_interior_field(np.random.default_rng(8), 8, 8, 3), scribbles)
+    losses = {
+        "ws_loss": (lambda c: ws_loss(sigma, scribbles, graph, c), sigma),
+        "sl_loss": (lambda c: sl_loss(sigma, y, scribbles, graph, c), y),
+        "pseudo_label_objective":
+            (lambda c: pseudo_label_objective(sigma, y, scribbles, graph, c), y),
+    }
+    for name, (loss, field) in losses.items():
+        value = loss(LossConfig(lam=lam, potts=potts))
+        planes = field.planes()
+        unit = plane_sum(potts, planes, graph, np.zeros_like(planes))[0]
+        if lam == 1e308:
+            assert value == math.inf, name
+        else:
+            assert value == loss(LossConfig(lam=0.0, potts=potts)) + lam * unit, name
 
 
 def gathered_terms(cfg, y, s, free):

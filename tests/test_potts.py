@@ -308,9 +308,8 @@ class TestSinglePair:
         graph = AffinityGraph(npixels=2, ei=[0], ej=[1], w=[1.0])
         planes = np.ascontiguousarray(np.array([p, q]).T)
         for g in (graph, AffinityGraph(2, [0], [1], [1.0], grid=(1, 2))):
-            for grad in (None, np.zeros_like(planes)):
-                with pytest.raises(DataError):
-                    plane_sum("nope", planes, g, grad)
+            with pytest.raises(DataError):
+                plane_sum("nope", planes, g, np.zeros_like(planes))
 
     @pytest.mark.parametrize("fn, kind", [
         (potts_value, PottsKind.BL), (potts_grad, PottsKind.BL),
@@ -478,7 +477,6 @@ class TestRowTerms:
                 assert np.array_equal(div, ref_div)
                 assert np.array_equal(out.T, by_coefs)
                 assert np.abs(out.T - by_edge).max() <= 1e-14 * np.abs(by_edge).max()
-                assert plane_sum(kind, planes, g, scale=1.3)[0] == ref_value
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_coefficients_have_value_shape_and_vanish_on_divergent_edges(self, kind):
@@ -498,9 +496,9 @@ class TestRowTerms:
 
 
 class TestClassPlanes:
-    """plane_sum on (K, N) class planes with and without the gradient, on
-    the same edges without a grid layout and, below K = 8 where _row_dot is
-    einsum's order, against the edge-by-edge reference."""
+    """plane_sum on (K, N) class planes, on the same edges without a grid
+    layout and, below K = 8 where _row_dot is einsum's order, against the
+    edge-by-edge reference."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -531,11 +529,9 @@ class TestClassPlanes:
         y[onehot] = np.eye(k)[rng.integers(0, k, size=onehot.sum())]
         start = rng.normal(size=y.shape)
         planes = np.ascontiguousarray(y.T)
-        value, div = plane_sum(kind, planes, graph, scale=0.7)
         grad_planes = np.ascontiguousarray(start.T)
-        value_g, div_g = plane_sum(kind, planes, graph, grad_planes, 0.7)
-        assert value == value_g
-        assert div.dtype == div_g.dtype == bool and np.array_equal(div, div_g)
+        value, div = plane_sum(kind, planes, graph, grad_planes, 0.7)
+        assert div.dtype == bool
         no_layout = AffinityGraph(graph.npixels, graph.ei, graph.ej, graph.w)
         flat_planes = np.ascontiguousarray(start.T)
         flat_value, flat_div = plane_sum(kind, planes, no_layout, flat_planes, 0.7)
@@ -609,11 +605,9 @@ class TestPlaneWorkspace:
             assert shared[0] == fresh[0]
             assert np.array_equal(shared[1], fresh[1])
             assert shared_grad.tobytes() == fresh_grad.tobytes()
-            value_only = plane_sum(kind, planes, graph, scale=1.7, workspace=workspace)
-            assert value_only[0] == fresh[0] and np.array_equal(value_only[1], fresh[1])
             for mask, expected in kept:
                 assert np.array_equal(mask, expected)
-            kept += [(shared[1], fresh[1].copy()), (value_only[1], fresh[1].copy())]
+            kept.append((shared[1], fresh[1].copy()))
         if kind in LOG_KINDS and graph.nedges:
             assert any(expected.any() for _, expected in kept)
 
@@ -625,9 +619,8 @@ class TestPlaneWorkspace:
         planes = np.ascontiguousarray(rng.dirichlet(np.ones(3), size=20).T)
         for workspace in (PlaneWorkspace(twin, 2.0, 3), PlaneWorkspace(graph, 2.5, 3),
                           PlaneWorkspace(graph, 2.0, 4)):
-            for grad in (None, np.zeros_like(planes)):
-                with pytest.raises(DataError, match="workspace"):
-                    plane_sum(PottsKind.CD, planes, graph, grad, 2.0, workspace)
+            with pytest.raises(DataError, match="workspace"):
+                plane_sum(PottsKind.CD, planes, graph, np.zeros_like(planes), 2.0, workspace)
 
     def test_warm_gradient_call_allocates_less_than_one_edge_array(self):
         # a 64x64 sparse:2 field at K = 5: the run-sized temporaries of the

@@ -113,8 +113,7 @@ class TestMechanics:
         graph = build_graph(Image(np.zeros((1, 2, 3))), AffinityConfig())
         y = np.array([[0.5, 1.0], [0.5, 0.0]])
         cfg = LossConfig(eta=1e308, lam=0.0, xent=XentKind.CE)
-        terms, _, grad = _objective(y, sigma.planes(), np.array([0]), np.array([1]), graph,
-                                    cfg, grad=True)
+        terms, _, grad = _objective(y, sigma.planes(), np.array([0]), np.array([1]), graph, cfg)
         assert terms.coupling == 1e308 * math.log(2.0)
         assert grad[:, 0].tolist() == [1e308 * math.log(2.0)] * 2
         assert grad[:, 1].tolist() == [0.0, 0.0]
@@ -295,7 +294,9 @@ class TestArmijoDescent:
                                         SolverConfig(steps=20, learning_rate=1e4))
         assert evaluated[-1].value > report.trace[-1]
         assert report.terms.value == report.trace[-1]
-        assert report.terms.pairwise == plane_sum(cfg.potts, y.planes(), graph, scale=cfg.lam)[0]
+        yp = y.planes()
+        assert report.terms.pairwise == plane_sum(cfg.potts, yp, graph, np.zeros_like(yp),
+                                                  cfg.lam)[0]
 
     def test_one_objective_per_step_on_nn4(self, monkeypatch):
         # every first trial passes on this instance, so a solve costs one
@@ -371,7 +372,8 @@ def test_solver_invariants(case):
     assert np.all(np.diff(report.trace) <= 0.0)
     assert report.terms.value == report.trace[-1]
     assert report.terms.nll == 0.0
-    assert report.terms.pairwise == plane_sum(cfg.potts, y.planes(), graph, scale=cfg.lam)[0]
+    yp = y.planes()
+    assert report.terms.pairwise == plane_sum(cfg.potts, yp, graph, np.zeros_like(yp), cfg.lam)[0]
     assert y.data.min() >= 0.0
     np.testing.assert_allclose(y.data.sum(axis=2), 1.0, atol=1e-12)
     labels = scribbles.data
@@ -433,9 +435,8 @@ def test_objective_gradient_matches_finite_differences(potts, xent):
     cols = np.flatnonzero(lab == 0), np.flatnonzero(lab)
     s = sigma.planes()
     cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
-    terms, events, grad = _objective(y, s, *cols, graph, cfg, grad=True)
+    terms, events, grad = _objective(y, s, *cols, graph, cfg)
     assert events == 0
-    assert terms.value == _objective(y, s, *cols, graph, cfg)[0].value
     f = lambda z: _objective(z.reshape(y.shape), s, *cols, graph, cfg)[0].value
     assert finite_diff_check(f, grad, y) < 1e-6
 

@@ -30,12 +30,14 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   scribbled, so an empty and a full set of coupled pixels are compared too,
   as are `scribble_nll` and `ws_loss` with no pixel and every pixel
   scribbled, the trace of a 10-step `solve_pseudo_labels` for every pair
-  with no pixel and every pixel scribbled, and the repr of the values of
+  with no pixel and every pixel scribbled, the repr of the values of
   `random_walker_solve` (eta 0.3, lambda 6) on each graph with no, some and
-  every pixel scribbled.
-  The CLI reaches the value-only Potts sum and the joint terms without a
-  gradient only through oracle-rw's Q/QUAD objective, so these are the
-  files that show a last-bit change there.
+  every pixel scribbled, and of `sl_loss`, `ws_loss` and
+  `pseudo_label_objective` for every Potts kind on each graph at lambda
+  1e300 and 1e308, where the pairwise gradient that these value functions
+  assemble and drop overflows.
+  The CLI reaches those value functions only through oracle-rw's Q/QUAD
+  objective, so these are the files that show a last-bit change there.
 
 Every job runs with relative paths from the set's folder, so stdout does not
 name the folder, and its exit code goes to exit_codes.txt. The change's set
@@ -207,22 +209,26 @@ def write_set(tree: Path, root: Path) -> None:
     for (name, graph), (scribbled, marks) in itertools.product(graphs.items(), marked.items()):
         values = random_walker_solve(sigma, marks, graph, 0.3, 6.0).data.ravel().tolist()
         lines.append(f"random_walker_solve\t{name}\t{scribbled}-scribbled\t{values!r}\n")
+
+    def loss_values(labels, marks, graph, cfg):
+        return (("sl_loss", sl_loss(sigma, labels, marks, graph, cfg)),
+                ("ws_loss", ws_loss(sigma, marks, graph, cfg)),
+                ("pseudo_label_objective",
+                 pseudo_label_objective(sigma, labels, marks, graph, cfg)))
+
     for (name, graph), potts, xent in itertools.product(graphs.items(), PottsKind, XentKind):
         cfg = LossConfig(potts=potts, xent=xent)
-        for fn, value in (("sl_loss", sl_loss(sigma, y, scribbles, graph, cfg)),
-                          ("ws_loss", ws_loss(sigma, scribbles, graph, cfg)),
-                          ("pseudo_label_objective",
-                           pseudo_label_objective(sigma, y, scribbles, graph, cfg))):
+        for fn, value in loss_values(y, scribbles, graph, cfg):
             lines.append(f"{fn}\t{name}\t{potts.value}\t{xent.value}\t{value!r}\n")
         for scribbled, (marks, labels) in extremes.items():
             _, report = solve_pseudo_labels(sigma, None, marks, graph, cfg, SolverConfig(steps=10))
-            for fn, value in (("sl_loss", sl_loss(sigma, labels, marks, graph, cfg)),
-                              ("ws_loss", ws_loss(sigma, marks, graph, cfg)),
-                              ("pseudo_label_objective",
-                               pseudo_label_objective(sigma, labels, marks, graph, cfg)),
+            for fn, value in (*loss_values(labels, marks, graph, cfg),
                               ("solve_pseudo_labels", report.trace)):
                 lines.append(f"{fn}\t{name}\t{potts.value}\t{xent.value}\t"
                              f"{scribbled}-scribbled\t{value!r}\n")
+    for (name, graph), potts, lam in itertools.product(graphs.items(), PottsKind, (1e300, 1e308)):
+        for fn, value in loss_values(y, scribbles, graph, LossConfig(lam=lam, potts=potts)):
+            lines.append(f"{fn}\t{name}\t{potts.value}\tlambda={lam!r}\t{value!r}\n")
     Path("library_values.txt").write_text("".join(lines))
 
 
