@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .fileio import (
     write_labels,
     write_probfield,
 )
-from .losses import LossConfig
 from .metrics import miou
 from .oracles import finite_diff_check, random_walker_solve
 from .potts import PottsKind, potts_grad, potts_value
@@ -107,7 +107,7 @@ def _write_solution(out, y, trace, divergence_events):
 
 def _cmd_solve(args) -> int:
     cfg, _, scribbles, sigma, graph = _prepare(args, with_sigma=True)
-    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg.loss, cfg.solver)
+    y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg.loss_cfg, cfg.solver_cfg)
     _write_solution(args.out, y, report.trace, report.divergence_events)
     print(f"final objective {report.trace[-1]:.6f} "
           f"({report.divergence_events} divergence events)")
@@ -116,10 +116,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle_rw(args) -> int:
     cfg, _, scribbles, sigma, graph = _prepare(args, with_sigma=True)
-    y = random_walker_solve(sigma, scribbles, graph, cfg.loss.eta, cfg.loss.lam)
-    quad_cfg = LossConfig(eta=cfg.loss.eta, lam=cfg.loss.lam,
-                          potts=PottsKind.Q, xent=XentKind.QUAD)
+    y = random_walker_solve(sigma, scribbles, graph, cfg.loss_cfg.eta, cfg.loss_cfg.lam)
+    quad_cfg = replace(cfg.loss_cfg, potts=PottsKind.Q, xent=XentKind.QUAD)
     objective = pseudo_label_objective(sigma, y, scribbles, graph, quad_cfg)
+    if not np.isfinite(objective):
+        raise NumericalError(f"quadratic objective of the solution is {objective!r}")
     _write_solution(args.out, y, [objective], 0)
     print(f"exact quadratic solution, objective {objective:.6f}")
     return 0
@@ -139,10 +140,9 @@ def _cmd_train(args) -> int:
         if gt.shape != (image.height, image.width):
             raise DataError("prediction and ground truth differ in size")
 
-    tcfg = cfg.train_config()
-    model = pretrain(PixelModel.zeros(classes), image, scribbles, tcfg)
+    model = pretrain(PixelModel.zeros(classes), image, scribbles, cfg)
     pre_sigma, _ = predict(model, image)
-    model, y, trace = alternate(model, image, scribbles, graph, tcfg)
+    model, y, trace = alternate(model, image, scribbles, graph, cfg)
     sigma, _ = predict(model, image)
 
     _write_field_artifacts(args.out, "sigma", sigma)

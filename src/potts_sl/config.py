@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .affinity import AffinityConfig, NeighborhoodKind
 from .data_terms import XentKind
-from .errors import DataError, check_count
+from .errors import DataError
 from .losses import LossConfig
 from .potts import PottsKind
 from .solver import SolverConfig
@@ -35,23 +35,11 @@ from .trainer import TrainConfig
 
 
 @dataclass
-class RunConfig:
-    """Everything a CLI run needs, assembled from a config file."""
+class RunConfig(TrainConfig):
+    """What read_config returns: a TrainConfig, which pretrain and alternate
+    take as it is, plus the neighborhood each job's graph is built from."""
 
-    loss: LossConfig = field(default_factory=LossConfig)
     affinity: AffinityConfig = field(default_factory=AffinityConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    rounds: int = 10
-
-    def __post_init__(self):
-        self.rounds = check_count("rounds", self.rounds)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            rounds=self.rounds,
-            loss_cfg=self.loss,
-            solver_cfg=self.solver,
-        )
 
 
 def _parse_float(key, raw):
@@ -125,12 +113,8 @@ def parse_config_text(text: str, source="<config>") -> RunConfig:
         **given("lr", "learning_rate", _parse_float),
     )
     given("seed", "seed", _parse_int)  # validated, then ignored
-    return RunConfig(
-        loss=loss,
-        affinity=affinity,
-        solver=solver,
-        **given("rounds", "rounds", _parse_int),
-    )
+    return RunConfig(loss_cfg=loss, solver_cfg=solver, affinity=affinity,
+                     **given("rounds", "rounds", _parse_int))
 
 
 def read_config(path) -> RunConfig:

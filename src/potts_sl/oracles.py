@@ -14,6 +14,7 @@ never loaded.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -107,11 +108,15 @@ def random_walker_solve(
     GIL. Each class's result is the one a serial loop gives, so the solution
     does not depend on the worker or BLAS thread count. Row sums of the
     solution are exactly 1 because the constant vector solves the summed
-    system. When 2 eta <= eps * lambda * max(w) (eta = 0 included), a pixel
-    group that no edge above eps * max(w) connects to a scribble makes the
-    system singular in floating point, and NumericalError is raised before
-    any solve. A solution that is not a probability field anyway also raises
-    NumericalError.
+    system. The solution depends on lambda / eta alone, so both are first
+    scaled by the power of two that brings the larger of 2 eta and
+    lambda * max(w) into [1/4, 1): that is exact, and no product in the
+    assembly or in cg overflows, or underflows for want of scale, at any
+    finite eta and lambda. When 2 eta <= eps * lambda * max(w) (eta = 0
+    included), a pixel group that no edge above eps * max(w) connects to a
+    scribble makes the system singular in floating point, and NumericalError
+    is raised before any solve. A solution that is not a probability field
+    anyway also raises NumericalError.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -127,7 +132,16 @@ def random_walker_solve(
     if free.size == 0:
         return ProbField(out.reshape(sigma.data.shape))
 
-    eps_w = np.finfo(float).eps * graph.w.max(initial=0.0)
+    # 2 eta < 2**e and lambda * max(w) < 2**e for the larger binary exponent e
+    w_max = graph.w.max(initial=0.0)
+    exponents = [math.frexp(eta)[1] + 1] if eta else []
+    if lam and w_max:
+        exponents.append(math.frexp(lam)[1] + math.frexp(w_max)[1])
+    if exponents:
+        shift = -max(exponents)
+        eta, lam = math.ldexp(eta, shift), math.ldexp(lam, shift)
+
+    eps_w = np.finfo(float).eps * w_max
     if 2.0 * eta <= lam * eps_w:
         # lambda * L_UU alone is singular on any component without a scribble,
         # and numerically so when a group reaches every scribble only through

@@ -80,9 +80,6 @@ class PottsKind(enum.Enum):
             raise DataError(f"unknown Potts relaxation {name!r}") from None
 
 
-LOG_KINDS = frozenset({PottsKind.CCE, PottsKind.CD, PottsKind.LQ})
-
-
 def _row_terms(kind, y):
     """Per-row terms of y (..., K) that kind's kernel reads on both edge sides:
     (|y|^2, |y|) for NQ, (|y|, 1 / |y|^2) for CD, none for the other kinds."""

@@ -64,7 +64,7 @@ code = main(["oracle-rw", "--image", str(work / "i.ppm"), "--scribbles", str(wor
 cfg = read_config(work / "c.cfg")
 graph = build_graph(read_image(work / "i.ppm"), cfg.affinity)
 y = random_walker_solve(read_probfield(work / "p.pfld"), read_scribbles(work / "s.pgm", classes=k),
-                        graph, cfg.loss.eta, cfg.loss.lam)
+                        graph, cfg.loss_cfg.eta, cfg.loss_cfg.lam)
 print(hashlib.sha256(y.data.tobytes()).hexdigest())
 sys.exit(code)
 """

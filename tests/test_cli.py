@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,22 +98,36 @@ class TestSolve:
 
 
 class TestOracleRw:
-    def test_runs_and_writes(self, instance_files):
+    # at eta = 1e308, 2 eta overflows unless the weights are scaled down first
+    @pytest.mark.parametrize("eta", ["4", "1e308"])
+    def test_runs_and_writes(self, eta, instance_files):
         p = instance_files
+        p["config"].write_text(f"eta = {eta}\nlambda = 2\npotts = q\nxent = quad\n")
         code = run("oracle-rw", "--image", p["image"], "--scribbles", p["scribbles"],
                    "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
         assert code == 0
         for name in ("y.pfld", "y_decode.pgm", "y_vis.ppm", "solve_report.txt"):
             assert (p["out"] / name).is_file()
 
-    def test_singular_system_exits_numerical(self, instance_files, capsys):
-        p = instance_files
+    @pytest.mark.parametrize("lam, scribbled, reason", [
         # no data term and no scribbles: the linear system has no anchor
-        p["config"].write_text("eta = 0\nlambda = 1\npotts = q\nxent = quad\n")
-        write_labels(np.zeros((8, 8), dtype=np.int64), p["scribbles"])
+        ("1", False, "eta is negligible next to lambda * max(w) and a component has no scribble"),
+        # no term at all on a flat image: one component with a scribble, zero diagonal
+        ("0", True, "zero diagonal in the Laplacian block"),
+    ], ids=["no-scribble", "no-term"])
+    def test_singular_system_exits_numerical(self, lam, scribbled, reason, instance_files,
+                                             capsys):
+        p = instance_files
+        p["config"].write_text(f"eta = 0\nlambda = {lam}\npotts = q\nxent = quad\n")
+        if scribbled:
+            write_image(Image(np.full((8, 8, 3), 80, dtype=np.uint8)), p["image"])
+        else:
+            write_labels(np.zeros((8, 8), dtype=np.int64), p["scribbles"])
         code = run("oracle-rw", "--image", p["image"], "--scribbles", p["scribbles"],
                    "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
         assert code == 3
+        assert capsys.readouterr().err == f"numerical failure: singular system: {reason}\n"
+        assert list(p["out"].iterdir()) == []
 
     def test_off_simplex_solution_exits_numerical(self, tmp_path, capsys):
         # eta = 0 on 8x8 noise: affinities underflow, so pixels reach the
@@ -202,16 +218,25 @@ class TestSmallCommands:
         assert run("metrics", "--pred", pred, "--gt", gt, "--classes", 2) == 0
         assert capsys.readouterr().out.strip() == "1.0000"
 
-    def test_metrics_refuses_a_transposed_ground_truth(self, tmp_path, capsys):
+    METRICS = ("metrics", "--pred", "p.pgm", "--gt", "g.pgm", "--classes", "2")
+
+    @pytest.mark.parametrize("labels, argv, line", [
         # 2x3 and 3x2 maps hold the same six labels in row-major order
-        pred, gt = tmp_path / "p.pgm", tmp_path / "g.pgm"
-        write_labels(np.array([[1, 2, 1], [2, 1, 2]]), pred)
-        write_labels(np.array([[1, 2], [1, 2], [1, 2]]), gt)
-        assert run("metrics", "--pred", pred, "--gt", gt, "--classes", 2) == 2
+        ({"p.pgm": [[1, 2, 1], [2, 1, 2]], "g.pgm": [[1, 2], [1, 2], [1, 2]]}, METRICS,
+         "prediction and ground truth differ in shape: (2, 3) and (3, 2)"),
+        ({"p.pgm": [[1, 3], [2, 1]], "g.pgm": [[1, 2], [2, 1]]}, METRICS,
+         "prediction labels must lie in 1..2"),
+        ({}, ("gradcheck", "--kind", "nosuch"), "unknown gradcheck kind; matched only []"),
+    ], ids=["transposed-ground-truth", "label-above-classes", "unknown-gradcheck-kind"])
+    def test_refusal_is_one_data_error_line(self, labels, argv, line, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, data in labels.items():
+            write_labels(np.array(data), name)
+        assert run(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "data error: prediction and ground truth differ in shape: (2, 3) and (3, 2)"]
+        assert captured.err.splitlines() == [f"data error: {line}"]
 
     @pytest.mark.parametrize("missing", ["pred", "gt"])
     def test_metrics_missing_file_names_its_flag(self, tmp_path, capsys, missing):
@@ -255,20 +280,35 @@ class TestExitCodes:
                    "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
         assert code == 2
 
-    def test_config_parse_failure_is_data_error(self, instance_files, capsys):
+    @pytest.mark.parametrize("text, reason", [
+        ("bogus_key = 1\n", "{config}: unknown config keys: bogus_key"),
+        ("eta = abc\n", "config key eta: 'abc' is not a number"),
+    ], ids=["unknown-key", "not-a-number"])
+    def test_config_parse_failure_is_data_error(self, text, reason, instance_files, capsys):
         p = instance_files
-        p["config"].write_text("bogus_key = 1\n")
+        p["config"].write_text(text)
         code = run("solve", "--image", p["image"], "--scribbles", p["scribbles"],
                    "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
         assert code == 2
+        assert capsys.readouterr().err == f"data error: {reason.format(config=p['config'])}\n"
 
-    def test_illegal_scribble_value_is_data_error(self, instance_files, capsys):
+    @pytest.mark.parametrize("name, corrupt, reason", [
+        ("scribbles", lambda data: data[:-1] + bytes([200]), "illegal scribble value 200 (K=3)"),
+        ("image", lambda _: b"P6\n3 3", "truncated header"),
+        ("image", lambda _: b"P6\n3 x\n255\n", "malformed header byte b'x'"),
+        ("image", lambda _: b"P6\n3 3\n255", "missing separator after header"),
+        ("image", lambda _: b"P6\n0 3\n255\n", "bad dimensions 0x3"),
+        ("sigma", lambda data: data[:4] + struct.pack("<III", 3, 3, 1),
+         "bad PFLD dimensions 3x3x1"),
+    ], ids=["scribble-value", "ppm-truncated", "ppm-byte", "ppm-separator", "ppm-dimensions",
+            "pfld-one-class"])
+    def test_malformed_input_is_data_error(self, name, corrupt, reason, instance_files, capsys):
         p = instance_files
-        bad = p["scribbles"].read_bytes()
-        p["scribbles"].write_bytes(bad[:-1] + bytes([200]))
+        p[name].write_bytes(corrupt(p[name].read_bytes()))
         code = run("solve", "--image", p["image"], "--scribbles", p["scribbles"],
                    "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
         assert code == 2
+        assert capsys.readouterr().err == f"data error: {p[name]}: {reason}\n"
 
     def test_dimension_mismatch_is_data_error(self, instance_files, capsys, tmp_path):
         p = instance_files
@@ -371,13 +411,14 @@ class TestExitCodes:
         assert written == []
 
     @pytest.mark.parametrize("command, size", [("solve", 5), ("train", 5), ("solve", 16),
-                                               ("train", 16)],
-                             ids=["solve", "train", "solve-16", "train-16"])
+                                               ("train", 16), ("oracle-rw", 16)],
+                             ids=["solve", "train", "solve-16", "train-16", "oracle-rw-16"])
     def test_non_finite_objective_is_numerical_failure(self, command, size, tmp_path, capsys):
         # the objective overflows at the start point, so no inf trace is
         # written; on the 16x16, K = 3 instance the edge gradients overflow
         # too, and the failure line alone reaches stderr (a numpy
-        # RuntimeWarning fails this suite)
+        # RuntimeWarning fails this suite); oracle-rw solves exactly and
+        # refuses the overflowing objective of its solution
         if size == 5:
             job = (Image(np.random.default_rng(2).integers(0, 256, size=(5, 5, 3))),)
         else:
@@ -386,8 +427,9 @@ class TestExitCodes:
         config = "eta = 1e308\nlambda = 1e308\nsteps = 3\nrounds = 2\n"
         code, written = self.small_job(tmp_path, command, config, *job)
         assert code == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: pseudo-label objective at the start point is inf\n")
+        objective = ("quadratic objective of the solution" if command == "oracle-rw"
+                     else "pseudo-label objective at the start point")
+        assert capsys.readouterr().err == f"numerical failure: {objective} is inf\n"
         assert written == []
 
 

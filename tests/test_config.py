@@ -13,13 +13,14 @@ from potts_sl.potts import PottsKind
 class TestParsing:
     def test_empty_gives_defaults(self):
         cfg = parse_config_text("")
-        assert cfg.loss.eta == 0.3 and cfg.loss.lam == 6.0
-        assert cfg.loss.potts is PottsKind.CD and cfg.loss.xent is XentKind.CCE
+        assert cfg.loss_cfg.eta == 0.3 and cfg.loss_cfg.lam == 6.0
+        assert cfg.loss_cfg.potts is PottsKind.CD and cfg.loss_cfg.xent is XentKind.CCE
         assert cfg.affinity.kind is NeighborhoodKind.NN4
         assert cfg.affinity.color_bandwidth == 9.0
-        assert cfg.solver.steps == 200 and cfg.solver.learning_rate == 0.075
+        assert cfg.solver_cfg.steps == 200 and cfg.solver_cfg.learning_rate == 0.075
         assert cfg.rounds == 10
         assert cfg == RunConfig()
+        assert parse_config_text("neighborhood = nn4") == cfg
 
     def test_full_config(self):
         text = """
@@ -36,12 +37,12 @@ class TestParsing:
         seed = 11
         """
         cfg = parse_config_text(text)
-        assert cfg.loss.eta == 1.5 and cfg.loss.lam == 2.0
-        assert cfg.loss.potts is PottsKind.Q and cfg.loss.xent is XentKind.QUAD
+        assert cfg.loss_cfg.eta == 1.5 and cfg.loss_cfg.lam == 2.0
+        assert cfg.loss_cfg.potts is PottsKind.Q and cfg.loss_cfg.xent is XentKind.QUAD
         assert cfg.affinity.kind is NeighborhoodKind.DENSE_TRUNCATED
         assert cfg.affinity.radius == 3 and cfg.affinity.spatial_bandwidth == 1.5
         assert cfg.affinity.color_bandwidth == 3.0
-        assert cfg.solver.steps == 50 and cfg.solver.learning_rate == 0.01
+        assert cfg.solver_cfg.steps == 50 and cfg.solver_cfg.learning_rate == 0.01
         assert cfg.rounds == 4
         # seed is accepted and validated, but changes nothing
         assert cfg == parse_config_text(text.replace("seed = 11", ""))

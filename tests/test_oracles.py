@@ -21,6 +21,7 @@ from potts_sl import (
     random_walker_solve,
 )
 from potts_sl.potts import PottsKind
+from potts_sl.synthetic import solver_oracle_instance
 from helpers import permute_classes, random_interior_field
 
 
@@ -117,6 +118,21 @@ class TestRandomWalker:
         monkeypatch.setattr(oracles, "cg", lambda a, b, **kw: (np.full(b.shape, 2.0), 0))
         with pytest.raises(NumericalError, match="not on the simplex"):
             random_walker_solve(sigma, scribbles, graph, 0.5, 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-155, 1e-150, 2.0**-40, 2.0**40,
+                                       1e152, 1e153, 1e154, 1e155, 1e200, 1e300])
+    def test_solution_depends_on_lambda_over_eta_alone(self, seed, scale):
+        # the weights are scaled by a power of two before the assembly, so CG
+        # neither underflows nor overflows, and a power-of-two scale moves no bit
+        sigma, scribbles, image = solver_oracle_instance(seed, 16, 16, 3)
+        graph = build_graph(image, AffinityConfig())
+        ref = random_walker_solve(sigma, scribbles, graph, 0.3, 6.0).data
+        y = random_walker_solve(sigma, scribbles, graph, 0.3 * scale, 6.0 * scale).data
+        if np.log2(scale).is_integer():
+            assert np.array_equal(y, ref)
+        else:
+            np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-13)
 
     def test_stationarity_matches_loss_bookkeeping(self):
         # the assembled system must be the exact stationary point of

@@ -15,6 +15,9 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
   Voronoi instances at K = 4 and K = 21 (three scribbles per class and the
   argmax of a smooth field as ground truth), so the alternation is also
   compared beyond two classes;
+- `solve` and `oracle-rw` on a 20x20 instance at K = 4, and `train --gt` on
+  the two-region instance, with a config that sets all ten keys to moderate
+  values other than their defaults;
 - `corrupt-bench --seed 0` and `gradcheck`;
 - pair_api.txt: the repr of `potts_value` and of both `potts_grad` vectors
   for every Potts kind, and of `xent_value` and both `xent_grad` vectors
@@ -151,6 +154,19 @@ def write_set(tree: Path, root: Path) -> None:
         folder = train_instance(Path(f"train-k{k}"), image, scribbles, gt)
         for neighborhood in ("nn4", "sparse:2"):
             train(folder, neighborhood, "cd", "cce")
+
+    # every config key at a moderate value other than its default, so that a
+    # setting read into the wrong field changes the written files
+    all_keys = Path("all-keys.cfg")
+    all_keys.write_text("eta = 0.7\nlambda = 2.5\npotts = nq\nxent = rce\n"
+                        "neighborhood = dense:2:1.5\ncolor_bandwidth = 12\nsteps = 40\n"
+                        "lr = 0.05\nrounds = 2\nseed = 3\n")
+    files = grid_instance(Path("all-keys"), 20, 4, seed=7)
+    train_files = ["--image", "train/image.ppm", "--scribbles", "train/scribbles.pgm",
+                   "--gt", "train/gt.pgm"]
+    for command, inputs in (("solve", files), ("oracle-rw", files), ("train", train_files)):
+        folder = Path("all-keys") / command
+        run(str(folder), [command, *inputs, "--config", str(all_keys), "--out", str(folder)])
 
     Path("corrupt").mkdir()
     run("corrupt", ["corrupt-bench", "--seed", "0", "--out", "corrupt"])
