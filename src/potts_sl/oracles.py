@@ -110,7 +110,8 @@ def random_walker_solve(
     solution are exactly 1 because the constant vector solves the summed
     system. The solution depends on lambda / eta alone, so both are first
     scaled by the power of two that brings the larger of 2 eta and
-    lambda * max(w) into [1/4, 1): that is exact, and no product in the
+    lambda * max(w) into [1/4, 1) (max(w) taken as at least 2**-1022, and
+    lambda as 0 if no edge has weight): that is exact, and no product in the
     assembly or in cg overflows, or underflows for want of scale, at any
     finite eta and lambda. When 2 eta <= eps * lambda * max(w) (eta = 0
     included), a pixel group that no edge above eps * max(w) connects to a
@@ -135,11 +136,11 @@ def random_walker_solve(
     # 2 eta < 2**e and lambda * max(w) < 2**e for the larger binary exponent e
     w_max = graph.w.max(initial=0.0)
     exponents = [math.frexp(eta)[1] + 1] if eta else []
-    if lam and w_max:
-        exponents.append(math.frexp(lam)[1] + math.frexp(w_max)[1])
+    if lam and w_max:  # a subnormal max(w) counts as 2**-1022: lambda scales below 2**1021
+        exponents.append(math.frexp(lam)[1] + max(math.frexp(w_max)[1], -1021))
     if exponents:
         shift = -max(exponents)
-        eta, lam = math.ldexp(eta, shift), math.ldexp(lam, shift)
+        eta, lam = math.ldexp(eta, shift), (math.ldexp(lam, shift) if w_max else 0.0)
 
     eps_w = np.finfo(float).eps * w_max
     if 2.0 * eta <= lam * eps_w:

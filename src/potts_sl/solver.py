@@ -25,7 +25,8 @@ The gradient is a fresh array at each evaluation, since the descent keeps
 the accepted one across refused trials.
 
 The logits descend by _armijo_descent, which the trainer shares, so the
-objective never rises. Divergent log-based edges contribute the clamped
+objective never rises and every descent refuses, with NumericalError, a
+start it cannot step from. Divergent log-based edges contribute the clamped
 value to the objective, are counted in the report, and have their gradient
 skipped at that iterate.
 """
@@ -39,7 +40,7 @@ import numpy as np
 from .affinity import AffinityGraph
 from .errors import DataError, LOG_CLAMP, NumericalError, check_count, check_real
 from .losses import JointTerms, LossConfig, _check_instance, _joint_terms
-from .potts import PlaneWorkspace, plane_sum
+from .potts import PlaneWorkspace, _plane_value, plane_sum
 from .simplex import LogitField, ProbField, ScribbleField, softmax_backward, softmax_rows
 
 
@@ -75,7 +76,7 @@ class SolveReport:
     terms: JointTerms | None = None
 
 
-def _objective(y, s, free, scribbled, graph, cfg, ws=None):
+def _objective(y, s, free, scribbled, graph, cfg, ws):
     """(JointTerms, divergence count, dist-space gradient) at y.
 
     y, sigma's planes s and the gradient are (K, N) class planes. free
@@ -84,8 +85,7 @@ def _objective(y, s, free, scribbled, graph, cfg, ws=None):
     rows use the gradient of the clamped coupling, zeroed at scribbled
     pixels before the eta scaling, so that it scales without overflow there.
     The gradient is the coupling's fresh d/dy planes, into which plane_sum
-    adds the pairwise part using ws, a PlaneWorkspace of this graph, lambda
-    and K (a new one if None).
+    adds the pairwise part using ws, the solve's PlaneWorkspace.
     """
     terms, vdiv, gdata = _joint_terms(cfg, np.zeros(0), y, s, free)
     out = gdata[0]
@@ -103,45 +103,52 @@ def pseudo_label_objective(
     graph: AffinityGraph,
     cfg: LossConfig,
 ) -> float:
-    """Sub-problem objective of a candidate y at fixed sigma (clamped logs);
-    its gradient is dropped, unreported if it overflows (as potts._plane_value)."""
-    scribbled, _, free = _check_instance(sigma, scribbles, graph, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _objective(y.planes(), sigma.planes(), free, scribbled, graph, cfg)[0].value
+    """Sub-problem objective of a candidate y at fixed sigma (clamped logs),
+    summed as sl_loss sums it, with no scribble NLL (pairwise by _plane_value)."""
+    _, _, free = _check_instance(sigma, scribbles, graph, y)
+    yp = y.planes()
+    pairwise = _plane_value(cfg.potts, yp, graph, cfg.lam)[0]
+    return _joint_terms(cfg, np.zeros(0), yp, sigma.planes(), free, pairwise)[0].value
 
 
-def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, start=None):
+def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, name="model"):
     """Armijo backtracking gradient descent; returns (x, value).
 
-    value_grad(x) -> (value, gradient) runs once per trial, and at x unless
-    a start function is given to evaluate x in its place. A step's first
-    trial takes the last accepted step size (at first step0), which halves
-    until f(x - t g) < f(x) - 1e-4 t |g|^2 and never grows. |g|^2 is an
-    einsum, since BLAS would add it in an order set by its thread count. The
-    test is strict so that a trial which rounds back to x (t |g| below the
-    float resolution of x) fails instead of passing as a null step. Stops after
-    `steps` steps, at a zero gradient, or after _MAX_HALVINGS failed trials.
-    record(value) runs at the start and at each accepted point, right after
-    its evaluation.
+    value_grad(x) -> (value, gradient) runs at x and once per trial, all under
+    one np.errstate: a start whose value or |g|^2 is not finite raises
+    NumericalError naming the `name` objective, and such a trial fails. A
+    step's first trial takes the last accepted step size (at first step0),
+    which halves until f(x - t g) < f(x) - 1e-4 t |g|^2 and never grows.
+    |g|^2 is an einsum, since BLAS would add it in an order set by its thread
+    count. The test is strict so that a trial which rounds back to x (t |g|
+    below the float resolution of x) fails instead of passing as a null step.
+    Stops after `steps` steps, at a zero gradient, or after _MAX_HALVINGS
+    failed trials. record(value) runs at the start and at each accepted
+    point, right after its evaluation.
     """
-    value, grad = (value_grad if start is None else start)(x)
-    record(value)
-    t = step0
-    for _ in range(steps):
-        g = grad.ravel()
-        gnorm2 = float(np.einsum("i,i->", g, g))
-        if gnorm2 == 0.0:
-            break
-        for _ in range(_MAX_HALVINGS):
-            cand = x - t * grad
-            fc, gc = value_grad(cand)
-            if fc < value - _ARMIJO * t * gnorm2:
-                break
-            t *= 0.5
-        else:
-            break
-        x, value, grad = cand, fc, gc
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = value_grad(x)
+        gnorm2 = float(np.einsum("i,i->", grad.ravel(), grad.ravel()))
+        if not np.isfinite(value):
+            raise NumericalError(f"{name} objective at the start point is {value!r}")
+        if not np.isfinite(gnorm2):
+            raise NumericalError(f"{name} gradient at the start point is not finite")
         record(value)
+        t = step0
+        for _ in range(steps):
+            if gnorm2 == 0.0:
+                break
+            for _ in range(_MAX_HALVINGS):
+                cand = x - t * grad
+                fc, gc = value_grad(cand)
+                gc2 = float(np.einsum("i,i->", gc.ravel(), gc.ravel()))
+                if -np.inf < fc < value - _ARMIJO * t * gnorm2 and gc2 < np.inf:
+                    break
+                t *= 0.5
+            else:
+                break
+            x, value, grad, gnorm2 = cand, fc, gc, gc2
+            record(value)
     return x, value
 
 
@@ -170,18 +177,8 @@ def _solve_planes(s, logits, scribbled, cls, free, graph, loss_cfg, solver_cfg):
         report.terms = terms
         report.divergence_events += events
 
-    def start(logits):
-        # an overflow at the start point is reported by the errors below alone
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, grad = value_grad(logits)
-        if not np.isfinite(value):
-            raise NumericalError(f"pseudo-label objective at the start point is {value!r}")
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError("pseudo-label gradient at the start point is not finite")
-        return value, grad
-
     logits, value = _armijo_descent(logits, value_grad, solver_cfg.steps,
-                                    solver_cfg.learning_rate, record, start)
+                                    solver_cfg.learning_rate, record, "pseudo-label")
     report.trace += [value] * (solver_cfg.steps + 1 - len(report.trace))
     return logits, labels(logits), report
 
@@ -198,9 +195,9 @@ def solve_pseudo_labels(
 
     The returned field satisfies the scribble constraint exactly (pinned
     one-hots), and report.trace is non-increasing with steps + 1 entries
-    ending at the final objective. A start objective or gradient that is not
-    finite (eta or lambda near the float range) raises NumericalError; from a
-    finite start the descent keeps every trace entry finite.
+    ending at the final objective. A start objective or squared gradient norm
+    that is not finite (eta or lambda near the float range) raises
+    NumericalError; from a finite start every trace entry is finite.
     """
     parts = _check_instance(sigma, scribbles, graph, init_logits=init_logits)
     s = sigma.planes()

@@ -7,7 +7,8 @@ backtracking gradient descent on the joint self-labeling loss at fixed
 pseudo-labels. Every descent is the solver's Armijo routine, whose first
 trial step is STEP_SIZE and only shrinks, and every pseudo-label solve after
 the first starts from the previous round's labels, so neither block step can
-raise the joint loss and its trace is non-increasing by construction.
+raise the joint loss and its trace is non-increasing by construction. Each
+descent refuses a start it cannot step from with NumericalError.
 
 Probabilities, logits, pseudo-labels and their gradients are (K, N) class
 planes, as in the solver: the logits are W phi^T + b for the (N, D)

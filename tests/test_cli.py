@@ -1,7 +1,12 @@
+import contextlib
+import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from potts_sl import (
     AffinityGraph,
@@ -15,6 +20,8 @@ from potts_sl import (
 )
 from potts_sl import cli
 from potts_sl.cli import main
+from potts_sl.data_terms import XentKind
+from potts_sl.potts import PottsKind
 from potts_sl.synthetic import solver_oracle_instance, two_region_instance
 
 
@@ -461,3 +468,133 @@ class TestClassLimit:
     def test_21_classes_run(self, command, tmp_path, capsys):
         code, names = self.job(tmp_path, command, 21)
         assert code == 0 and "y_vis.ppm" in names
+
+
+@st.composite
+def degenerate_jobs(draw):
+    """One small CLI job: command, image size, class count, scribbles, a
+    companion file that may be transposed, missized or of another class
+    count, and config values at the ends of the float range."""
+    command = draw(st.sampled_from(["solve", "oracle-rw", "train", "metrics"]))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    classes = draw(st.sampled_from([2, 2, 21, 22]))
+    scribbled = draw(st.sampled_from(["none", "some", "all"]))
+    companions = {"solve": ["scribbles", "sigma"], "oracle-rw": ["scribbles", "sigma"],
+                  "train": ["scribbles", "gt"], "metrics": ["gt"]}[command]
+    # each odd companion and refused config value is drawn about 1 time in 8,
+    # so that about half the jobs run to the end
+    odd = draw(st.sampled_from([None] * 4 + ["transposed", "missized", "fewer-classes",
+                                             "more-classes"]))
+    odd_file = draw(st.sampled_from(companions))
+    extreme = st.sampled_from([None, 0.0, 1e-300, 1e300, 1e308])
+    config = {"eta": draw(extreme), "lambda": draw(extreme),
+              "lr": draw(st.sampled_from([None, 1e308])),
+              # 1e-300 and 1e200 are refused; 0.01 zeroes the weight of most edges
+              "color_bandwidth": draw(st.sampled_from([None] * 5 + [0.01, 1e-300, 1e200])),
+              "neighborhood": draw(st.sampled_from(["nn4", "sparse:2"])),
+              "potts": draw(st.sampled_from([kind.value for kind in PottsKind])),
+              "xent": draw(st.sampled_from([kind.value for kind in XentKind])),
+              "steps": draw(st.integers(1, 5)), "rounds": draw(st.integers(1, 2))}
+    vertex_sigma = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    return command, h, w, classes, scribbled, odd, odd_file, config, vertex_sigma, seed
+
+
+def reshaped(labels, odd, classes):
+    """labels as a companion file holds them: transposed, one column wider,
+    or with its largest class one below or above the instance's."""
+    if odd == "transposed":
+        return labels.T
+    if odd == "missized":
+        return np.hstack([labels, labels[:, :1]])
+    if odd == "fewer-classes":
+        return np.minimum(labels, classes - 1)
+    if odd == "more-classes":
+        return np.where(labels == labels.max(), classes + 1, labels)
+    return labels
+
+
+def write_pfld(path, data):
+    """A PFLD file of any (H, W, K) float array, K = 1 included."""
+    path.write_bytes(b"PFLD" + struct.pack("<III", *data.shape) + data.astype("<f4").tobytes())
+
+
+def sweep_job(folder, job):
+    """Write one degenerate job's files into folder and run it in process;
+    returns (exit code, stdout, stderr, the scribbles it read, out folder)."""
+    command, h, w, classes, scribbled, odd, odd_file, config, vertex_sigma, seed = job
+    rng = np.random.default_rng(seed)
+    write_image(Image(rng.integers(0, 256, size=(h, w, 3))), folder / "i.ppm")
+    labels = rng.integers(1, classes + 1, size=(h, w))
+    labels.flat[0] = classes  # train takes K from its scribbles
+    mask = {"none": np.zeros((h, w), dtype=bool), "all": np.ones((h, w), dtype=bool),
+            "some": rng.uniform(size=(h, w)) < 0.5}[scribbled]
+    scribbles = np.where(mask, labels, 0)
+    if odd_file == "scribbles" and scribbled != "none":
+        scribbles = reshaped(scribbles, odd, classes)
+    write_labels(scribbles, folder / "s.pgm")
+    k = {"fewer-classes": classes - 1, "more-classes": classes + 1}.get(
+        odd if odd_file == "sigma" else None, classes)
+    if vertex_sigma:
+        sigma = np.eye(k)[rng.integers(0, k, size=(h, w))]
+    else:
+        sigma = rng.dirichlet(np.ones(k), size=(h, w))
+    if odd_file == "sigma" and odd in ("transposed", "missized"):
+        sigma = sigma.transpose(1, 0, 2) if odd == "transposed" else sigma[:, [*range(w), 0]]
+    write_pfld(folder / "p.pfld", sigma)
+    gt = labels if odd_file != "gt" else reshaped(labels, odd, classes)
+    write_labels(gt, folder / "gt.pgm")
+    lines = [f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}"
+             for key, value in config.items() if value is not None]
+    (folder / "c.cfg").write_text("\n".join(lines) + "\n")
+    out = folder / "out"
+    if command == "metrics":
+        write_labels(labels, folder / "pred.pgm")
+        argv = ["metrics", "--pred", folder / "pred.pgm", "--gt", folder / "gt.pgm",
+                "--classes", classes]
+    else:
+        argv = [command, "--image", folder / "i.ppm", "--scribbles", folder / "s.pgm",
+                "--config", folder / "c.cfg", "--out", out]
+        argv += ["--gt", folder / "gt.pgm"] if command == "train" else \
+            ["--sigma", folder / "p.pfld"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(*argv)
+    return code, stdout.getvalue(), stderr.getvalue(), scribbles, out
+
+
+@pytest.mark.filterwarnings("ignore:classes with no scribbles:UserWarning")
+@settings(max_examples=300)
+@example(("train", 2, 3, 2, "some", None, "gt",
+          {"eta": 1e308, "lambda": None, "lr": None, "color_bandwidth": None,
+           "neighborhood": "nn4", "potts": "cd", "xent": "cce", "steps": 5, "rounds": 2},
+          False, 2))
+@example(("oracle-rw", 1, 1, 2, "none", None, "sigma",
+          {"eta": 1e-300, "lambda": 1e300, "lr": None, "color_bandwidth": None,
+           "neighborhood": "nn4", "potts": "cd", "xent": "cce", "steps": 1, "rounds": 1},
+          False, 0))
+@given(degenerate_jobs())
+def test_degenerate_inputs_exit_with_a_documented_code(job):
+    """Every job ends in exit 0 with finite outputs, on the simplex, with
+    the scribbles pinned, or in exit 2 or 3 with one stderr line and
+    nothing written; a RuntimeWarning fails the suite."""
+    with tempfile.TemporaryDirectory() as folder:
+        code, stdout, stderr, scribbles, out = sweep_job(Path(folder), job)
+        written = sorted(f.name for f in out.iterdir()) if out.is_dir() else []
+        assert code in (0, 2, 3), stderr
+        if code:
+            assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+            assert written == []
+        elif job[0] == "metrics":
+            assert 0.0 <= float(stdout) <= 1.0
+        else:
+            y = read_probfield(out / "y.pfld").data
+            assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
+            assert np.allclose(y.sum(axis=2), 1.0, rtol=0.0, atol=1e-5)  # float32 rows
+            marked = scribbles > 0
+            assert np.array_equal(y[marked], np.eye(y.shape[2])[scribbles[marked] - 1])
+            for name in ("solve_report.txt", "loss_trace.txt", "miou.txt"):
+                if name in written:
+                    values = [float(line.split("\t")[1])
+                              for line in (out / name).read_text().splitlines()]
+                    assert np.all(np.isfinite(values)), name

@@ -134,6 +134,20 @@ class TestRandomWalker:
         else:
             np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("weights", [[], [0.0, 0.0], [1e-310, 1e-310]],
+                             ids=["no-edge", "zero-weights", "subnormal-weights"])
+    def test_lambda_far_above_eta_with_no_normal_weight(self, weights):
+        # at eta = 1e-300 and lambda = 1e300, a scale taken from eta alone (no
+        # edge weight) or from a subnormal max(w) would overflow lambda; with
+        # no weight the free pixels keep sigma, else they follow the scribble
+        sigma = random_interior_field(np.random.default_rng(1), 1, 3, 2)
+        graph = AffinityGraph(3, [0, 1][:len(weights)], [1, 2][:len(weights)], weights)
+        scribbles = ScribbleField(np.array([[1, 0, 0]]))
+        y = random_walker_solve(sigma, scribbles, graph, 1e-300, 1e300).data[0]
+        assert np.array_equal(y[0], [1.0, 0.0])
+        expected = [[1.0, 0.0]] * 2 if any(weights) else sigma.data[0, 1:]
+        np.testing.assert_allclose(y[1:], expected, rtol=0.0, atol=1e-12)
+
     def test_stationarity_matches_loss_bookkeeping(self):
         # the assembled system must be the exact stationary point of
         # eta * sum quad + lam * potts_sum(Q): check the gradient vanishes

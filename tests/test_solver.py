@@ -25,6 +25,7 @@ from potts_sl.oracles import finite_diff_check
 from potts_sl.potts import PlaneWorkspace, PottsKind, plane_sum
 from potts_sl import solver
 from potts_sl.solver import SolverConfig, _armijo_descent, _objective
+from potts_sl.trainer import _fit_linear_softmax
 from helpers import permute_classes, random_interior_field
 
 
@@ -113,7 +114,8 @@ class TestMechanics:
         graph = build_graph(Image(np.zeros((1, 2, 3))), AffinityConfig())
         y = np.array([[0.5, 1.0], [0.5, 0.0]])
         cfg = LossConfig(eta=1e308, lam=0.0, xent=XentKind.CE)
-        terms, _, grad = _objective(y, sigma.planes(), np.array([0]), np.array([1]), graph, cfg)
+        terms, _, grad = _objective(y, sigma.planes(), np.array([0]), np.array([1]), graph, cfg,
+                                    PlaneWorkspace(graph, cfg.lam, 2))
         assert terms.coupling == 1e308 * math.log(2.0)
         assert grad[:, 0].tolist() == [1e308 * math.log(2.0)] * 2
         assert grad[:, 1].tolist() == [0.0, 0.0]
@@ -275,6 +277,50 @@ class TestArmijoDescent:
         assert np.array_equal(points[-1], np.ones(2))
         assert np.all(x == 1.0) and value == 1.0
 
+    @pytest.mark.parametrize("value, reason", [
+        (math.inf, "toy objective at the start point is inf"),
+        (math.nan, "toy objective at the start point is nan"),
+        (1.0, "toy gradient at the start point is not finite"),
+    ])
+    def test_a_start_it_cannot_step_from_is_refused(self, value, reason):
+        # finite gradient entries whose |g|^2 overflows: every trial would be
+        # compared against value - 1e-4 t inf = -inf, so none could pass
+        f, points = self.recording(lambda x: (value, np.full(2, 1e200)))
+        with pytest.raises(NumericalError, match=f"^{reason}$"):
+            _armijo_descent(np.ones(2), f, 5, 1.0, name="toy")
+        assert len(points) == 1
+
+    def test_a_trial_whose_gradient_norm_overflows_fails(self):
+        # f = x[0] descends to 0, but |g|^2 overflows at x[0] <= 0.25: the trial
+        # at 0 passes the Armijo test and fails, and the one at 0.5 is taken;
+        # taking the point at 0 would leave no trial that could pass
+        def f(x):
+            return float(x[0]), np.array([1.0, 0.0]) if x[0] > 0.25 else np.full(2, 1e200)
+
+        recorded = []
+        f, points = self.recording(f)
+        x, value = _armijo_descent(np.ones(2), f, 1, 1.0, recorded.append)
+        assert [float(p[0]) for p in points] == [1.0, 0.0, 0.5]
+        assert x.tolist() == [0.5, 1.0] and value == 0.5 and recorded == [1.0, 0.5]
+
+    def test_trials_that_overflow_fail_without_a_warning(self):
+        # a first trial step of 1e308 overflows the logits of the first trials
+        # (a RuntimeWarning fails this suite); those trials fail, and the trace
+        # stays finite and never rises
+        sigma, scribbles, graph = grid_instance(9, h=3, w=4, k=3, labeled=3)
+        _, report = solve_pseudo_labels(sigma, None, scribbles, graph, LossConfig(),
+                                        SolverConfig(steps=4, learning_rate=1e308))
+        assert np.all(np.isfinite(report.trace)) and np.all(np.diff(report.trace) <= 0.0)
+
+    def test_model_fit_refuses_features_whose_gradient_overflows(self):
+        # features near 1e200 give a finite start gradient whose |g|^2
+        # overflows; its first trial would overflow the logits
+        x = 1e200 * np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        targets = np.eye(2)[[0, 1, 0, 1]]
+        with pytest.raises(NumericalError,
+                           match="^model gradient at the start point is not finite$"):
+            _fit_linear_softmax(x, targets, XentKind.CE, epochs=5)
+
     def test_terms_are_those_of_the_last_accepted_point(self, monkeypatch):
         # one trial per step from an oversized first step: the descent gives
         # up on a rejected trial, whose terms must not reach the report
@@ -435,9 +481,10 @@ def test_objective_gradient_matches_finite_differences(potts, xent):
     cols = np.flatnonzero(lab == 0), np.flatnonzero(lab)
     s = sigma.planes()
     cfg = LossConfig(eta=0.7, lam=1.3, potts=potts, xent=xent)
-    terms, events, grad = _objective(y, s, *cols, graph, cfg)
+    ws = PlaneWorkspace(graph, cfg.lam, 3)
+    terms, events, grad = _objective(y, s, *cols, graph, cfg, ws)
     assert events == 0
-    f = lambda z: _objective(z.reshape(y.shape), s, *cols, graph, cfg)[0].value
+    f = lambda z: _objective(z.reshape(y.shape), s, *cols, graph, cfg, ws)[0].value
     assert finite_diff_check(f, grad, y) < 1e-6
 
 

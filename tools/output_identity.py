@@ -18,6 +18,12 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
 - `solve` and `oracle-rw` on a 20x20 instance at K = 4, and `train --gt` on
   the two-region instance, with a config that sets all ten keys to moderate
   values other than their defaults;
+- jobs the CLI refuses, each with its one stderr line and the names of the
+  files it left in its --out: `solve` at eta = lambda = 1e308 (exit 3) and
+  with an unknown config key (exit 2), `oracle-rw` at eta = lambda = 0 on a
+  flat image with one scribble (a zero diagonal, exit 3), `metrics` with a
+  transposed ground truth (exit 2), and `train` at eta = 1e308 on a 2x3
+  image whose solves start where the squared gradient norm overflows (exit 3);
 - `corrupt-bench --seed 0` and `gradcheck`;
 - pair_api.txt: the repr of `potts_value` and of both `potts_grad` vectors
   for every Potts kind, and of `xent_value` and both `xent_grad` vectors
@@ -73,7 +79,7 @@ def write_set(tree: Path, root: Path) -> None:
     import numpy as np
 
     import potts_sl
-    from potts_sl import (AffinityConfig, AffinityGraph, DivergentPointError, LossConfig,
+    from potts_sl import (AffinityConfig, AffinityGraph, DivergentPointError, Image, LossConfig,
                           NeighborhoodKind, PottsKind, ProbField, ScribbleField, SolverConfig,
                           XentKind, argmax_decode, build_graph, is_divergent, potts_grad,
                           potts_sum, potts_value, pseudo_label_objective, random_walker_solve,
@@ -167,6 +173,43 @@ def write_set(tree: Path, root: Path) -> None:
     for command, inputs in (("solve", files), ("oracle-rw", files), ("train", train_files)):
         folder = Path("all-keys") / command
         run(str(folder), [command, *inputs, "--config", str(all_keys), "--out", str(folder)])
+
+    # refused jobs: stdout.txt holds the one stderr line and the names of the
+    # files left in --out, a temporary folder outside the set
+    def refused(name, argv):
+        with tempfile.TemporaryDirectory() as out:
+            run(name, [*argv, "--out", out])
+            left = sorted(os.listdir(out))
+        with open(Path(name) / "stdout.txt", "a") as fh:
+            fh.write(f"left in --out: {left}\n")
+
+    folder = Path("refused")
+    folder.mkdir()
+    for cfg, text in (("overflow.cfg", "eta = 1e308\nlambda = 1e308\nsteps = 5\n"),
+                      ("no-term.cfg", "eta = 0\nlambda = 0\n"),
+                      ("unknown-key.cfg", "bogus_key = 1\n"),
+                      ("eta-1e308.cfg", "eta = 1e308\n")):
+        (folder / cfg).write_text(text)
+    refused("refused/solve-overflow", ["solve", *files, "--config", "refused/overflow.cfg"])
+    refused("refused/solve-unknown-key", ["solve", *files, "--config", "refused/unknown-key.cfg"])
+    # a flat image is one component; its one scribble leaves a zero diagonal
+    write_image(Image(np.full((4, 5, 3), 80, dtype=np.uint8)), folder / "flat.ppm")
+    write_labels(np.eye(4, 5, dtype=np.int64), folder / "one.pgm")
+    write_probfield(ProbField.uniform(4, 5, 2), folder / "uniform.pfld")
+    refused("refused/oracle-rw-no-term",
+            ["oracle-rw", "--image", "refused/flat.ppm", "--scribbles", "refused/one.pgm",
+             "--sigma", "refused/uniform.pfld", "--config", "refused/no-term.cfg"])
+    write_labels(np.arange(1, 7).reshape(2, 3) % 2 + 1, folder / "pred.pgm")
+    write_labels(np.arange(1, 7).reshape(3, 2) % 2 + 1, folder / "gt-transposed.pgm")
+    run("refused/metrics-transposed", ["metrics", "--pred", "refused/pred.pgm",
+                                       "--gt", "refused/gt-transposed.pgm", "--classes", "2"])
+    # at eta = 1e308 the first solve starts where |g|^2 overflows
+    write_image(Image(np.random.default_rng(1).integers(0, 256, size=(2, 3, 3))),
+                folder / "small.ppm")
+    write_labels(np.array([[1, 2, 3], [0, 0, 0]]), folder / "small.pgm")
+    refused("refused/train-eta-1e308",
+            ["train", "--image", "refused/small.ppm", "--scribbles", "refused/small.pgm",
+             "--config", "refused/eta-1e308.cfg"])
 
     Path("corrupt").mkdir()
     run("corrupt", ["corrupt-bench", "--seed", "0", "--out", "corrupt"])
