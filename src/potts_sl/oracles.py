@@ -22,7 +22,7 @@ import numpy as np
 from .affinity import AffinityGraph
 from .errors import DataError, NumericalError, check_real
 from .losses import _check_instance
-from .simplex import ProbField, ScribbleField
+from .simplex import _FIELD_NEG_TOL, ProbField, ScribbleField
 
 _CG_TOL = 1e-10
 _FD_STEP = 1e-5
@@ -102,19 +102,25 @@ def random_walker_solve(
 
         (2 eta I + lambda L)_UU y_U = 2 eta sigma_U + lambda W_US ybar_S,
 
-    solved by Jacobi-preconditioned conjugate gradients (cg) to 1e-10. The K
-    class solves share no state, so they run on a pool of min(K, usable
-    CPUs) threads; cg's einsum dots, ufuncs and the CSR matvec release the
-    GIL. Each class's result is the one a serial loop gives, so the solution
-    does not depend on the worker or BLAS thread count. Row sums of the
-    solution are exactly 1 because the constant vector solves the summed
-    system. The solution depends on lambda / eta alone, so both are first
-    scaled by the power of two that brings the larger of 2 eta and
-    lambda * max(w) into [1/4, 1) (max(w) taken as at least 2**-1022, and
-    lambda as 0 if no edge has weight): that is exact, and no product in the
-    assembly or in cg overflows, or underflows for want of scale, at any
+    solved by Jacobi-preconditioned conjugate gradients (cg) to 1e-10. The
+    right-hand sides b_c sum to (2 eta I + lambda L)_UU 1, so the K
+    solutions sum to 1 and only K - 1 are solved, on a pool of min(K - 1,
+    usable CPUs) threads (cg's einsum dots, ufuncs and CSR matvec release
+    the GIL). The class with the largest key (|b_c|^2, bytes of b_c), whose
+    CG error would be largest, is 1 minus the others subtracted in key
+    order, so rows sum to 1 within rounding; m classes tied for that key
+    (equal b_c) share it over m. The key depends on b_c alone, and each
+    solve is the one a serial loop gives, so permuting the classes permutes
+    the solution bit for bit, at any worker or BLAS thread count. If the
+    solves' errors take the derived class below the simplex floor of -1e-9,
+    it is solved too. The solution depends on lambda / eta alone, so both
+    are first scaled by the power of two that brings the larger of 2 eta
+    and lambda * max(w) into [1/4, 1) (max(w) taken as at least 2**-1022,
+    and lambda as 0 if no edge has weight): that is exact, and no product in
+    the assembly or in cg overflows, or underflows for want of scale, at any
     finite eta and lambda. When 2 eta <= eps * lambda * max(w) (eta = 0
-    included), a pixel group that no edge above eps * max(w) connects to a
+    included; both sides scaled by 1/eps, so a subnormal max(w) does not
+    underflow), a pixel group that no edge above eps * max(w) connects to a
     scribble makes the system singular in floating point, and NumericalError
     is raised before any solve. A solution that is not a probability field
     anyway also raises NumericalError.
@@ -142,15 +148,15 @@ def random_walker_solve(
         shift = -max(exponents)
         eta, lam = math.ldexp(eta, shift), (math.ldexp(lam, shift) if w_max else 0.0)
 
-    eps_w = np.finfo(float).eps * w_max
-    if 2.0 * eta <= lam * eps_w:
+    if 2.0**53 * eta <= lam * w_max:
         # lambda * L_UU alone is singular on any component without a scribble,
         # and numerically so when a group reaches every scribble only through
         # edges below eps * max(w): its condition number then exceeds 1/eps.
         # A diagonal 2 eta that small does not lift it above that bound.
         from scipy.sparse.csgraph import connected_components
 
-        pos = graph.w > eps_w
+        with np.errstate(over="ignore"):  # an infinite 2**52 w exceeds any max(w)
+            pos = 2.0**52 * graph.w > w_max
         adj = sparse.coo_matrix(
             (graph.w[pos], (graph.ei[pos], graph.ej[pos])), shape=(n, n)
         )
@@ -183,13 +189,28 @@ def random_walker_solve(
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(k, cpus)) as pool:
-        solves = list(pool.map(
-            lambda b: cg(a_uu, b, rtol=_CG_TOL, atol=0.0, M=inv_diag), rhs.T))
-    for c, (x, info) in enumerate(solves):
+
+    def solve(c):
+        x, info = cg(a_uu, rhs.T[c], rtol=_CG_TOL, atol=0.0, M=inv_diag)
         if info != 0:
             raise NumericalError(f"conjugate gradient failed to converge (info={info})")
-        out[free, c] = x
+        return x
+
+    keys = [(_dot(b, b), b.tobytes()) for b in rhs.T]
+    order = sorted(range(k), key=keys.__getitem__)
+    # the classes tied for the largest key share one right-hand side
+    derived = [c for c in order if keys[c] == keys[order[-1]]]
+    solved = order[:-len(derived)]
+    rest = np.ones(free.size)
+    with ThreadPoolExecutor(max_workers=min(len(solved), cpus) or 1) as pool:
+        for c, x in zip(solved, pool.map(solve, solved)):
+            out[free, c] = x
+            rest -= x
+    rest /= len(derived)
+    if rest.min() < -_FIELD_NEG_TOL:
+        # the solved classes' CG errors add up in the derived ones
+        rest = solve(derived[0])
+    out[np.ix_(free, derived)] = rest[:, None]
     try:
         return ProbField(out.reshape(sigma.data.shape))
     except DataError as exc:

@@ -36,6 +36,18 @@ def grid_instance(seed, h=5, w=5, k=3, labeled=4):
     return sigma, ScribbleField(data.reshape(h, w)), graph
 
 
+def sharp_instance(seed, n, k=5):
+    """A noise image, ten scribbles and sigma the softmax of 25 times
+    standard normal logits: most entries of sigma are near 0 or 1."""
+    rng = np.random.default_rng(seed)
+    graph = build_graph(Image(rng.integers(0, 256, size=(n, n, 3))), AffinityConfig())
+    logits = 25.0 * rng.standard_normal((n, n, k))
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    data = np.zeros(n * n, dtype=np.int64)
+    data[rng.permutation(n * n)[:10]] = rng.integers(1, k + 1, size=10)
+    return ProbField(e / e.sum(axis=2, keepdims=True)), ScribbleField(data.reshape(n, n)), graph
+
+
 class TestRandomWalker:
     def test_lambda_zero_returns_sigma(self):
         sigma, scribbles, graph = grid_instance(0)
@@ -66,6 +78,13 @@ class TestRandomWalker:
             sums = y.data.sum(axis=2)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
             assert y.data.min() >= -1e-9 and y.data.max() <= 1.0 + 1e-9
+
+    def test_sharp_sigma_rows_sum_to_one_to_rounding(self):
+        # the last class is 1 minus the others, so the CG errors of the solves
+        # (about 1e-10 here) stay out of the row sums
+        y = random_walker_solve(*sharp_instance(0, 64), 0.3, 6.0).data
+        assert np.max(np.abs(y.sum(axis=2) - 1.0)) <= 1e-12
+        assert y.min() >= -1e-9
 
     def test_singular_system_detected(self):
         sigma = ProbField.uniform(1, 3, 2)
@@ -148,6 +167,15 @@ class TestRandomWalker:
         expected = [[1.0, 0.0]] * 2 if any(weights) else sigma.data[0, 1:]
         np.testing.assert_allclose(y[1:], expected, rtol=0.0, atol=1e-12)
 
+    def test_subnormal_max_weight_still_runs_the_grounding_check(self):
+        # eps * max(w) underflows to 0 for a subnormal max(w); the zero-weight
+        # edge still cuts the last pixel off from the scribble
+        sigma = random_interior_field(np.random.default_rng(1), 1, 3, 2)
+        graph = AffinityGraph(3, [0, 1], [1, 2], [1e-310, 0.0])
+        scribbles = ScribbleField(np.array([[1, 0, 0]]))
+        with pytest.raises(NumericalError, match="singular system.*a component has no scribble"):
+            random_walker_solve(sigma, scribbles, graph, 1e-300, 1e300)
+
     def test_stationarity_matches_loss_bookkeeping(self):
         # the assembled system must be the exact stationary point of
         # eta * sum quad + lam * potts_sum(Q): check the gradient vanishes
@@ -191,6 +219,29 @@ class TestRandomWalker:
         y_perm = random_walker_solve(*permute_classes(sigma, scribbles, perm), graph, eta, lam)
         assert np.array_equal(y_perm.data, y.data[..., perm])
 
+    @pytest.mark.parametrize("perm", [(0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 1, 2, 0)])
+    def test_tied_classes_permute_bit_for_bit(self, perm):
+        # classes 0 and 2, and 1 and 3, have one sigma column each and no
+        # scribble, so their keys tie; the larger pair shares the derived
+        # solution, half of 1 minus the smaller pair's
+        a = 0.3 + 0.15 * np.random.default_rng(2).uniform(size=(6, 7))
+        sigma = ProbField(np.stack([a, 0.5 - a, a, 0.5 - a], axis=2))
+        scribbles = ScribbleField.empty(6, 7)
+        _, _, graph = grid_instance(2, h=6, w=7)
+        y = random_walker_solve(sigma, scribbles, graph, 0.3, 6.0)
+        y_perm = random_walker_solve(*permute_classes(sigma, scribbles, perm), graph, 0.3, 6.0)
+        assert np.array_equal(y_perm.data, y.data[..., perm])
+
+    def test_identical_classes_need_no_solve(self, monkeypatch):
+        # every class has one right-hand side, so each is 1 / K
+        from potts_sl import oracles
+
+        monkeypatch.setattr(oracles, "cg", None)
+        _, _, graph = grid_instance(2, h=6, w=7)
+        y = random_walker_solve(ProbField.uniform(6, 7, 4), ScribbleField.empty(6, 7),
+                                graph, 0.3, 6.0)
+        assert np.array_equal(y.data, np.full((6, 7, 4), 0.25))
+
 
 def grid_system(seed, h=7, w=9, eta=0.3, lam=6.0):
     """(2 eta I + lam L, inverse diagonal, right-hand side) on a small grid."""
@@ -201,6 +252,21 @@ def grid_system(seed, h=7, w=9, eta=0.3, lam=6.0):
     a = ((2.0 * eta) * sparse.identity(h * w, format="csr") + lam * oracles._laplacian(graph)).tocsr()
     b = np.random.default_rng(seed).standard_normal(h * w)
     return a, 1.0 / a.diagonal(), b
+
+
+def record_cg(monkeypatch):
+    """Make oracles.cg record each call's (a, b, keywords) in a list; returns
+    (the real cg, that list)."""
+    from potts_sl import oracles
+
+    real_cg, calls = oracles.cg, []
+
+    def recording_cg(a, b, **kw):
+        calls.append((a, b, kw))
+        return real_cg(a, b, **kw)
+
+    monkeypatch.setattr(oracles, "cg", recording_cg)
+    return real_cg, calls
 
 
 class TestConjugateGradient:
@@ -240,28 +306,43 @@ class TestConjugateGradient:
         assert x.shape == b.shape and not x.any()
 
     def test_pool_gives_the_serial_loop_bit_for_bit(self, monkeypatch):
-        # record each class's system, then solve the same systems one after
-        # another on this thread: the pooled solution must not differ by a
-        # bit. The workers may start the classes in either order.
+        # the pool solves K - 1 classes, in either order, each as a serial cg
+        # of its system does; the class left is the one with the largest key
+        # (|b|^2, bytes of b), and it is 1 minus the solved classes,
+        # subtracted in key order
         from potts_sl import oracles
 
-        real_cg, calls = oracles.cg, []
-
-        def recording_cg(a, b, **kw):
-            calls.append((a, b, kw))
-            return real_cg(a, b, **kw)
-
+        real_cg, calls = record_cg(monkeypatch)
         sigma, scribbles, graph = grid_instance(3, h=12, w=13, k=5, labeled=10)
-        monkeypatch.setattr(oracles, "cg", recording_cg)
         y = random_walker_solve(sigma, scribbles, graph, 0.3, 6.0)
-        assert len(calls) == 5
-        unlabeled = scribbles.data.ravel() == 0
-        flat = y.data.reshape(-1, 5)
-        matched = set()
+        assert len(calls) == 4
+        flat = y.data.reshape(-1, 5)[scribbles.data.ravel() == 0]
+        keys = {}
         for a, b, kw in calls:
             x, info = real_cg(a, b, **kw)
             assert info == 0
-            matched |= {c for c in range(5) if np.array_equal(flat[unlabeled, c], x)}
+            (c,) = [c for c in range(5) if np.array_equal(flat[:, c], x)]
+            keys[c] = (oracles._dot(b, b), b.tobytes())
+        (last,) = set(range(5)) - keys.keys()
+        # the right-hand sides sum to a @ 1, as the rows of sigma and ybar sum to 1
+        b_last = a @ np.ones(a.shape[0]) - sum(b for _, b, _ in calls)
+        assert b_last @ b_last > 1.01 * max(keys.values())[0]
+        rest = np.ones(len(flat))
+        for c in sorted(keys, key=keys.get):
+            rest -= flat[:, c]
+        assert np.array_equal(flat[:, last], rest)
+
+    def test_derived_class_below_the_simplex_floor_is_solved(self, monkeypatch):
+        # on this instance 1 minus four solved classes dips below -1e-9, so the
+        # fifth class is solved too, and every column is its serial cg
+        real_cg, calls = record_cg(monkeypatch)
+        sigma, scribbles, graph = sharp_instance(14, 48)
+        y = random_walker_solve(sigma, scribbles, graph, 0.3, 6.0)
+        assert len(calls) == 5
+        flat = y.data.reshape(-1, 5)[scribbles.data.ravel() == 0]
+        solved = [real_cg(a, b, **kw)[0] for a, b, kw in calls]
+        assert np.min(1.0 - sum(solved[:4])) < -1e-9
+        matched = {c for x in solved for c in range(5) if np.array_equal(flat[:, c], x)}
         assert matched == set(range(5))
 
     def test_unconverged_solve_is_a_numerical_failure(self, monkeypatch):

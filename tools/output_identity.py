@@ -51,9 +51,17 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
 Every job runs with relative paths from the set's folder, so stdout does not
 name the folder, and its exit code goes to exit_codes.txt. The change's set
 is compared with the parent's at the same thread count. The script prints
-each file that differs and the largest relative change of any value in a
-solve_report.txt or loss_trace.txt, and exits 1 on any difference, 2 if a
-tree cannot write its set, 0 otherwise.
+each file that differs, and how far its values moved:
+
+- a .pfld file: the largest absolute change of a float32 value after the
+  16-byte PFLD header, and the largest change in float32 units in the last
+  place of the larger of the two values;
+- library_values.txt: the largest absolute change of a number on a line
+  that differs, the numbers of a line paired in order;
+- a solve_report.txt or loss_trace.txt: the largest relative change of a
+  value, also printed over all of them at the end.
+
+It exits 1 on any difference, 2 if a tree cannot write its set, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ import contextlib
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -70,6 +79,7 @@ from pathlib import Path
 
 THREADS = ("1", "2")
 TRACE_FILES = ("solve_report.txt", "loss_trace.txt")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 POTTS = ("bl", "q", "nq", "cce", "cd", "lq")
 XENT = ("ce", "rce", "cce", "quad")
 
@@ -308,17 +318,49 @@ def trace_change(a: Path, b: Path) -> float:
     return worst
 
 
+def pfld_change(a: Path, b: Path) -> str:
+    """Largest absolute change between the float32 payloads of two PFLD files."""
+    import numpy as np
+
+    va, vb = (np.frombuffer(p.read_bytes()[16:], dtype="<f4") for p in (a, b))
+    if va.shape != vb.shape:
+        return "payload sizes differ"
+    diff = np.abs(va.astype(np.float64) - vb.astype(np.float64))
+    ulp = np.spacing(np.maximum(np.abs(va), np.abs(vb))).astype(np.float64)
+    return f"largest absolute change {diff.max():.3g} ({np.max(diff / ulp):.3g} float32 ulps of the larger value)"
+
+
+def line_change(a: Path, b: Path) -> str:
+    """Largest absolute change between the numbers of the lines that differ."""
+    worst = 0.0
+    for la, lb in zip(a.read_text().splitlines(), b.read_text().splitlines()):
+        if la != lb:
+            na, nb = NUMBER.findall(la), NUMBER.findall(lb)
+            if len(na) != len(nb):
+                return "the numbers of a line do not pair up"
+            worst = max([worst, *(abs(float(x) - float(y)) for x, y in zip(na, nb) if x != y)])
+    return f"largest absolute change {worst:.3g}"
+
+
 def compare(parent: Path, change: Path) -> tuple[list[str], float, int]:
-    """(files that differ or exist on one side only, largest trace change, files compared)."""
+    """(files that differ or exist on one side only, each with how far its values
+    moved, largest trace change, files compared)."""
     pa, ch = file_set(parent), file_set(change)
     differ, worst = [], 0.0
     for rel in sorted(pa.keys() | ch.keys()):
         if rel not in pa or rel not in ch:
             differ.append(f"{rel} (only in the {'parent' if rel in pa else 'change'})")
         elif pa[rel].read_bytes() != ch[rel].read_bytes():
-            differ.append(str(rel))
-            if rel.name in TRACE_FILES:
-                worst = max(worst, trace_change(pa[rel], ch[rel]))
+            detail = ""
+            if rel.suffix == ".pfld":
+                detail = pfld_change(pa[rel], ch[rel])
+            elif rel.name == "library_values.txt":
+                detail = line_change(pa[rel], ch[rel])
+            elif rel.name in TRACE_FILES:
+                moved = trace_change(pa[rel], ch[rel])
+                worst = max(worst, moved)
+                detail = f"largest relative change {moved:.3g}"
+            differ.append(f"{rel} ({detail})" if detail else str(rel))
     return differ, worst, len(pa.keys() | ch.keys())
 
 
