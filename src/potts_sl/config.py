@@ -10,8 +10,8 @@ ignored, unknown keys are rejected. Keys:
     neighborhood     nn4 | sparse:R | dense:R:GAMMA
     color_bandwidth  float > 0 whose 2 * value**2 is a positive finite float
     steps            accepted solver descent steps, int >= 1
-    lr               solver first trial step, float > 0; each Armijo step
-                     starts from the last accepted size and only halves it
+    lr               solver first trial step, any finite float > 0; Armijo
+                     halves the last accepted size until a trial descends
     rounds           alternation rounds, int >= 1
     seed             integer; accepted for compatibility with older configs
                      and otherwise ignored: solve and train are deterministic

@@ -3,7 +3,7 @@
 Images are binary PPM (P6, maxval 255); label maps and scribbles are binary
 PGM (P5, maxval 255) where a pixel value v in 1..K is class v and 255 means
 unlabeled/ignore. Probability fields use a little "PFLD" container: 16-byte
-header (magic + u32 LE height, width, classes) followed by H*W*K float32
+header (magic + u32 LE height, width, classes), then exactly H*W*K float32
 little-endian values, pixel-major then class. All writers are deterministic,
 and read/write round-trips are bit-exact at the stored precision.
 """
@@ -149,9 +149,10 @@ def read_probfield(path) -> ProbField:
     if height < 1 or width < 1 or classes < 2:
         raise DataError(f"{path}: bad PFLD dimensions {height}x{width}x{classes}")
     need = height * width * classes * 4
-    payload = data[16 : 16 + need]
+    payload = data[16:]
     if len(payload) != need:
-        raise DataError(f"{path}: truncated PFLD payload ({len(payload)} of {need} bytes)")
+        fault = "truncated" if len(payload) < need else "oversized"
+        raise DataError(f"{path}: {fault} PFLD payload ({len(payload)} of {need} bytes)")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return ProbField(values.reshape(height, width, classes))
 

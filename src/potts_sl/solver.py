@@ -25,10 +25,10 @@ The gradient is a fresh array at each evaluation, since the descent keeps
 the accepted one across refused trials.
 
 The logits descend by _armijo_descent, which the trainer shares, so the
-objective never rises and every descent refuses, with NumericalError, a
-start it cannot step from. Divergent log-based edges contribute the clamped
-value to the objective, are counted in the report, and have their gradient
-skipped at that iterate.
+objective never rises, a first trial step of any finite size descends, and
+every descent refuses, with NumericalError, a start it cannot step from.
+Divergent log-based edges contribute the clamped value to the objective,
+are counted in the report, and have their gradient skipped at that iterate.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ from .errors import DataError, LOG_CLAMP, NumericalError, check_count, check_rea
 from .losses import JointTerms, LossConfig, _check_instance, _joint_terms
 from .potts import PlaneWorkspace, _plane_value, plane_sum
 from .simplex import LogitField, ProbField, ScribbleField, softmax_backward, softmax_rows
-
-
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -120,10 +116,13 @@ def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, name
     step's first trial takes the last accepted step size (at first step0),
     which halves until f(x - t g) < f(x) - 1e-4 t |g|^2 and never grows.
     |g|^2 is an einsum, since BLAS would add it in an order set by its thread
-    count. The test is strict so that a trial which rounds back to x (t |g|
-    below the float resolution of x) fails instead of passing as a null step.
-    Stops after `steps` steps, at a zero gradient, or after _MAX_HALVINGS
-    failed trials. record(value) runs at the start and at each accepted
+    count. Stops after `steps` steps or at a trial x - t g equal to x bit for
+    bit, which is not evaluated: every smaller t rounds back too, and a zero
+    gradient stops there at once. The test stays strict so that a trial whose
+    decrease is below the resolution of f(x) fails, as it does not descend.
+    t only halves, to 0 within 2,099 halvings, so a descent makes at most
+    1 + steps + 2,099 evaluations; a zero model's start, with |g| at rounding
+    level, nears that. record(value) runs at the start and at each accepted
     point, right after its evaluation.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -136,17 +135,15 @@ def _armijo_descent(x, value_grad, steps, step0, record=lambda value: None, name
         record(value)
         t = step0
         for _ in range(steps):
-            if gnorm2 == 0.0:
-                break
-            for _ in range(_MAX_HALVINGS):
+            while True:
                 cand = x - t * grad
+                if np.array_equal(cand, x):
+                    return x, value
                 fc, gc = value_grad(cand)
                 gc2 = float(np.einsum("i,i->", gc.ravel(), gc.ravel()))
-                if -np.inf < fc < value - _ARMIJO * t * gnorm2 and gc2 < np.inf:
+                if -np.inf < fc < value - 1e-4 * t * gnorm2 and gc2 < np.inf:
                     break
                 t *= 0.5
-            else:
-                break
             x, value, grad, gnorm2 = cand, fc, gc, gc2
             record(value)
     return x, value

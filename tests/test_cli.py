@@ -598,3 +598,17 @@ def test_degenerate_inputs_exit_with_a_documented_code(job):
                     values = [float(line.split("\t")[1])
                               for line in (out / name).read_text().splitlines()]
                     assert np.all(np.isfinite(values)), name
+
+
+@pytest.mark.parametrize("lr", [1e18, 1e308])
+def test_a_large_learning_rate_descends(instance_files, lr):
+    """A first trial step far beyond any useful size halves until a trial
+    passes, so the solve descends instead of returning its start."""
+    p = instance_files
+    p["config"].write_text(f"steps = 4\nlr = {lr!r}\n")
+    code = run("solve", "--image", p["image"], "--scribbles", p["scribbles"],
+               "--sigma", p["sigma"], "--config", p["config"], "--out", p["out"])
+    assert code == 0
+    lines = (p["out"] / "solve_report.txt").read_text().splitlines()[:-1]
+    trace = [float(line.split("\t")[1]) for line in lines]
+    assert trace[-1] < trace[0]

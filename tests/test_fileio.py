@@ -126,6 +126,13 @@ class TestPfld:
         with pytest.raises(DataError, match="truncated"):
             read_probfield(path)
 
+    def test_trailing_bytes_after_the_payload(self, tmp_path):
+        # a 2x2x2 field is 32 payload bytes; 8 more must not read as valid
+        path = tmp_path / "t.pfld"
+        path.write_bytes(b"PFLD" + b"\x02\x00\x00\x00" * 3 + bytes(40))
+        with pytest.raises(DataError, match=r"oversized PFLD payload \(40 of 32 bytes\)$"):
+            read_probfield(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.pfld"
         path.write_bytes(b"XFLD" + GOLDEN_PFLD[4:])

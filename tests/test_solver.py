@@ -21,10 +21,11 @@ from potts_sl import (
     solve_pseudo_labels,
 )
 from potts_sl.data_terms import XentKind
-from potts_sl.oracles import finite_diff_check
+from potts_sl.oracles import finite_diff_check, random_walker_solve
 from potts_sl.potts import PlaneWorkspace, PottsKind, plane_sum
 from potts_sl import solver
 from potts_sl.solver import SolverConfig, _armijo_descent, _objective
+from potts_sl.synthetic import solver_oracle_instance
 from potts_sl.trainer import _fit_linear_softmax
 from helpers import permute_classes, random_interior_field
 
@@ -259,22 +260,24 @@ class TestArmijoDescent:
         assert recorded == [1.5, 0.0]
 
     def test_stops_when_no_step_passes(self):
-        # every trial point is worse than the start
-        values = iter([1.0] + [2.0] * solver._MAX_HALVINGS)
-        f, points = self.recording(lambda x: (next(values), np.ones(2)))
+        # every trial point is worse than the start: the trials at t = 2^0
+        # ... 2^-53 are evaluated, and the one at 2^-54 rounds back to x and
+        # is not
+        f, points = self.recording(lambda x: (1.0 if np.all(x == 1.0) else 2.0, np.ones(2)))
         x, value = _armijo_descent(np.ones(2), f, 5, 1.0)
-        assert len(points) == 1 + solver._MAX_HALVINGS
+        assert len(points) == 55
+        assert points[-1].tolist() == [1.0 - 2.0**-53] * 2
         assert np.all(x == 1.0) and value == 1.0
 
     def test_a_trial_that_rounds_back_to_x_is_not_a_step(self):
         # -x is an ascent direction of 0.5 |x|^2, so every trial x + t x is
-        # worse until t |x| drops below the resolution of x; from there on
-        # x + t x == x and f equals f(x) minus a term that rounds away, which
-        # must not pass as an accepted step
+        # worse until t |x| drops below the resolution of x: the trials at
+        # t = 2^0 ... 2^-52 are evaluated, and at 2^-53 x + t x == x ends the
+        # descent without an evaluation, so no such point passes as a step
         f, points = self.recording(lambda x: (0.5 * float(x @ x), -x))
         x, value = _armijo_descent(np.ones(2), f, 5, 1.0)
-        assert len(points) == 1 + solver._MAX_HALVINGS
-        assert np.array_equal(points[-1], np.ones(2))
+        assert len(points) == 54
+        assert not any(np.array_equal(p, np.ones(2)) for p in points[1:])
         assert np.all(x == 1.0) and value == 1.0
 
     @pytest.mark.parametrize("value, reason", [
@@ -311,6 +314,7 @@ class TestArmijoDescent:
         _, report = solve_pseudo_labels(sigma, None, scribbles, graph, LossConfig(),
                                         SolverConfig(steps=4, learning_rate=1e308))
         assert np.all(np.isfinite(report.trace)) and np.all(np.diff(report.trace) <= 0.0)
+        assert report.trace[-1] < report.trace[0]
 
     def test_model_fit_refuses_features_whose_gradient_overflows(self):
         # features near 1e200 give a finite start gradient whose |g|^2
@@ -322,19 +326,23 @@ class TestArmijoDescent:
             _fit_linear_softmax(x, targets, XentKind.CE, epochs=5)
 
     def test_terms_are_those_of_the_last_accepted_point(self, monkeypatch):
-        # one trial per step from an oversized first step: the descent gives
-        # up on a rejected trial, whose terms must not reach the report
+        # the start and the first 18 trials, three steps accepted among them,
+        # keep their terms; from there on the spy adds 1 to the coupling, more
+        # than any later step lowers the objective, so every later trial is
+        # refused and the descent ends, rounding back, after a rejected trial
+        # whose terms must not reach the report
         sigma, scribbles, graph = grid_instance(15, h=8, w=8, k=3, labeled=6)
         cfg = LossConfig()
         evaluated = []
         objective = solver._objective
 
         def spy(*args, **kwargs):
-            result = objective(*args, **kwargs)
-            evaluated.append(result[0])
-            return result
+            terms, events, grad = objective(*args, **kwargs)
+            if len(evaluated) >= 19:
+                terms = terms._replace(coupling=terms.coupling + 1.0)
+            evaluated.append(terms)
+            return terms, events, grad
 
-        monkeypatch.setattr(solver, "_MAX_HALVINGS", 1)
         monkeypatch.setattr(solver, "_objective", spy)
         y, report = solve_pseudo_labels(sigma, None, scribbles, graph, cfg,
                                         SolverConfig(steps=20, learning_rate=1e4))
@@ -357,6 +365,24 @@ class TestArmijoDescent:
                                         SolverConfig(steps=steps))
         assert len(calls) == steps + 1
         assert report.trace[-1] < report.trace[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_gap_to_the_exact_optimum_closes_with_the_step_budget(seed):
+    # on Q/QUAD the random walker gives the exact optimum f*: the relative
+    # gap (f - f*) / f* of a solve must not rise with its step budget and
+    # must fall below 1e-3 at 1000 steps, so a stop rule that ends a real
+    # descent early fails here
+    sigma, scribbles, image = solver_oracle_instance(seed, 16, 16, 3)
+    graph = build_graph(image, AffinityConfig())
+    cfg = LossConfig(eta=0.3, lam=6.0, potts=PottsKind.Q, xent=XentKind.QUAD)
+    exact = random_walker_solve(sigma, scribbles, graph, cfg.eta, cfg.lam)
+    best = pseudo_label_objective(sigma, exact, scribbles, graph, cfg)
+    gaps = []
+    for steps in (50, 200, 1000):
+        y, _ = solve_pseudo_labels(sigma, None, scribbles, graph, cfg, SolverConfig(steps=steps))
+        gaps.append((pseudo_label_objective(sigma, y, scribbles, graph, cfg) - best) / best)
+    assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 1e-3, gaps
 
 
 @st.composite

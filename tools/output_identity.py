@@ -18,6 +18,9 @@ PYTHONPATH=<tree>/src, once under OPENBLAS_NUM_THREADS=1 and once under =2:
 - `solve` and `oracle-rw` on a 20x20 instance at K = 4, and `train --gt` on
   the two-region instance, with a config that sets all ten keys to moderate
   values other than their defaults;
+- `solve` on that 20x20 instance (40 steps) at lr = 1e18 and lr = 1e308,
+  whose first trial steps are far too large, so the halving is compared
+  where a solve refuses dozens to about a thousand trials before a step;
 - jobs the CLI refuses, each with its one stderr line and the names of the
   files it left in its --out: `solve` at eta = lambda = 1e308 (exit 3) and
   with an unknown config key (exit 2), `oracle-rw` at eta = lambda = 0 on a
@@ -183,6 +186,12 @@ def write_set(tree: Path, root: Path) -> None:
     for command, inputs in (("solve", files), ("oracle-rw", files), ("train", train_files)):
         folder = Path("all-keys") / command
         run(str(folder), [command, *inputs, "--config", str(all_keys), "--out", str(folder)])
+    # a first trial step far beyond any useful size, which halves until it descends
+    for lr in ("1e18", "1e308"):
+        cfg = Path(f"lr-{lr}.cfg")
+        cfg.write_text(f"lr = {lr}\nsteps = 40\n")
+        folder = Path(f"lr-{lr}") / "solve"
+        run(str(folder), ["solve", *files, "--config", str(cfg), "--out", str(folder)])
 
     # refused jobs: stdout.txt holds the one stderr line and the names of the
     # files left in --out, a temporary folder outside the set
